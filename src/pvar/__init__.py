@@ -15,9 +15,9 @@ from .estimate import (ConstraintSpec, FitResult, build_design,
                        demean_seasonal, fit_constrained, fit_ols)
 from .infer import (Restriction, WaldResult, chisq_sf, normal_sf, t_report,
                     wald)
-from .linalg import cholesky_upper, kron, unvec, vec
-from .lrv import (BANDWIDTH_RULES, KernelSpec, default_bandwidth, kernel_weight,
-                  lambda_hat, omega_hat, psi_cross_hac, psi_hac, psi_spectral,
+from .linalg import cholesky_upper, unvec, vec
+from .lrv import (BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth,
+                  kernel_weight, lambda_hat, omega_hat, psi_hac, psi_spectral,
                   score_series, select_ar_order_aic, theta_sandwich,
                   theta_strong, theta_xi)
 from .mc import McReport, Scenario, preset, run_scenario, sse_summary
@@ -33,12 +33,12 @@ __all__ = [
     "ExactCovariances", "FitResult", "KernelSpec", "McReport",
     "PeriodicSeries", "PvarModel", "Restriction", "Scenario", "WaldResult",
     "build_design", "build_lifted_var", "cholesky_upper", "chisq_sf",
-    "companion_spectral_radius", "default_bandwidth", "demean_seasonal",
-    "errors", "exact_covariances", "example_model", "fit_constrained",
-    "fit_ols", "gen_noise", "is_causal", "kernel_weight", "kron",
+    "companion_spectral_radius", "covariances", "default_bandwidth",
+    "demean_seasonal", "errors", "exact_covariances", "example_model",
+    "fit_constrained", "fit_ols", "gen_noise", "is_causal", "kernel_weight",
     "lambda_hat", "ma_coefficients", "normal_sf", "omega_closed",
-    "omega_hat", "preset", "psi_closed", "psi_cross_hac", "psi_hac",
-    "psi_spectral", "run_scenario", "score_series", "select_ar_order_aic",
-    "simulate", "sse_summary", "t_report", "theta_closed", "theta_s_closed",
+    "omega_hat", "preset", "psi_closed", "psi_hac", "psi_spectral",
+    "run_scenario", "score_series", "select_ar_order_aic", "simulate",
+    "sse_summary", "t_report", "theta_closed", "theta_s_closed",
     "theta_sandwich", "theta_strong", "theta_xi", "unvec", "vec", "wald",
 ]

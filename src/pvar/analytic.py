@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import NotCausal, UnsupportedOrder
-from .linalg import kron
+from .lrv import theta_sandwich, theta_strong
 
 
 @dataclass
@@ -95,9 +95,8 @@ def omega_closed(params):
 def theta_s_closed(params):
     """Standard (independent-innovation) covariances Theta_S(1), Theta_S(2)."""
     omega1, omega2 = omega_closed(params)
-    t1 = kron(np.linalg.inv(omega1), params.sigma(1))
-    t2 = kron(np.linalg.inv(omega2), params.sigma(2))
-    return t1, t2
+    return (theta_strong(omega1, params.sigma(1)),
+            theta_strong(omega2, params.sigma(2)))
 
 
 def _own_psi_season1(f1, f2, s1, s2, m):
@@ -147,9 +146,7 @@ def theta_closed(params):
     """Sandwich covariances Theta(1), Theta(2) of the example."""
     omega1, omega2 = omega_closed(params)
     psi1, psi2 = psi_closed(params)
-    b1 = kron(np.linalg.inv(omega1), np.eye(2))
-    b2 = kron(np.linalg.inv(omega2), np.eye(2))
-    return b1 @ psi1 @ b1, b2 @ psi2 @ b2
+    return theta_sandwich(omega1, psi1, 2), theta_sandwich(omega2, psi2, 2)
 
 
 def example_model(m=1):

@@ -22,9 +22,8 @@ from .errors import (EmptyInput, InsufficientData, ParseError, PvarError,
                      RestrictionParseError)
 from .estimate import fit_ols
 from .infer import Restriction, t_report, wald
-from .linalg import kron, vec
-from .lrv import (BANDWIDTH_RULES, KernelSpec, default_bandwidth, omega_hat,
-                  psi_hac, psi_spectral, score_series, theta_sandwich)
+from .linalg import vec
+from .lrv import BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth
 from .model import PeriodicSeries, PvarModel
 from .noise import DEFAULT_BURNIN, NoiseSpec, simulate
 from .mc import PRESET_NAMES, preset, run_scenario
@@ -289,38 +288,20 @@ def _bandwidth_value(arg, n):
     return b
 
 
-def _covariances(fit, methods, kernel, bandwidth_arg, ar_order):
-    """Per-season Theta estimates for the requested methods."""
-    n = fit.n_used
-    out = []
-    for v in range(1, fit.s + 1):
-        X = fit.X[v - 1]
-        sig = fit.sigma_tilde[v - 1]
-        omega = omega_hat(X)
-        thetas = {}
-        W = None
-        for method in methods:
-            if method == "strong":
-                thetas["strong"] = kron(np.linalg.inv(omega), sig)
-                continue
-            if W is None:
-                W = score_series(X, fit.residuals[v - 1])
-            if method == "sp":
-                r = "aic" if ar_order == "aic" else int(ar_order)
-                thetas["sp"] = theta_sandwich(omega, psi_spectral(W, r), fit.d)
-            elif method == "hac":
-                spec = KernelSpec(kernel, _bandwidth_value(bandwidth_arg, n))
-                thetas["hac"] = theta_sandwich(omega, psi_hac(W, spec), fit.d)
-        out.append(thetas)
-    return out
-
-
 def _parse_methods(text):
     methods = [m.strip() for m in text.split(",") if m.strip()]
     for m in methods:
         if m not in ("strong", "sp", "hac"):
             raise ParseError(f"unknown covariance method {m!r}; use strong, sp, hac")
     return methods
+
+
+def _covariances_from_args(args, fit, seasons=None):
+    """The --cov methods and their per-season Theta estimates."""
+    methods = _parse_methods(args.cov)
+    hac = KernelSpec(args.kernel, _bandwidth_value(args.bandwidth, fit.n_used))
+    ar_order = "aic" if args.ar_order == "aic" else int(args.ar_order)
+    return methods, covariances(fit, methods, hac, ar_order, seasons)
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +323,15 @@ def _fit_from_args(args):
 
 def cmd_fit(args):
     fit = _fit_from_args(args)
-    methods = _parse_methods(args.cov)
-    thetas = _covariances(fit, methods, args.kernel, args.bandwidth, args.ar_order)
+    methods, thetas = _covariances_from_args(args, fit)
     headers = ["season", "lag", "row", "col", "estimate"]
-    for m in methods:
-        headers.append(f"se_{m}")
-    for m in methods:
-        headers.append(f"pval_{m}")
-    for m in methods:
-        headers.append(f"pval_wald_{m}")
+    for prefix in ("se", "pval", "pval_wald"):
+        headers += [f"{prefix}_{m}" for m in methods]
     rows, payload = [], {"command": "fit", "n_cycles": fit.n_used,
                          "orders": fit.orders, "seasons": []}
     for v in range(1, fit.s + 1):
         report = t_report(v, fit.d, fit.orders[v - 1], fit.beta_hat[v - 1],
-                          thetas[v - 1], fit.n_used)
+                          thetas[v], fit.n_used)
         season_payload = {"season": v, "coefficients": [],
                           "sigma_tilde_vec": [float(x) for x in
                                               vec(fit.sigma_tilde[v - 1])]}
@@ -379,12 +355,11 @@ def cmd_fit(args):
 
 def cmd_wald(args):
     fit = _fit_from_args(args)
-    methods = _parse_methods(args.cov)
-    thetas = _covariances(fit, methods, args.kernel, args.bandwidth, args.ar_order)
     per_season = {}
     for text in args.restrict:
         season, index, value = parse_restriction(text, fit.s, fit.d, fit.orders)
         per_season.setdefault(season, []).append((index, value))
+    methods, thetas = _covariances_from_args(args, fit, sorted(per_season))
     headers = ["season", "method", "statistic", "df", "p_value"]
     rows, payload = [], {"command": "wald", "n_cycles": fit.n_used, "tests": []}
     for season in sorted(per_season):
@@ -393,7 +368,7 @@ def cmd_wald(args):
         rest = Restriction.coordinates([i for i, _ in pairs], n_coef,
                                        values=[val for _, val in pairs])
         for m in methods:
-            res = wald(fit.beta_hat[season - 1], thetas[season - 1][m],
+            res = wald(fit.beta_hat[season - 1], thetas[season][m],
                        fit.n_used, rest, method=m)
             rows.append([season, m, _f(res.statistic, 10), res.df, _f(res.p_value, 10)])
             payload["tests"].append({"season": season, "method": m,
@@ -537,10 +512,7 @@ def main(argv=None):
         return exc.code if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InsufficientData,) as exc:
+    except (ParseError, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PvarError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InsufficientData,
                      RankDeficientConstraint, SingularDesign)
-from .linalg import inv_spd, kron, solve_guarded, vec
+from .linalg import inv_spd, solve_guarded, vec
 from .model import PeriodicSeries
 
 
@@ -188,7 +188,7 @@ def fit_constrained(series, orders, constraints, demean=True):
         B0 = spec.b.reshape(d, d * p, order="F") if p else np.zeros((d, 0))
         W = Z - B0 @ X
         rhs = spec.R.T @ vec(sig_inv @ W @ X.T)
-        lhs = spec.R.T @ kron(X @ X.T, sig_inv) @ spec.R
+        lhs = spec.R.T @ np.kron(X @ X.T, sig_inv) @ spec.R
         xi = solve_guarded(lhs, rhs, err=SingularDesign,
                            what=f"season {v} constrained normal equations")
         beta = spec.R @ xi + spec.b

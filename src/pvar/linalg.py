@@ -25,10 +25,6 @@ def unvec(v, rows, cols):
     return v.reshape(rows, cols, order="F")
 
 
-def kron(a, b):
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def solve_spd(a, b, err=NotPositiveDefinite, what="matrix"):
     """Solve a x = b for symmetric positive definite a via Cholesky."""
     a = np.asarray(a, dtype=float)

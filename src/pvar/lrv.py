@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, LagOutOfRange, NearSingularUnit,
                      RankDeficientConstraint, SingularDesign)
-from .linalg import inv_spd, kron, solve_guarded
+from .linalg import inv_spd, solve_guarded
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
@@ -128,26 +128,6 @@ def psi_hac(W, spec):
     return psi
 
 
-def psi_cross_hac(W_a, W_b, spec):
-    """Kernel-weighted cross long-run covariance of two score series."""
-    W_a = np.asarray(W_a, dtype=float)
-    W_b = np.asarray(W_b, dtype=float)
-    if W_a.shape[0] != W_b.shape[0]:
-        raise DimensionMismatch("score series must share the sample size")
-    N = W_a.shape[0]
-    T = min(spec.truncation, N - 1)
-    psi = np.zeros((W_a.shape[1], W_b.shape[1]))
-    for h in range(-T, T + 1):
-        w = kernel_weight(spec, h * spec.bandwidth)
-        if w == 0.0:
-            continue
-        if h >= 0:
-            psi = psi + w * (W_a[h:].T @ W_b[:N - h]) / N
-        else:
-            psi = psi + w * (W_a[:N + h].T @ W_b[-h:]) / N
-    return psi
-
-
 def _lag_design(W, r, start):
     """Stacked lag regressors [W_{n-1}; ...; W_{n-r}] for n = start..N-1."""
     N = W.shape[0]
@@ -234,15 +214,43 @@ def theta_strong(omega, sigma):
     """Omega^-1 (x) Sigma, the covariance under independent innovations."""
     omega_inv = solve_guarded(omega, np.eye(omega.shape[0]), err=SingularDesign,
                               what="regressor second-moment matrix")
-    return kron(omega_inv, sigma)
+    return np.kron(omega_inv, sigma)
 
 
 def theta_sandwich(omega, psi, d):
     """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d)."""
     omega_inv = solve_guarded(omega, np.eye(omega.shape[0]), err=SingularDesign,
                               what="regressor second-moment matrix")
-    bread = kron(omega_inv, np.eye(d))
+    bread = np.kron(omega_inv, np.eye(d))
     return bread @ psi @ bread
+
+
+def covariances(fit, methods, hac, ar_order="aic", seasons=None):
+    """Theta estimates {season: {method: Theta}}; seasons defaults to all.
+
+    "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
+    Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
+    """
+    out = {}
+    for v in seasons or range(1, fit.s + 1):
+        X = fit.X[v - 1]
+        omega = omega_hat(X)
+        W = None
+        out[v] = {}
+        for method in methods:
+            if method == "strong":
+                out[v][method] = theta_strong(omega, fit.sigma_tilde[v - 1])
+                continue
+            if W is None:
+                W = score_series(X, fit.residuals[v - 1])
+            if method == "sp":
+                psi = psi_spectral(W, ar_order)
+            elif method == "hac":
+                psi = psi_hac(W, hac)
+            else:
+                raise ValueError(f"unknown covariance method {method!r}")
+            out[v][method] = theta_sandwich(omega, psi, fit.d)
+    return out
 
 
 def theta_xi(R, omega, sigma, psi, d):
@@ -251,7 +259,7 @@ def theta_xi(R, omega, sigma, psi, d):
     if np.linalg.matrix_rank(R) < R.shape[1]:
         raise RankDeficientConstraint("R must have full column rank")
     sig_inv = inv_spd(sigma, what="residual covariance")
-    bread = solve_guarded(R.T @ kron(omega, sig_inv) @ R, np.eye(R.shape[1]),
+    bread = solve_guarded(R.T @ np.kron(omega, sig_inv) @ R, np.eye(R.shape[1]),
                           err=SingularDesign, what="constrained information matrix")
-    wing = kron(np.eye(omega.shape[0]), sig_inv) @ R
+    wing = np.kron(np.eye(omega.shape[0]), sig_inv) @ R
     return bread @ (wing.T @ psi @ wing) @ bread

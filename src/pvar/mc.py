@@ -15,13 +15,14 @@ import numpy as np
 from .errors import PvarError
 from .estimate import fit_ols
 from .infer import Restriction, wald
-from .linalg import kron, vec
-from .lrv import (KernelSpec, default_bandwidth, omega_hat, psi_hac,
-                  psi_spectral, score_series, theta_sandwich)
+from .linalg import vec
+# psi_hac stays importable from here: bench/test_bench.py traces it in mc
+from .lrv import KernelSpec, covariances, default_bandwidth, psi_hac  # noqa: F401
 from .model import PvarModel
 from .noise import NoiseSpec, simulate
 
-METHODS = ("standard", "modified-sp", "modified-hac")
+#: Report name of each test -> name of its covariance in lrv.covariances.
+METHODS = {"standard": "strong", "modified-sp": "sp", "modified-hac": "hac"}
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 
@@ -33,7 +34,7 @@ class Scenario:
     n_cycles: int
     reps: int
     restrictions: list = field(default=None)  # per season, or None
-    methods: tuple = METHODS
+    methods: tuple = tuple(METHODS)
     levels: tuple = DEFAULT_LEVELS
     base_seed: int = 424243
     demean: bool = False
@@ -78,28 +79,18 @@ def _replication(scenario, seed):
     fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
                   demean=scenario.demean)
     n = fit.n_used
-    hac = scenario.hac_spec()
+    thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
+                         scenario.hac_spec())
     out = []
     for v in range(1, model.s + 1):
-        X = fit.X[v - 1]
-        beta = vec(fit.B_hat[v - 1])
-        sig = fit.sigma_tilde[v - 1]
-        omega = omega_hat(X)
-        thetas = {}
-        if "standard" in scenario.methods:
-            thetas["standard"] = kron(np.linalg.inv(omega), sig)
-        if "modified-sp" in scenario.methods or "modified-hac" in scenario.methods:
-            W = score_series(X, fit.residuals[v - 1])
-            if "modified-sp" in scenario.methods:
-                thetas["modified-sp"] = theta_sandwich(omega, psi_spectral(W), model.d)
-            if "modified-hac" in scenario.methods:
-                thetas["modified-hac"] = theta_sandwich(omega, psi_hac(W, hac), model.d)
+        beta = fit.beta_hat[v - 1]
+        season = {name: thetas[v][METHODS[name]] for name in scenario.methods}
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
         pvals = {}
         if rest is not None:
-            for name, theta in thetas.items():
+            for name, theta in season.items():
                 pvals[name] = wald(beta, theta, n, rest, method=name).p_value
-        out.append({"beta": beta, "thetas": thetas, "pvals": pvals, "n": n})
+        out.append({"beta": beta, "thetas": season, "pvals": pvals, "n": n})
     return out
 
 

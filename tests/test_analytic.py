@@ -5,7 +5,6 @@ from pvar.analytic import (DiagExampleParams, example_model, omega_closed,
                            psi_closed, theta_closed, theta_s_closed)
 from pvar.errors import NotCausal, UnsupportedOrder
 from pvar.estimate import build_design, fit_ols
-from pvar.linalg import kron
 from pvar.lrv import score_series
 from pvar.noise import simulate
 
@@ -77,8 +76,8 @@ def test_theta_with_strong_psi_reduces_to_theta_s():
     o1, o2 = omega_closed(p)
     ts1, ts2 = theta_s_closed(p)
     for omega, sigma, ts in ((o1, p.sigma(1), ts1), (o2, p.sigma(2), ts2)):
-        bread = kron(np.linalg.inv(omega), np.eye(2))
-        got = bread @ kron(omega, sigma) @ bread
+        bread = np.kron(np.linalg.inv(omega), np.eye(2))
+        got = bread @ np.kron(omega, sigma) @ bread
         assert np.allclose(got, ts, atol=1e-12)
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import pvar.lrv
 from pvar.cli import (main, parse_restriction, read_csv, read_model,
                       write_csv)
 from pvar.errors import (EmptyInput, ParseError, RestrictionParseError)
@@ -154,6 +155,37 @@ def test_wald_trivial_restriction_matches_fit(tmp_path, model_file):
                     "--out", out]) == 0
     for t in json.loads(open(out).read())["tests"]:
         assert t["p_value"] > 0.999999
+
+
+def test_wald_builds_covariances_of_restricted_seasons_only(
+        tmp_path, model_file, monkeypatch, capsys):
+    data = str(tmp_path / "sim.csv")
+    run_cli(["simulate", "--model", model_file, "--n", "300", "--seed", "5",
+             "--out", data])
+    searches = []
+    real = pvar.lrv.select_ar_order_aic
+
+    def counting(W, r_max):
+        searches.append(r_max)
+        return real(W, r_max)
+
+    monkeypatch.setattr(pvar.lrv, "select_ar_order_aic", counting)
+    assert run_cli(["wald", "--data", data, "--s", "2", "--restrict",
+                    "phi[1](2,2)=0", "--format", "json"]) == 0
+    assert len(searches) == 1
+    tests = json.loads(capsys.readouterr().out)["tests"]
+    assert [t["season"] for t in tests] == [1, 1, 1]
+
+
+def test_bandwidth_resolved_for_every_cov(tmp_path, model_file, capsys):
+    data = str(tmp_path / "sim.csv")
+    run_cli(["simulate", "--model", model_file, "--n", "100", "--out", data])
+    for command in (["fit"], ["wald", "--restrict", "phi[1](1,1)=0"]):
+        capsys.readouterr()
+        assert run_cli(command + ["--data", data, "--s", "2", "--cov", "strong",
+                                  "--bandwidth", "foo"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bandwidth") and err.count("\n") == 1
 
 
 def test_exit_codes(tmp_path, model_file):

@@ -105,6 +105,9 @@ def test_t_report_layout_and_identity():
         # normal p-value and single-restriction Wald p-value coincide
         assert row.p_values["strong"] == pytest.approx(
             row.p_values_wald["strong"], abs=1e-10)
+        # and the Wald column is exactly what wald() reports
+        assert row.p_values_wald["strong"] == wald(
+            beta, theta, 250, Restriction.coordinates([i], 4)).p_value
 
 
 def test_zero_estimate_has_p_one():

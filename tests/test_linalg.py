@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pvar.errors import NotPositiveDefinite, SingularDesign
-from pvar.linalg import cholesky_upper, kron, solve_guarded, unvec, vec
+from pvar.linalg import cholesky_upper, solve_guarded, unvec, vec
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -31,7 +31,7 @@ def test_unvec_inverts_vec():
 def test_vec_kron_identity(a, b, c):
     # vec(A B C) = (C' kron A) vec(B)
     lhs = vec(a @ b @ c)
-    rhs = kron(c.T, a) @ vec(b)
+    rhs = np.kron(c.T, a) @ vec(b)
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * (1 + np.abs(lhs).max()))
 
 
@@ -41,8 +41,8 @@ def test_kron_mixed_product(seed):
     rng = np.random.default_rng(seed)
     a, b = random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
     c, d = random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
+    lhs = np.kron(a, b) @ np.kron(c, d)
+    rhs = np.kron(a @ c, b @ d)
     assert np.allclose(lhs, rhs, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 

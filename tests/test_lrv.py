@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from pvar.errors import DimensionMismatch, LagOutOfRange
+from pvar.errors import LagOutOfRange
 from pvar.estimate import fit_ols
-from pvar.linalg import kron
-from pvar.lrv import (KernelSpec, default_bandwidth, default_r_max,
-                      kernel_weight, lambda_hat, omega_hat, psi_cross_hac,
+from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
+                      default_r_max, kernel_weight, lambda_hat, omega_hat,
                       psi_hac, psi_spectral, score_series,
                       select_ar_order_aic, theta_sandwich, theta_strong,
                       theta_xi)
@@ -129,16 +128,6 @@ def test_psi_hac_symmetric_and_bartlett_psd():
     assert eig.min() >= -1e-10 * np.trace(psi)
 
 
-def test_psi_cross_hac_consistency():
-    _, W, _ = fitted_scores(300)
-    spec = KernelSpec("bartlett", 0.1)
-    assert np.allclose(psi_cross_hac(W, W, spec), psi_hac(W, spec))
-    assert np.array_equal(psi_cross_hac(W, np.zeros_like(W), spec),
-                          np.zeros((4, 4)))
-    with pytest.raises(DimensionMismatch):
-        psi_cross_hac(W, W[:-1], spec)
-
-
 def test_aic_white_noise_picks_zero():
     hits = 0
     for seed in range(10):
@@ -168,7 +157,7 @@ def test_aic_rmax_zero():
 def test_strong_noise_lrv_matches_kronecker_form():
     # with independent innovations Psi = Omega (x) Sigma
     X, W, fit = fitted_scores(100_000, seed=9)
-    target = kron(omega_hat(X), fit.sigma_tilde[0])
+    target = np.kron(omega_hat(X), fit.sigma_tilde[0])
     sp = psi_spectral(W)
     rel = np.linalg.norm(sp - target) / np.linalg.norm(target)
     assert rel < 0.05
@@ -187,16 +176,45 @@ def random_spd(rng, n):
 def test_theta_strong_identity_omega():
     sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
     theta = theta_strong(np.eye(3), sigma)
-    assert np.allclose(theta, kron(np.eye(3), sigma))
+    assert np.allclose(theta, np.kron(np.eye(3), sigma))
 
 
 def test_sandwich_reduces_to_strong():
     rng = np.random.default_rng(4)
     omega = random_spd(rng, 2)
     sigma = random_spd(rng, 2)
-    psi = kron(omega, sigma)
+    psi = np.kron(omega, sigma)
     assert np.allclose(theta_sandwich(omega, psi, 2), theta_strong(omega, sigma),
                        atol=1e-12)
+
+
+def test_covariances_builder_matches_parts():
+    ser = simulate(example_model(), 1500, NoiseSpec("weak-product", m=1), seed=11)
+    fit = fit_ols(ser, 1, demean=False)
+    spec = KernelSpec("parzen", 0.2)
+    got = covariances(fit, ["strong", "sp", "hac"], spec, ar_order=1)
+    assert list(got) == [1, 2]
+    for v in (1, 2):
+        X = fit.X[v - 1]
+        omega = omega_hat(X)
+        W = score_series(X, fit.residuals[v - 1])
+        assert list(got[v]) == ["strong", "sp", "hac"]
+        assert np.array_equal(got[v]["strong"],
+                              theta_strong(omega, fit.sigma_tilde[v - 1]))
+        assert np.array_equal(got[v]["sp"],
+                              theta_sandwich(omega, psi_spectral(W, 1), 2))
+        assert np.array_equal(got[v]["hac"],
+                              theta_sandwich(omega, psi_hac(W, spec), 2))
+    only2 = covariances(fit, ["hac", "strong"], spec, ar_order=1, seasons=[2])
+    assert list(only2) == [2]
+    for m in ("hac", "strong"):
+        assert np.array_equal(only2[2][m], got[2][m])
+    aic = covariances(fit, ["sp"], spec)
+    W1 = score_series(fit.X[0], fit.residuals[0])
+    assert np.array_equal(aic[1]["sp"],
+                          theta_sandwich(omega_hat(fit.X[0]), psi_spectral(W1), 2))
+    with pytest.raises(ValueError, match="unknown covariance method"):
+        covariances(fit, ["white"], spec)
 
 
 def test_theta_xi_identity_reduction():
@@ -208,8 +226,8 @@ def test_theta_xi_identity_reduction():
     via_xi = theta_xi(np.eye(4), omega, sigma, psi, 2)
     assert np.allclose(via_xi, full, atol=1e-10)
     # strong form reduces to Omega^-1 (x) Sigma
-    strong = theta_xi(np.eye(4), omega, sigma, kron(omega, sigma), 2)
-    assert np.allclose(strong, kron(np.linalg.inv(omega), sigma), atol=1e-10)
+    strong = theta_xi(np.eye(4), omega, sigma, np.kron(omega, sigma), 2)
+    assert np.allclose(strong, np.kron(np.linalg.inv(omega), sigma), atol=1e-10)
 
 
 def test_theta_xi_coordinate_selector():
@@ -222,8 +240,8 @@ def test_theta_xi_coordinate_selector():
     got = theta_xi(R, omega, sigma, psi, 2)
     # dense assembly oracle
     sig_inv = np.linalg.inv(sigma)
-    bread = np.linalg.inv(R.T @ kron(omega, sig_inv) @ R)
-    wing = kron(np.eye(2), sig_inv) @ R
+    bread = np.linalg.inv(R.T @ np.kron(omega, sig_inv) @ R)
+    wing = np.kron(np.eye(2), sig_inv) @ R
     expect = bread @ wing.T @ psi @ wing @ bread
     assert np.allclose(got, expect, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ def test_no_failures_and_counts():
         assert 0.0 <= freq <= 1.0
     # all (season, method, level) combinations are present
     assert len(rep.rejection) == 5 * len(METHODS) * 3
+
+
+def test_method_subset_matches_full_run():
+    full = run_scenario(small_scenario(name="model-II", reps=8))
+    hac = run_scenario(dataclasses.replace(
+        small_scenario(name="model-II", reps=8), methods=("modified-hac",)))
+    assert full.completed == hac.completed == 8
+    assert {k[1] for k in hac.rejection} == {"modified-hac"}
+    assert {k[1] for k in hac.theta_mean} == {"modified-hac"}
+    assert hac.rejection == {k: f for k, f in full.rejection.items()
+                             if k[1] == "modified-hac"}
+    assert hac.theta_mean == {k: t for k, t in full.theta_mean.items()
+                              if k[1] == "modified-hac"}
 
 
 def test_wald_pvalue_matches_t_identity_inside_replication():
