@@ -264,13 +264,13 @@ def _f(x, nd=6):
 # ---------------------------------------------------------------------------
 # shared fit machinery
 
-def _parse_orders(text, s):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return [int(parts[0])] * s
-    if len(parts) != s:
+def _season_orders(orders, s):
+    """The --order list, one entry per season."""
+    if len(orders) == 1:
+        return orders * s
+    if len(orders) != s:
         raise ParseError(f"--order needs 1 or {s} comma-separated integers")
-    return [int(x) for x in parts]
+    return orders
 
 
 def _bandwidth_value(arg, n):
@@ -300,8 +300,7 @@ def _covariances_from_args(args, fit, seasons=None):
     """The --cov methods and their per-season Theta estimates."""
     methods = _parse_methods(args.cov)
     hac = KernelSpec(args.kernel, _bandwidth_value(args.bandwidth, fit.n_used))
-    ar_order = "aic" if args.ar_order == "aic" else int(args.ar_order)
-    return methods, covariances(fit, methods, hac, ar_order, seasons)
+    return methods, covariances(fit, methods, hac, args.ar_order, seasons)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def cmd_simulate(args):
 
 def _fit_from_args(args):
     series = read_csv(args.data, args.s, presample_policy=args.presample)
-    orders = _parse_orders(args.order, args.s)
+    orders = _season_orders(args.order, args.s)
     return fit_ols(series, orders, demean=args.demean)
 
 
@@ -440,10 +439,41 @@ def cmd_analytic(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_from(low):
+    """argparse type: an integer of at least low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _orders(text):
+    """argparse type: comma-separated nonnegative integers."""
+    return [_int_from(0)(part) for part in text.split(",")]
+
+
+def _ar_order(text):
+    """argparse type: "aic" or a nonnegative integer."""
+    return text if text == "aic" else _int_from(0)(text)
+
+
 def _add_fit_flags(p):
     p.add_argument("--data", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--order", default="1")
+    p.add_argument("--s", type=_int_from(1), required=True)
+    p.add_argument("--order", type=_orders, default="1")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--presample", choices=["none", "first-cycles"], default="none")
     p.add_argument("--cov", default="strong,sp,hac")
@@ -451,23 +481,23 @@ def _add_fit_flags(p):
                    default="bartlett")
     p.add_argument("--bandwidth", default=None,
                    help="rule name or explicit positive value")
-    p.add_argument("--ar-order", default="aic",
+    p.add_argument("--ar-order", type=_ar_order, default="aic",
                    help='"aic" or a fixed nonnegative integer')
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pvar",
         description="Periodic vector autoregression estimation and inference")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a model file to CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True, help="number of cycles")
+    p.add_argument("--n", type=_int_from(1), required=True, help="number of cycles")
     p.add_argument("--noise", choices=["strong", "weak-product"], default="strong")
     p.add_argument("--m", type=int, default=1, help="product window exponent")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burnin", type=int, default=DEFAULT_BURNIN)
+    p.add_argument("--burnin", type=_int_from(0), default=DEFAULT_BURNIN)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 
@@ -487,8 +517,8 @@ def build_parser():
 
     p = sub.add_parser("mc", help="run a built-in Monte Carlo scenario")
     p.add_argument("--scenario", choices=list(PRESET_NAMES), default="model-I")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--reps", type=_int_from(1), default=None)
+    p.add_argument("--n", type=_int_from(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dump-scenarios", action="store_true")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")

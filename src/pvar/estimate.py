@@ -108,7 +108,7 @@ def build_design(series, orders):
     seasons.
     """
     orders = _normalize_orders(series, orders)
-    s, d, N = series.s, series.d, series.n_cycles
+    s, N = series.s, series.n_cycles
     needed = max((orders[v - 1] - v + 1 for v in range(1, s + 1)), default=0)
     needed = max(needed, 0)
     short = max(needed - series.presample.shape[0], 0)
@@ -116,18 +116,16 @@ def build_design(series, orders):
     n_used = N - n0
     if n_used < 1:
         raise InsufficientData("not enough cycles for the requested orders")
+    full = np.vstack([series.presample, series.data])
     Zs, Xs = [], []
     for v in range(1, s + 1):
-        p = orders[v - 1]
-        Z = np.empty((d, n_used))
-        X = np.empty((d * p, n_used))
-        for j, n in enumerate(range(n0, N)):
-            t = n * s + v
-            Z[:, j] = series.at(t)
-            for k in range(1, p + 1):
-                X[(k - 1) * d:k * d, j] = series.at(t - k)
-        Zs.append(Z)
-        Xs.append(X)
+        # row first of full is Y[t] at t = n0 s + v; stepping by s walks
+        # the cycles, and k rows earlier is the lag-k regressor
+        first = series.presample.shape[0] + n0 * s + v - 1
+        lagged = [full[first - k:first - k + (n_used - 1) * s + 1:s]
+                  for k in range(orders[v - 1] + 1)]
+        Zs.append(lagged[0].T.copy())
+        Xs.append(np.hstack(lagged[1:] or [np.empty((n_used, 0))]).T.copy())
     return Zs, Xs, n_used
 
 

@@ -210,17 +210,29 @@ def psi_spectral(W, r="aic", r_max=None):
     return Pinv @ cov @ Pinv.T
 
 
-def theta_strong(omega, sigma):
-    """Omega^-1 (x) Sigma, the covariance under independent innovations."""
-    omega_inv = solve_guarded(omega, np.eye(omega.shape[0]), err=SingularDesign,
-                              what="regressor second-moment matrix")
+def omega_inverse(omega):
+    """Omega^-1 by a guarded solve; SingularDesign if Omega is near singular."""
+    return solve_guarded(omega, np.eye(omega.shape[0]), err=SingularDesign,
+                         what="regressor second-moment matrix")
+
+
+def theta_strong(omega, sigma, omega_inv=None):
+    """Omega^-1 (x) Sigma, the covariance under independent innovations.
+
+    omega_inv, when given, must be omega_inverse(omega).
+    """
+    if omega_inv is None:
+        omega_inv = omega_inverse(omega)
     return np.kron(omega_inv, sigma)
 
 
-def theta_sandwich(omega, psi, d):
-    """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d)."""
-    omega_inv = solve_guarded(omega, np.eye(omega.shape[0]), err=SingularDesign,
-                              what="regressor second-moment matrix")
+def theta_sandwich(omega, psi, d, omega_inv=None):
+    """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d).
+
+    omega_inv, when given, must be omega_inverse(omega).
+    """
+    if omega_inv is None:
+        omega_inv = omega_inverse(omega)
     bread = np.kron(omega_inv, np.eye(d))
     return bread @ psi @ bread
 
@@ -230,16 +242,19 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
 
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
+    Each season inverts its Omega once for all methods.
     """
     out = {}
     for v in seasons or range(1, fit.s + 1):
         X = fit.X[v - 1]
         omega = omega_hat(X)
+        omega_inv = omega_inverse(omega)
         W = None
         out[v] = {}
         for method in methods:
             if method == "strong":
-                out[v][method] = theta_strong(omega, fit.sigma_tilde[v - 1])
+                out[v][method] = theta_strong(omega, fit.sigma_tilde[v - 1],
+                                              omega_inv)
                 continue
             if W is None:
                 W = score_series(X, fit.residuals[v - 1])
@@ -249,7 +264,7 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
                 psi = psi_hac(W, hac)
             else:
                 raise ValueError(f"unknown covariance method {method!r}")
-            out[v][method] = theta_sandwich(omega, psi, fit.d)
+            out[v][method] = theta_sandwich(omega, psi, fit.d, omega_inv)
     return out
 
 

@@ -4,7 +4,10 @@ Each scenario simulates a known PVAR, fits it by least squares, builds
 the standard and robust covariance estimates, and runs Wald tests of
 linear restrictions, aggregating rejection frequencies over many
 replications.  Replication r draws its seed as base_seed XOR r, so a
-report is a pure function of the scenario.
+report is a pure function of the scenario.  The series of CHUNK
+consecutive replications come from one batched noise.simulate call;
+each is then fitted and tested on its own, in r order, so the report
+does not depend on the chunk size.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +26,8 @@ from .noise import NoiseSpec, simulate
 
 #: Report name of each test -> name of its covariance in lrv.covariances.
 METHODS = {"standard": "strong", "modified-sp": "sp", "modified-hac": "hac"}
+#: Replications whose series one noise.simulate call draws together.
+CHUNK = 10
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 
 
@@ -44,6 +49,8 @@ class Scenario:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.n_cycles < 1:
+            raise ValueError("n_cycles must be at least 1")
         if any(not 0 < a < 1 for a in self.levels):
             raise ValueError("levels must lie strictly inside (0, 1)")
         for m in self.methods:
@@ -72,10 +79,9 @@ class McReport:
     wall_time: float
 
 
-def _replication(scenario, seed):
-    """One simulate -> fit -> covariances -> tests pass."""
+def _replication(scenario, series):
+    """One fit -> covariances -> tests pass on a simulated series."""
     model = scenario.model
-    series = simulate(model, scenario.n_cycles, scenario.noise, seed=seed)
     fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
                   demean=scenario.demean)
     n = fit.n_used
@@ -94,8 +100,34 @@ def _replication(scenario, seed):
     return out
 
 
+def _replications(scenario):
+    """Rows of replication r = 0, 1, ..., or None where it failed."""
+    for first in range(0, scenario.reps, CHUNK):
+        yield from _chunk(scenario, range(first, min(first + CHUNK, scenario.reps)))
+
+
+def _chunk(scenario, rs):
+    """Rows of replications rs, whose series one simulate call draws.
+
+    If that simulation fails, every replication of the chunk fails.
+    The series are views of one state array, which is freed when this
+    generator finishes, before the next chunk is drawn.
+    """
+    try:
+        chunk = simulate(scenario.model, scenario.n_cycles, scenario.noise,
+                         seed=[scenario.base_seed ^ r for r in rs])
+    except PvarError:
+        yield from [None] * len(rs)
+        return
+    for series in chunk:
+        try:
+            yield _replication(scenario, series)
+        except PvarError:
+            yield None
+
+
 def run_scenario(scenario):
-    """Run all replications serially and aggregate a report."""
+    """Run all replications in seed order and aggregate a report."""
     t0 = time.perf_counter()
     model = scenario.model
     s = model.s
@@ -109,10 +141,8 @@ def run_scenario(scenario):
     reject = {}
     completed = 0
     failures = 0
-    for r in range(scenario.reps):
-        try:
-            rows = _replication(scenario, scenario.base_seed ^ r)
-        except PvarError:
+    for rows in _replications(scenario):
+        if rows is None:
             failures += 1
             continue
         completed += 1
@@ -221,8 +251,8 @@ def preset(name, n_cycles=None, reps=None, base_seed=None):
         name=name,
         model=model,
         noise=NoiseSpec(kind=kind, m=2),
-        n_cycles=n_cycles or default_n,
-        reps=reps or 1000,
+        n_cycles=default_n if n_cycles is None else n_cycles,
+        reps=1000 if reps is None else reps,
         restrictions=_phi22_restrictions(model),
         base_seed=base_seed if base_seed is not None else 424243,
     )

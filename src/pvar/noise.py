@@ -69,23 +69,34 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
 
     Runs burnin extra cycles before the retained sample and returns a
     PeriodicSeries whose presample holds the max_p values preceding
-    time 1, so estimation can use every retained cycle.
+    time 1, so estimation can use every retained cycle.  seed may be
+    one seed or a sequence of them; a sequence returns one series per
+    seed, each equal to simulating that seed on its own.  The noise of
+    each seed comes from its own default_rng(seed), and the recursion
+    runs once over the stacked states of all seeds.
     """
     require_causal(model)
     if spec is None:
         spec = NoiseSpec()
-    rng = np.random.default_rng(seed)
-    s, d = model.s, model.d
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    s, d, max_p = model.s, model.d, model.max_p
     total = (burnin + n_cycles) * s
-    eps = gen_noise(model.sigma, burnin + n_cycles, spec, rng)
-    max_p = model.max_p
-    y = np.zeros((max_p + total, d))
-    for t in range(total):
-        v = t % s + 1
-        acc = eps[t]
-        for k in range(1, model.p(v) + 1):
-            acc = acc + model.phi_at(v, k) @ y[max_p + t - k]
-        y[max_p + t] = acc
+    # y[r, max_p + t - 1] is Y[t] of seed r as a d x 1 column.  It holds
+    # eps[t] until step t adds Phi_k(v) @ Y[t - k] in place for k = 1..p(v),
+    # which rounds as a single seed's recursion does; Y @ Phi.T or einsum
+    # would not for d >= 3.
+    y = np.zeros((len(seeds), max_p + total, d, 1))
+    for r, sd in enumerate(seeds):
+        y[r, max_p:, :, 0] = gen_noise(model.sigma, burnin + n_cycles, spec,
+                                       np.random.default_rng(sd))
+    for i in range(max_p, max_p + total):
+        row = y[:, i]
+        for k, phi in enumerate(model.phi[(i - max_p) % s], start=1):
+            row += phi @ y[:, i - k]
+    # each series is a view of its own rows of y
     start = max_p + burnin * s
-    pre = y[start - max_p:start] if max_p else np.zeros((0, d))
-    return PeriodicSeries(s=s, data=y[start:].copy(), presample=pre.copy())
+    out = [PeriodicSeries(s=s, data=y[r, start:, :, 0],
+                          presample=y[r, start - max_p:start, :, 0])
+           for r in range(len(seeds))]
+    return out[0] if single else out

@@ -208,6 +208,44 @@ def test_exit_codes(tmp_path, model_file):
                     "phi[0](1,1)=0"]) == 3
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--n", "0"], "--n"),
+    (["simulate", "--n", "-3"], "--n"),
+    (["simulate", "--n", "5", "--burnin", "-1"], "--burnin"),
+    (["mc", "--reps", "0"], "--reps"),
+    (["mc", "--n", "0"], "--n"),
+    (["mc", "--reps", "many"], "--reps"),
+    (["fit", "--s", "0"], "--s"),
+    (["fit", "--s", "2", "--ar-order", "foo"], "--ar-order"),
+    (["fit", "--s", "2", "--ar-order", "2.5"], "--ar-order"),
+    (["fit", "--s", "2", "--ar-order=-1"], "--ar-order"),
+    (["wald", "--s", "2", "--ar-order", "x", "--restrict", "phi[1](1,1)=0"],
+     "--ar-order"),
+    (["fit", "--s", "2", "--order", "foo"], "--order"),
+    (["fit", "--s", "2", "--order", "1,-1"], "--order"),
+])
+def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
+                                                  capsys):
+    data = str(tmp_path / "sim.csv")
+    assert run_cli(["simulate", "--model", model_file, "--n", "60", "--out", data]) == 0
+    capsys.readouterr()
+    extra = {"simulate": ["--model", model_file, "--out", str(tmp_path / "x.csv")],
+             "mc": [], "fit": ["--data", data], "wald": ["--data", data]}
+    assert run_cli(argv + extra[argv[0]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "x.csv").exists()
+    assert len(err.splitlines()) == 1 and flag in err
+
+
+def test_ar_order_accepts_aic_and_nonnegative_integers(tmp_path, model_file):
+    data = str(tmp_path / "sim.csv")
+    run_cli(["simulate", "--model", model_file, "--n", "200", "--out", data])
+    for order in ("aic", "0", "2"):
+        assert run_cli(["fit", "--data", data, "--s", "2", "--cov", "sp",
+                        "--ar-order", order, "--format", "json",
+                        "--out", str(tmp_path / f"{order}.json")]) == 0
+
+
 def test_mc_dump_scenarios(tmp_path):
     out = str(tmp_path / "sc.json")
     assert run_cli(["mc", "--dump-scenarios", "--out", out]) == 0

@@ -51,6 +51,46 @@ def test_build_design_drops_cycles_without_presample():
     assert Xs[0].ravel().tolist() == [2.0, 4.0]
 
 
+def _design_by_cells(series, orders):
+    """build_design's blocks copied one cell at a time through series.at."""
+    s, d = series.s, series.d
+    Zs, Xs, n_used = build_design(series, orders)
+    n0 = series.n_cycles - n_used
+    refs = []
+    for v in range(1, s + 1):
+        p = orders[v - 1]
+        Z = np.empty((d, n_used))
+        X = np.empty((d * p, n_used))
+        for j, n in enumerate(range(n0, series.n_cycles)):
+            t = n * s + v
+            Z[:, j] = series.at(t)
+            for k in range(1, p + 1):
+                X[(k - 1) * d:k * d, j] = series.at(t - k)
+        refs.append((Z, X))
+    return Zs, Xs, refs
+
+
+@pytest.mark.parametrize("s,d,orders,presample,n_cycles,n_used", [
+    (2, 1, [1, 1], 1, 3, 3),
+    (3, 3, [2, 0, 3], 0, 20, 19),       # shallow presample drops a cycle
+    (3, 3, [2, 0, 3], 1, 20, 19),
+    (4, 2, [5, 0, 0, 7], 2, 30, 29),    # lags beyond one cycle
+    (4, 3, [2, 2, 2, 2], 8, 11, 11),
+    (3, 2, [0, 0, 0], 3, 9, 9),         # no regressors at all
+])
+def test_build_design_equals_cell_by_cell_reference(s, d, orders, presample,
+                                                     n_cycles, n_used):
+    rng = np.random.default_rng(s * d + presample)
+    ser = PeriodicSeries(s=s, data=rng.standard_normal((n_cycles * s, d)),
+                         presample=rng.standard_normal((presample, d)))
+    Zs, Xs, refs = _design_by_cells(ser, orders)
+    assert Zs[0].shape[1] == n_used
+    for Z, X, (Z_ref, X_ref) in zip(Zs, Xs, refs):
+        assert np.array_equal(Z, Z_ref) and np.array_equal(X, X_ref)
+        assert X.shape == X_ref.shape
+        assert Z.flags.c_contiguous and X.flags.c_contiguous
+
+
 def test_fit_recovers_coefficients_on_long_sample():
     model = example_model()
     ser = simulate(model, 30_000, seed=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pvar.lrv
 from pvar.errors import LagOutOfRange
 from pvar.estimate import fit_ols
 from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
@@ -8,6 +9,7 @@ from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       psi_hac, psi_spectral, score_series,
                       select_ar_order_aic, theta_sandwich, theta_strong,
                       theta_xi)
+from pvar.linalg import solve_guarded
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
 
@@ -215,6 +217,21 @@ def test_covariances_builder_matches_parts():
                           theta_sandwich(omega_hat(fit.X[0]), psi_spectral(W1), 2))
     with pytest.raises(ValueError, match="unknown covariance method"):
         covariances(fit, ["white"], spec)
+
+
+def test_covariances_inverts_each_omega_once(monkeypatch):
+    ser = simulate(example_model(), 300, NoiseSpec("weak-product", m=1), seed=4)
+    fit = fit_ols(ser, 1, demean=False)
+    whats = []
+
+    def counting_solve(a, b, err=None, what="matrix"):
+        whats.append(what)
+        return solve_guarded(a, b, err=err, what=what)
+
+    monkeypatch.setattr(pvar.lrv, "solve_guarded", counting_solve)
+    covariances(fit, ["strong", "sp", "hac"], KernelSpec("bartlett", 0.2),
+                ar_order=1)
+    assert whats.count("regressor second-moment matrix") == fit.s
 
 
 def test_theta_xi_identity_reduction():

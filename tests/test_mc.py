@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import pvar.mc
+from pvar.errors import NotCausal, PvarError, SingularDesign
 from pvar.infer import chisq_sf
-from pvar.mc import (METHODS, PRESET_NAMES, Scenario, preset, run_scenario,
-                     sse_summary, _replication)
-from pvar.noise import NoiseSpec
+from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
+                     run_scenario, sse_summary, _replication)
+from pvar.noise import NoiseSpec, simulate
 
 
 def small_scenario(name="model-I", reps=20, n=300, seed=99):
@@ -25,6 +27,14 @@ def test_preset_names_and_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", model=preset("model-I").model,
                  noise=NoiseSpec(), n_cycles=10, reps=1, levels=(1.5,))
+    with pytest.raises(ValueError):
+        Scenario(name="x", model=preset("model-I").model,
+                 noise=NoiseSpec(), n_cycles=0, reps=1)
+    # zero is passed on to the validation, not replaced by the default
+    with pytest.raises(ValueError):
+        preset("model-I", reps=0)
+    with pytest.raises(ValueError):
+        preset("model-I", n_cycles=0)
 
 
 def test_preset_dgp_values():
@@ -79,7 +89,8 @@ def test_method_subset_matches_full_run():
 
 def test_wald_pvalue_matches_t_identity_inside_replication():
     sc = small_scenario(reps=1, n=400)
-    rows = _replication(sc, sc.base_seed)
+    rows = _replication(sc, simulate(sc.model, sc.n_cycles, sc.noise,
+                                     seed=sc.base_seed))
     for v in range(5):
         row = rows[v]
         beta = row["beta"]
@@ -111,3 +122,41 @@ def test_sse_matches_reference_weak():
     # same quantity for the (2,2) coefficient of season five, weak noise
     rep = run_scenario(preset("dgp-weak", reps=400))
     assert rep.coef_sse[(5, 3)] == pytest.approx(9.79, rel=0.25)
+
+
+def _fields(report):
+    return {k: v for k, v in vars(report).items() if k != "wall_time"}
+
+
+def test_chunked_run_equals_one_replication_at_a_time(monkeypatch):
+    # a data-dependent failure inside some replications, the same in both runs
+    fit_ols = pvar.mc.fit_ols
+
+    def failing_fit(series, *args, **kwargs):
+        if series.data[0, 0] > 1.0:
+            raise SingularDesign("injected")
+        return fit_ols(series, *args, **kwargs)
+
+    monkeypatch.setattr(pvar.mc, "fit_ols", failing_fit)
+    sc = small_scenario(name="model-II", reps=CHUNK + 3, n=150)
+    chunked = run_scenario(sc)
+    monkeypatch.setattr(pvar.mc, "CHUNK", 1)
+    serial = run_scenario(sc)
+    assert 0 < chunked.failures < CHUNK
+    assert chunked.completed + chunked.failures == CHUNK + 3
+    assert _fields(chunked) == _fields(serial)
+    assert list(chunked.rejection) == list(serial.rejection)
+
+
+def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatch):
+    def simulate_first_chunk_fails(model, n_cycles, spec, seed):
+        if seed[0] == sc.base_seed:
+            raise NotCausal("injected")
+        return simulate(model, n_cycles, spec, seed=seed)
+
+    monkeypatch.setattr(pvar.mc, "simulate", simulate_first_chunk_fails)
+    sc = small_scenario(reps=CHUNK + 3, n=150)
+    rep = run_scenario(sc)
+    assert rep.failures == CHUNK and rep.completed == 3
+    with pytest.raises(PvarError):
+        run_scenario(dataclasses.replace(sc, reps=CHUNK))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pvar.model import PvarModel
+from pvar.errors import NotCausal
+from pvar.model import PvarModel, is_causal
 from pvar.noise import NoiseSpec, gen_noise, simulate
 
 
@@ -86,3 +87,58 @@ def test_simulated_covariance_matches_lifted_var_solution():
     stacked = np.hstack([ser.data[1::2], ser.data[0::2]])
     emp = stacked.T @ stacked / stacked.shape[0]
     assert np.allclose(emp, cov, rtol=0.02, atol=0.02)
+
+
+def _random_causal_model(rng, orders, d):
+    while True:
+        phi = [[rng.standard_normal((d, d)) * 0.3 / (np.sqrt(d) * max(p, 1))
+                for _ in range(p)] for p in orders]
+        sigma = []
+        for _ in orders:
+            a = rng.standard_normal((d, d))
+            sigma.append(a @ a.T + d * np.eye(d))
+        model = PvarModel(s=len(orders), d=d, phi=phi, sigma=sigma)
+        if is_causal(model):
+            return model
+
+
+def _simulate_by_steps(model, n_cycles, spec, seed, burnin):
+    """One seed's recursion, one time step and one lag at a time."""
+    s, d, max_p = model.s, model.d, model.max_p
+    total = (burnin + n_cycles) * s
+    eps = gen_noise(model.sigma, burnin + n_cycles, spec,
+                    np.random.default_rng(seed))
+    y = np.zeros((max_p + total, d))
+    for t in range(total):
+        v = t % s + 1
+        acc = eps[t]
+        for k in range(1, model.p(v) + 1):
+            acc = acc + model.phi_at(v, k) @ y[max_p + t - k]
+        y[max_p + t] = acc
+    start = max_p + burnin * s
+    return y[start - max_p:start], y[start:]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("orders", [[1], [0, 3], [2, 1, 3], [3, 0, 1, 2]])
+@pytest.mark.parametrize("spec", [NoiseSpec("strong"), NoiseSpec("weak-product", m=2)])
+def test_batched_simulate_equals_per_seed(d, orders, spec):
+    model = _random_causal_model(np.random.default_rng(d * 100 + sum(orders)),
+                                 orders, d)
+    seeds = [3, 17, 17 ^ 5, 99]
+    batch = simulate(model, 25, spec, seed=seeds, burnin=15)
+    assert len(batch) == len(seeds)
+    for sd, ser in zip(seeds, batch):
+        one = simulate(model, 25, spec, seed=sd, burnin=15)
+        pre, data = _simulate_by_steps(model, 25, spec, sd, 15)
+        for got in (ser, one):
+            assert np.array_equal(got.data, data)
+            assert np.array_equal(got.presample, pre)
+    (alone,) = simulate(model, 25, spec, seed=[seeds[0]], burnin=15)
+    assert np.array_equal(alone.data, batch[0].data)
+
+
+def test_batched_simulate_raises_for_a_noncausal_model():
+    model = PvarModel(s=1, d=1, phi=[[np.array([[1.5]])]], sigma=[np.eye(1)])
+    with pytest.raises(NotCausal):
+        simulate(model, 10, seed=[1, 2])
