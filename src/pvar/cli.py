@@ -7,11 +7,13 @@ Commands:
   mc         run a built-in Monte Carlo scenario
   analytic   closed-form covariance tables of the diagonal two-season example
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
+Exit codes: 0 success, 2 usage error, 3 data or file error, 4 numerical
+error.
 """
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -42,10 +44,11 @@ _FLOAT_FMT = "%.17g"
 def read_csv(path, s, presample_policy="none"):
     """Load a CSV of d numeric columns into a PeriodicSeries.
 
-    An optional single header line is skipped.  A trailing incomplete
-    cycle is dropped with a warning on stderr.  presample_policy
-    "first-cycles" moves enough leading cycles into the presample to
-    cover order-1 lags at every season.
+    An optional single header line is skipped.  A cell that is not a
+    finite number is a ParseError naming its row and column.  A
+    trailing incomplete cycle is dropped with a warning on stderr.
+    presample_policy "first-cycles" moves enough leading cycles into
+    the presample to cover order-1 lags at every season.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -69,10 +72,14 @@ def read_csv(path, s, presample_policy="none"):
         row = []
         for colno, cell in enumerate(cells, start=1):
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(f"{path}: row {lineno}, column {colno}: "
                                  f"non-numeric value {cell.strip()!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: row {lineno}, column {colno}: "
+                                 f"non-finite value {cell.strip()!r}")
+            row.append(value)
         rows.append(row)
     if not rows:
         raise EmptyInput(f"{path}: no data rows")
@@ -526,7 +533,7 @@ def build_parser():
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("analytic", help="closed-form example tables")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=_int_from(1), default=1)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_analytic)
@@ -542,10 +549,10 @@ def main(argv=None):
         return exc.code if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, InsufficientData) as exc:
+    except (ParseError, InsufficientData, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except PvarError as exc:
+    except (PvarError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -11,28 +11,44 @@ identical.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionMismatch, SingularRestriction
 from .linalg import solve_guarded
 
 
 def chisq_sf(x, df):
-    """Upper tail of the chi-squared distribution."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, special.gammaincc(df / 2.0, np.where(x > 0, x, 0) / 2.0), 1.0)
-    return float(out) if out.ndim == 0 else out
+    """Upper tail of the chi-squared distribution with integer df.
+
+    With y = x/2 the tail has finite forms whose terms are all
+    positive: exp(-y) sum_{i<k} y^i / i! for df = 2k, and
+    erfc(sqrt y) + exp(-y) sum_{i<k} y^(i+1/2) / Gamma(i+3/2) for
+    df = 2k+1.  The sum is scaled by exp(-y) through its logarithm, so
+    the tail underflows only where its value does.
+    """
+    if not (float(df).is_integer() and df >= 1):
+        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
+    if x <= 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = x / 2.0
+    if df % 2:
+        tail, term, first = math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi), 1.5
+    else:
+        tail, term, first = 0.0, 1.0, 1.0
+    total = 0.0
+    for i in range(int(df) // 2):
+        total += term
+        term *= y / (i + first)
+    return tail + math.exp(math.log(total) - y) if total > 0 else tail
 
 
 def normal_sf(x):
     """Upper tail of the standard normal distribution."""
-    x = np.asarray(x, dtype=float)
-    out = special.ndtr(-x)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 @dataclass

@@ -189,10 +189,13 @@ def psi_spectral(W, r="aic", r_max=None):
 
     With fitted lag matrices A_1..A_r and residual covariance S,
     Psi = P^-1 S P^-T where P = I - sum_k A_k.  r may be a fixed
-    order or "aic".
+    order or "aic".  Scores with no columns (a season of order 0) give
+    the 0x0 Psi.
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape
+    if q == 0:
+        return np.zeros((0, 0))
     if r == "aic":
         if r_max is None:
             r_max = default_r_max(N)

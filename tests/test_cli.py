@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import pvar.cli
 import pvar.lrv
 from pvar.cli import (main, parse_restriction, read_csv, read_model,
                       write_csv)
@@ -80,6 +81,14 @@ def test_read_csv_errors(tmp_path):
     empty.write_text("\n")
     with pytest.raises(EmptyInput):
         read_csv(str(empty), s=1)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b\n1,2\n\n3,{cell}\n5,6\n")
+    with pytest.raises(ParseError, match=f"row 4, column 2: non-finite value '{cell}'"):
+        read_csv(str(path), s=1)
 
 
 def test_parse_restriction():
@@ -235,6 +244,92 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
     out, err = capsys.readouterr()
     assert out == "" and not (tmp_path / "x.csv").exists()
     assert len(err.splitlines()) == 1 and flag in err
+
+
+@pytest.fixture
+def weak_data(tmp_path, model_file):
+    """The acceptance-6 series: MODEL_TEXT, 60 cycles of m=2 product noise."""
+    data = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--model", model_file, "--n", "60", "--noise",
+                    "weak-product", "--m", "2", "--seed", "11",
+                    "--out", str(data)]) == 0
+    return data
+
+
+def _with_cell(data, line, col, cell):
+    """A copy of the CSV data with one cell replaced."""
+    lines = data.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[col - 1] = cell
+    lines[line - 1] = ",".join(cells)
+    path = data.with_name(f"bad_{cell}.csv")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case,code,needle", [
+    ("nan-cell", 3, "row 5, column 1: non-finite value 'nan'"),
+    ("inf-cell", 3, "row 7, column 2: non-finite value 'inf'"),
+    ("fit-out", 3, "No such file or directory"),
+    ("wald-out", 3, "No such file or directory"),
+    ("simulate-out", 3, "No such file or directory"),
+    ("analytic-m0", 2, "argument --m: must be at least 1, got 0"),
+    ("analytic-m-2", 2, "argument --m: must be at least 1, got -2"),
+])
+def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
+    data = ["--data", str(weak_data), "--s", "2"]
+    unwritable = ["--out", str(tmp_path / "missing-dir" / "out.txt")]
+    argv = {
+        "nan-cell": ["fit", "--data", _with_cell(weak_data, 5, 1, "nan"), "--s", "2"],
+        "inf-cell": ["fit", "--data", _with_cell(weak_data, 7, 2, "inf"), "--s", "2"],
+        "fit-out": ["fit"] + data + unwritable,
+        "wald-out": ["wald", "--restrict", "phi[1](1,1)=0"] + data + unwritable,
+        "simulate-out": ["simulate", "--model", model_file, "--n", "5"] + unwritable,
+        "analytic-m0": ["analytic", "--m", "0"],
+        "analytic-m-2": ["analytic", "--m", "-2"],
+    }[case]
+    proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+
+
+def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(pvar.cli, "fit_ols", failing)
+    assert run_cli(["fit", "--data", str(weak_data), "--s", "2"]) == 4
+    assert capsys.readouterr().err == "error: SVD did not converge\n"
+
+
+def test_order_zero_season_under_spectral_cov(tmp_path, weak_data):
+    # a p=0 season has no coefficients; the sp estimator must not fail on it
+    outs = {}
+    for cov in ("strong,sp,hac", "strong,hac"):
+        out = tmp_path / f"{cov}.json"
+        assert run_cli(["fit", "--data", str(weak_data), "--s", "2", "--order",
+                        "1,0", "--cov", cov, "--format", "json",
+                        "--out", str(out)]) == 0
+        outs[cov] = json.loads(out.read_text())
+    seasons = outs["strong,sp,hac"]["seasons"]
+    assert outs["strong,sp,hac"]["orders"] == [1, 0]
+    assert len(seasons[0]["coefficients"]) == 4 and seasons[1]["coefficients"] == []
+    for full, part in zip(seasons[0]["coefficients"],
+                          outs["strong,hac"]["seasons"][0]["coefficients"]):
+        assert set(full["std_errors"]) == {"strong", "sp", "hac"}
+        for key in ("strong", "hac"):
+            assert full["std_errors"][key] == part["std_errors"][key]
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, pvar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ar_order_accepts_aic_and_nonnegative_integers(tmp_path, model_file):

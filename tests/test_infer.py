@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pvar.errors import SingularRestriction
 from pvar.infer import Restriction, chisq_sf, normal_sf, t_report, wald
@@ -38,6 +38,33 @@ def test_chisq_known_quantiles():
 @pytest.mark.parametrize("x", [-2.0, 0.0, 0.5, 1.96, 4.0])
 def test_normal_sf_against_quadrature(x):
     assert normal_sf(x) == pytest.approx(normal_sf_quad(x), abs=1e-8)
+
+
+def test_chisq_sf_matches_regularized_gamma():
+    xs = np.concatenate([np.geomspace(1e-8, 1e3, 300), np.linspace(0.05, 120, 300)])
+    for df in range(1, 41):
+        ours = [chisq_sf(float(x), df) for x in xs]
+        np.testing.assert_allclose(ours, special.gammaincc(df / 2, xs / 2),
+                                   rtol=1e-12, atol=0, err_msg=f"df={df}")
+
+
+def test_chisq_sf_limits():
+    assert chisq_sf(-3.0, 5) == 1.0
+    assert chisq_sf(np.inf, 1) == chisq_sf(np.inf, 4) == chisq_sf(np.inf, 7) == 0.0
+    # the tail underflows only where its value does
+    assert chisq_sf(1500.0, 40) == pytest.approx(special.gammaincc(20, 750), rel=1e-12)
+
+
+@pytest.mark.parametrize("df", [1.5, 0, -2, float("nan")])
+def test_chisq_sf_rejects_non_integer_df(df):
+    with pytest.raises(ValueError, match="positive integer"):
+        chisq_sf(1.0, df)
+
+
+def test_normal_sf_matches_ndtr():
+    xs = np.linspace(-10.0, 30.0, 4001)
+    np.testing.assert_allclose([normal_sf(float(x)) for x in xs],
+                               special.ndtr(-xs), rtol=1e-12, atol=0)
 
 
 def test_t_squared_wald_identity():

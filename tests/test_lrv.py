@@ -122,6 +122,12 @@ def test_psi_spectral_order_zero_gives_lambda0():
     assert np.array_equal(psi_spectral(W, 0), lambda_hat(W, 0))
 
 
+@pytest.mark.parametrize("r", ["aic", 0, 2])
+def test_psi_spectral_of_scores_without_columns_is_empty(r):
+    # a season of order 0 has no regressors, so its scores have no columns
+    assert psi_spectral(np.zeros((50, 0)), r).shape == (0, 0)
+
+
 def test_psi_hac_symmetric_and_bartlett_psd():
     _, W, _ = fitted_scores(500, seed=3, noise=NoiseSpec("weak-product", m=1))
     psi = psi_hac(W, KernelSpec("bartlett", 1.0 / 10.0))
