@@ -53,7 +53,7 @@ def read_csv(path, s, presample_policy="none"):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     rows = []
     start = 0
@@ -117,6 +117,8 @@ def _parse_matrix(text, what):
         rows = [[float(x) for x in row.split()] for row in text.split(";")]
     except ValueError:
         raise ParseError(f"{what}: non-numeric matrix entry in {text!r}") from None
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ParseError(f"{what}: non-finite matrix entry in {text!r}")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError(f"{what}: ragged matrix literal {text!r}")
@@ -133,7 +135,7 @@ def read_model(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     header = {}
     seasons = {}
@@ -548,11 +550,13 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # an overflow or invalid operation is a numeric failure, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ParseError, InsufficientData, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (PvarError, np.linalg.LinAlgError) as exc:
+    except (PvarError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, LagOutOfRange, NearSingularUnit,
                      RankDeficientConstraint, SingularDesign)
-from .linalg import inv_spd, solve_guarded
+from .linalg import COND_LIMIT, inv_spd, solve_guarded
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
@@ -158,8 +158,16 @@ def _var_fit(W, r, start):
 def select_ar_order_aic(W, r_max):
     """AIC order choice for the score autoregression.
 
-    All candidate orders are fitted on the common sample n = r_max..N-1
-    so their likelihoods are comparable.
+    All candidate orders are scored on the common sample n = r_max..N-1
+    so their likelihoods are comparable.  The order-r lag design is the
+    first q*r columns of the r_max design X, so one factorisation scores
+    every order: with G = X'X = L L' and C = L^-1 X'Y, the order-r
+    residual cross-product is Y'Y - sum_{k<r} C_k'C_k, where C_k is the
+    k-th q-row block of C.  Every order's Gram is a leading principal
+    submatrix of G and so no worse conditioned, hence one guard on G
+    raises exactly when some order's regression would be singular.
+    Orders whose residual covariance is not positive definite are
+    skipped; ties go to the lowest order.
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape
@@ -168,16 +176,26 @@ def select_ar_order_aic(W, r_max):
     if not r_max < N / 2:
         raise ValueError("r_max must be below N/2")
     n_eff = N - r_max
-    best_r, best_aic = 0, np.inf
-    for r in range(r_max + 1):
-        _, cov = _var_fit(W, r, r_max)
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            continue
-        aic = logdet + 2.0 * r * q * q / n_eff
-        if aic < best_aic:
-            best_r, best_aic = r, aic
-    return best_r
+    Y = W[r_max:]
+    resid = np.empty((r_max + 1, q, q))
+    resid[0] = Y.T @ Y
+    X = _lag_design(W, r_max, r_max)
+    if X.size:
+        gram = X.T @ X
+        singular = SingularDesign("score lag regression is numerically singular")
+        if np.linalg.cond(gram) > COND_LIMIT:
+            raise singular
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise singular from None
+        # X'Y as the transpose of Y'X, which numpy computes ~3x faster at
+        # q=18, r_max=15 (and ~equally fast at q=4)
+        C = np.linalg.solve(L, (Y.T @ X).T).reshape(r_max, q, q)
+        resid[1:] = resid[0] - np.cumsum(C.transpose(0, 2, 1) @ C, axis=0)
+    sign, logdet = np.linalg.slogdet(resid / n_eff)
+    aic = logdet + 2.0 * np.arange(r_max + 1) * q * q / n_eff
+    return int(np.argmin(np.where(sign > 0, aic, np.inf)))
 
 
 def default_r_max(n):

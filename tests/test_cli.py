@@ -267,9 +267,20 @@ def _with_cell(data, line, col, cell):
     return str(path)
 
 
+def _write(path, content):
+    """Write bytes to path and return it as a string."""
+    path.write_bytes(content)
+    return str(path)
+
+
 @pytest.mark.parametrize("case,code,needle", [
     ("nan-cell", 3, "row 5, column 1: non-finite value 'nan'"),
     ("inf-cell", 3, "row 7, column 2: non-finite value 'inf'"),
+    ("huge-cell", 4, "error: overflow encountered"),
+    ("csv-not-utf8", 3, "not_utf8.csv: 'utf-8' codec can't decode byte 0xff"),
+    ("model-not-utf8", 3, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
+    ("model-nan-phi", 3, "nan_model.txt: season 1 phi1: non-finite matrix entry"),
+    ("model-inf-sigma", 3, "inf_model.txt: season 2 sigma: non-finite matrix entry"),
     ("fit-out", 3, "No such file or directory"),
     ("wald-out", 3, "No such file or directory"),
     ("simulate-out", 3, "No such file or directory"),
@@ -282,6 +293,17 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
     argv = {
         "nan-cell": ["fit", "--data", _with_cell(weak_data, 5, 1, "nan"), "--s", "2"],
         "inf-cell": ["fit", "--data", _with_cell(weak_data, 7, 2, "inf"), "--s", "2"],
+        "huge-cell": ["fit", "--data", _with_cell(weak_data, 3, 1, "1e300"), "--s", "2"],
+        "csv-not-utf8": ["fit", "--s", "2", "--data",
+                         _write(tmp_path / "not_utf8.csv", b"\xff\xfe1,2\n3,4\n")],
+        "model-not-utf8": ["simulate", "--n", "5", "--model",
+                           _write(tmp_path / "not_utf8.txt", b"\xff\xfes = 2\n")],
+        "model-nan-phi": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "nan_model.txt",
+            MODEL_TEXT.replace("phi1 = 0.3 0", "phi1 = nan 0").encode())],
+        "model-inf-sigma": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "inf_model.txt",
+            MODEL_TEXT.replace("0 0.5", "0 inf").encode())],
         "fit-out": ["fit"] + data + unwritable,
         "wald-out": ["wald", "--restrict", "phi[1](1,1)=0"] + data + unwritable,
         "simulate-out": ["simulate", "--model", model_file, "--n", "5"] + unwritable,
@@ -293,6 +315,7 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
     assert proc.returncode == code
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert needle in proc.stderr
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pvar.lrv
-from pvar.errors import LagOutOfRange
+from pvar.errors import LagOutOfRange, SingularDesign
 from pvar.estimate import fit_ols
 from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       default_r_max, kernel_weight, lambda_hat, omega_hat,
@@ -10,6 +10,7 @@ from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       select_ar_order_aic, theta_sandwich, theta_strong,
                       theta_xi)
 from pvar.linalg import solve_guarded
+from pvar.mc import preset
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
 
@@ -159,6 +160,77 @@ def test_aic_detects_var1():
 
 def test_aic_rmax_zero():
     W = np.random.default_rng(0).standard_normal((100, 2))
+    assert select_ar_order_aic(W, 0) == 0
+
+
+def refit_aic_order(W, r_max):
+    """Reference search: refit every order 0..r_max on n = r_max..N-1."""
+    N, q = W.shape
+    best_r, best_aic = 0, np.inf
+    for r in range(r_max + 1):
+        _, cov = pvar.lrv._var_fit(W, r, r_max)
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            continue
+        aic = logdet + 2.0 * r * q * q / (N - r_max)
+        if aic < best_aic:
+            best_r, best_aic = r, aic
+    return best_r
+
+
+def season_scores(model, n_cycles, noise, seeds, order):
+    """Scores of every season of fits to one series per seed."""
+    for series in simulate(model, n_cycles, noise, seed=seeds):
+        fit = fit_ols(series, order, demean=False)
+        for v in range(fit.s):
+            yield score_series(fit.X[v], fit.residuals[v])
+
+
+def assert_same_orders_as_refit(scores):
+    for W in scores:
+        r_max = default_r_max(W.shape[0])
+        assert select_ar_order_aic(W, r_max) == refit_aic_order(W, r_max)
+
+
+@pytest.mark.parametrize("name,n_seeds", [
+    ("model-I", 40), ("model-II", 100), ("model-III", 20), ("model-IV", 20)])
+def test_aic_order_matches_refit_search_on_presets(name, n_seeds):
+    sc = preset(name)
+    assert_same_orders_as_refit(season_scores(
+        sc.model, sc.n_cycles, sc.noise, range(7000, 7000 + n_seeds), 1))
+
+
+def wide_model():
+    """d=3, s=4, order 2, each lag-block row of absolute sum 0.75."""
+    rng = np.random.default_rng(20)
+    phi, sigma = [], []
+    for _ in range(4):
+        block = rng.standard_normal((3, 6))
+        block *= 0.75 / np.abs(block).sum(axis=1, keepdims=True)
+        phi.append([block[:, :3], block[:, 3:]])
+        a = rng.standard_normal((3, 3))
+        sigma.append(a @ a.T + np.eye(3))
+    return PvarModel(s=4, d=3, phi=phi, sigma=sigma)
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak-product"])
+def test_aic_order_matches_refit_search_on_wide_scores(kind):
+    # 18-entry scores at N=4000, so r_max = 15; under m=2 product noise
+    # AIC picks orders 0 to 2 here
+    scores = list(season_scores(wide_model(), 4000, NoiseSpec(kind, m=2),
+                                [31, 32], 2))
+    assert {W.shape for W in scores} == {(4000, 18)}
+    assert default_r_max(4000) == 15
+    assert_same_orders_as_refit(scores)
+
+
+def test_aic_duplicated_score_column_is_singular():
+    _, W, _ = fitted_scores(500)
+    W = np.hstack([W, W[:, :1]])
+    for search in (select_ar_order_aic, refit_aic_order):
+        with pytest.raises(SingularDesign,
+                           match="score lag regression is numerically singular"):
+            search(W, 3)
     assert select_ar_order_aic(W, 0) == 0
 
 
