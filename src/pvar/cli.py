@@ -211,7 +211,9 @@ def parse_restriction(text, s, d, orders):
     try:
         value = float(m.group(5))
     except ValueError:
-        raise RestrictionParseError(f"bad value in restriction {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise RestrictionParseError(f"bad value in restriction {text!r}")
     if not 1 <= season <= s:
         raise RestrictionParseError(f"season {season} outside 1..{s} in {text!r}")
     if not (1 <= row <= d and 1 <= col <= d):
@@ -292,8 +294,8 @@ def _bandwidth_value(arg, n):
     except ValueError:
         raise ParseError(f"--bandwidth must be a rule name "
                          f"({', '.join(sorted(BANDWIDTH_RULES))}) or a number") from None
-    if not b > 0:
-        raise ParseError("--bandwidth must be positive")
+    if not 0 < b < math.inf:
+        raise ParseError("--bandwidth must be a positive finite number")
     return b
 
 
@@ -395,7 +397,7 @@ def cmd_mc(args):
                 "noise": sc.noise.kind, "m": sc.noise.m,
                 "n_cycles": sc.n_cycles, "reps": sc.reps,
                 "levels": list(sc.levels), "methods": list(sc.methods),
-                "base_seed": sc.base_seed,
+                "base_seed": sc.base_seed, "bandwidth": sc.bandwidth,
                 "phi11": list(_diag_entries(sc.model, 0)),
                 "phi22": list(_diag_entries(sc.model, 1)),
                 "sigma": [[list(r) for r in m] for m in sc.model.sigma],
@@ -504,7 +506,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=_int_from(1), required=True, help="number of cycles")
     p.add_argument("--noise", choices=["strong", "weak-product"], default="strong")
-    p.add_argument("--m", type=int, default=1, help="product window exponent")
+    p.add_argument("--m", type=_int_from(1), default=1, help="product window exponent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burnin", type=_int_from(0), default=DEFAULT_BURNIN)
     p.add_argument("--out", default="-")

@@ -33,10 +33,6 @@ class InsufficientData(PvarError):
     pass
 
 
-class RankDeficientConstraint(PvarError):
-    """Constraint matrix R does not have full column rank."""
-
-
 class SingularRestriction(PvarError):
     """Restriction covariance in a Wald statistic is numerically singular."""
 

@@ -6,39 +6,17 @@ Per season v, with N usable cycles, the regression stacks
     X(v) columns X_n(v) = (Y[ns+v-1]', ..., Y[ns+v-p(v)]')'  (d p(v) x N)
 
 and estimates B(v) = (Phi_1(v), ..., Phi_p(v)) by ordinary least
-squares.  Linear constraints beta = R xi + b are handled by feasible
-generalized least squares using the unconstrained residual covariance.
+squares.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InsufficientData,
-                     RankDeficientConstraint, SingularDesign)
-from .linalg import inv_spd, solve_guarded, vec
+from .errors import DimensionMismatch, InsufficientData, SingularDesign
+from .linalg import solve_guarded, vec
 from .model import PeriodicSeries
-
-
-@dataclass
-class ConstraintSpec:
-    """Affine restriction beta(v) = R(v) xi(v) + b(v) for one season."""
-
-    R: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        if self.R.shape[0] != self.b.size:
-            raise DimensionMismatch("R and b disagree on the coefficient count")
-        if np.linalg.matrix_rank(self.R) < self.R.shape[1]:
-            raise RankDeficientConstraint("R must have full column rank")
-
-    @classmethod
-    def identity(cls, n_coef):
-        return cls(np.eye(n_coef), np.zeros(n_coef))
 
 
 @dataclass
@@ -46,8 +24,7 @@ class FitResult:
     """Per-season estimates from a PVAR regression.
 
     beta_hat[v-1] = vec(B_hat[v-1]) is the coefficient vector of
-    season v; xi_hat holds the free parameters under the constraint
-    (equal to beta_hat for an unconstrained fit).
+    season v.
     """
 
     s: int
@@ -59,9 +36,7 @@ class FitResult:
     sigma_tilde: list
     X: list
     Z: list
-    xi_hat: list
-    constraints: list = field(default=None)
-    means: np.ndarray = field(default=None)
+    means: np.ndarray = None
 
     @property
     def beta_hat(self):
@@ -130,7 +105,7 @@ def build_design(series, orders):
 
 
 def fit_ols(series, orders, demean=True):
-    """Unconstrained per-season least squares."""
+    """Per-season least squares."""
     orders = _normalize_orders(series, orders)
     means = None
     if demean:
@@ -156,49 +131,4 @@ def fit_ols(series, orders, demean=True):
         sig.append(E @ E.T / dof)
     return FitResult(s=series.s, d=series.d, orders=orders, n_used=n_used,
                      B_hat=B_hat, residuals=resid, sigma_tilde=sig,
-                     X=Xs, Z=Zs, xi_hat=[vec(B) for B in B_hat], means=means)
-
-
-def fit_constrained(series, orders, constraints, demean=True):
-    """Feasible GLS under per-season affine restrictions.
-
-    constraints is a list of ConstraintSpec (or None for identity),
-    one entry per season.  The weighting covariance is the residual
-    covariance of the unconstrained fit.
-    """
-    base = fit_ols(series, orders, demean=demean)
-    s, d = base.s, base.d
-    if constraints is None:
-        constraints = [None] * s
-    if len(constraints) != s:
-        raise DimensionMismatch("need one constraint entry per season")
-    B_hat, resid, sig, xi_hat, specs = [], [], [], [], []
-    for v in range(1, s + 1):
-        p = base.orders[v - 1]
-        n_coef = d * d * p
-        spec = constraints[v - 1] or ConstraintSpec.identity(n_coef)
-        if spec.R.shape[0] != n_coef:
-            raise DimensionMismatch(f"season {v}: R has {spec.R.shape[0]} rows, "
-                                    f"expected {n_coef}")
-        Z, X = base.Z[v - 1], base.X[v - 1]
-        sig_inv = inv_spd(base.sigma_tilde[v - 1], what=f"season {v} residual covariance")
-        # W = Z - B0 X with vec(B0) = b, the constraint offset
-        B0 = spec.b.reshape(d, d * p, order="F") if p else np.zeros((d, 0))
-        W = Z - B0 @ X
-        rhs = spec.R.T @ vec(sig_inv @ W @ X.T)
-        lhs = spec.R.T @ np.kron(X @ X.T, sig_inv) @ spec.R
-        xi = solve_guarded(lhs, rhs, err=SingularDesign,
-                           what=f"season {v} constrained normal equations")
-        beta = spec.R @ xi + spec.b
-        B = beta.reshape(d, d * p, order="F") if p else np.zeros((d, 0))
-        E = Z - B @ X
-        dof = base.n_used - d * p
-        B_hat.append(B)
-        resid.append(E)
-        sig.append(E @ E.T / dof)
-        xi_hat.append(xi)
-        specs.append(spec)
-    return FitResult(s=s, d=d, orders=base.orders, n_used=base.n_used,
-                     B_hat=B_hat, residuals=resid, sigma_tilde=sig,
-                     X=base.X, Z=base.Z, xi_hat=xi_hat, constraints=specs,
-                     means=base.means)
+                     X=Xs, Z=Zs, means=means)

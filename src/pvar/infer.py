@@ -1,11 +1,12 @@
 """Wald tests and per-coefficient reports.
 
-The statistic for a linear hypothesis R0 xi = r0 on one season is
+The statistic for a linear hypothesis R0 beta = r0 on the
+least-squares coefficients of one season is
 
-    W = N (R0 xi_hat - r0)' [R0 Theta_xi R0']^-1 (R0 xi_hat - r0),
+    W = N (R0 beta_hat - r0)' [R0 Theta R0']^-1 (R0 beta_hat - r0),
 
 asymptotically chi-squared with rank(R0) degrees of freedom.  The
-covariance Theta_xi may come from the independent-innovation formula
+covariance Theta may come from the independent-innovation formula
 or from one of the robust sandwich estimators; the test is otherwise
 identical.
 """
@@ -68,7 +69,7 @@ class Restriction:
 
     @classmethod
     def coordinates(cls, indices, n_coef, values=None):
-        """Test xi[i] = value for each listed coordinate."""
+        """Test beta[i] = value for each listed coordinate."""
         indices = list(indices)
         R0 = np.zeros((len(indices), n_coef))
         for row, i in enumerate(indices):
@@ -85,14 +86,14 @@ class WaldResult:
     method: str = ""
 
 
-def wald(xi_hat, theta_xi, n, restriction, method=""):
-    """Wald test of R0 xi = r0 with a given covariance estimate."""
-    xi_hat = np.asarray(xi_hat, dtype=float).reshape(-1)
+def wald(beta_hat, theta, n, restriction, method=""):
+    """Wald test of R0 beta = r0 with a given covariance estimate."""
+    beta_hat = np.asarray(beta_hat, dtype=float).reshape(-1)
     R0, r0 = restriction.R0, restriction.r0
-    if R0.shape[1] != xi_hat.size:
+    if R0.shape[1] != beta_hat.size:
         raise DimensionMismatch("restriction width does not match the parameter count")
-    gap = R0 @ xi_hat - r0
-    mid = R0 @ theta_xi @ R0.T
+    gap = R0 @ beta_hat - r0
+    mid = R0 @ theta @ R0.T
     stat = float(n * gap @ solve_guarded(mid, gap, err=SingularRestriction,
                                          what="restriction covariance"))
     df = R0.shape[0]
@@ -135,7 +136,7 @@ def t_report(season, d, p, beta, thetas, n):
             if se > 0:
                 z = abs(beta[idx]) / se
                 pvals[name] = 2.0 * normal_sf(z)
-                # wald() on the single restriction xi[idx] = 0
+                # wald() on the single restriction beta[idx] = 0
                 b = beta[idx]
                 pvals_w[name] = chisq_sf(n * b * (b / var), 1)
             else:

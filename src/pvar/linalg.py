@@ -25,22 +25,6 @@ def unvec(v, rows, cols):
     return v.reshape(rows, cols, order="F")
 
 
-def solve_spd(a, b, err=NotPositiveDefinite, what="matrix"):
-    """Solve a x = b for symmetric positive definite a via Cholesky."""
-    a = np.asarray(a, dtype=float)
-    try:
-        c = np.linalg.cholesky((a + a.T) / 2.0)
-    except np.linalg.LinAlgError:
-        raise err(f"{what} is not positive definite") from None
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, y)
-
-
-def inv_spd(a, err=NotPositiveDefinite, what="matrix"):
-    a = np.asarray(a, dtype=float)
-    return solve_spd(a, np.eye(a.shape[0]), err=err, what=what)
-
-
 def solve_guarded(a, b, err=SingularDesign, what="matrix"):
     """Solve a x = b, raising ``err`` if a is ill-conditioned."""
     a = np.asarray(a, dtype=float)

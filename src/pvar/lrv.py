@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from .errors import (DimensionMismatch, LagOutOfRange, NearSingularUnit,
-                     RankDeficientConstraint, SingularDesign)
-from .linalg import COND_LIMIT, inv_spd, solve_guarded
+                     SingularDesign)
+from .linalg import COND_LIMIT, solve_guarded
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
@@ -103,13 +103,11 @@ def score_series(X, residuals):
 
 
 def lambda_hat(W, h):
-    """Autocovariance (1/N) sum_n W_n W_{n-h}'; negative h transposes."""
+    """Autocovariance (1/N) sum_n W_n W_{n-h}' at lag 0 <= h < N."""
     W = np.asarray(W, dtype=float)
     N = W.shape[0]
-    if abs(h) >= N:
-        raise LagOutOfRange(f"|h| = {abs(h)} must be below N = {N}")
-    if h < 0:
-        return lambda_hat(W, -h).T
+    if not 0 <= h < N:
+        raise LagOutOfRange(f"lag {h} outside 0..{N - 1}")
     return W[h:].T @ W[:N - h] / N
 
 
@@ -287,15 +285,3 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
                 raise ValueError(f"unknown covariance method {method!r}")
             out[v][method] = theta_sandwich(omega, psi, fit.d, omega_inv)
     return out
-
-
-def theta_xi(R, omega, sigma, psi, d):
-    """Sandwich covariance of the free parameters under beta = R xi + b."""
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if np.linalg.matrix_rank(R) < R.shape[1]:
-        raise RankDeficientConstraint("R must have full column rank")
-    sig_inv = inv_spd(sigma, what="residual covariance")
-    bread = solve_guarded(R.T @ np.kron(omega, sig_inv) @ R, np.eye(R.shape[1]),
-                          err=SingularDesign, what="constrained information matrix")
-    wing = np.kron(np.eye(omega.shape[0]), sig_inv) @ R
-    return bread @ (wing.T @ psi @ wing) @ bread

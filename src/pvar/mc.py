@@ -42,9 +42,7 @@ class Scenario:
     methods: tuple = tuple(METHODS)
     levels: tuple = DEFAULT_LEVELS
     base_seed: int = 424243
-    demean: bool = False
-    kernel: str = "bartlett"
-    bandwidth: float = None  # None -> 1/21 at N=1000, otherwise Andrews
+    bandwidth: float = None  # of the Bartlett HAC; None -> Andrews at n_cycles
 
     def __post_init__(self):
         if self.reps < 1:
@@ -60,9 +58,8 @@ class Scenario:
     def hac_spec(self):
         b = self.bandwidth
         if b is None:
-            b = 1.0 / 21.0 if self.n_cycles == 1000 else \
-                default_bandwidth(self.n_cycles, "andrews")
-        return KernelSpec(self.kernel, b)
+            b = default_bandwidth(self.n_cycles, "andrews")
+        return KernelSpec("bartlett", b)
 
 
 @dataclass
@@ -83,7 +80,7 @@ def _replication(scenario, series):
     """One fit -> covariances -> tests pass on a simulated series."""
     model = scenario.model
     fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
-                  demean=scenario.demean)
+                  demean=False)
     n = fit.n_used
     thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
                          scenario.hac_spec())
@@ -233,19 +230,20 @@ def preset(name, n_cycles=None, reps=None, base_seed=None):
     model-I/II: size study (Phi22 = 0 under the null), strong vs weak
     product noise (m=2); model-III/IV: power study (Phi22 = 0.05).
     dgp-strong/dgp-weak: the base process with both diagonals nonzero,
-    used for estimator-accuracy summaries.
+    used for estimator-accuracy summaries.  Each preset fixes its HAC
+    bandwidth, so n_cycles changes only the sample size.
     """
     presets = {
-        "model-I": ((0.0,) * 5, "strong", 1000),
-        "model-II": ((0.0,) * 5, "weak-product", 1000),
-        "model-III": ((0.05,) * 5, "strong", 4000),
-        "model-IV": ((0.05,) * 5, "weak-product", 4000),
-        "dgp-strong": (_PHI22_BASE, "strong", 1000),
-        "dgp-weak": (_PHI22_BASE, "weak-product", 1000),
+        "model-I": ((0.0,) * 5, "strong", 1000, 1.0 / 21.0),
+        "model-II": ((0.0,) * 5, "weak-product", 1000, 1.0 / 21.0),
+        "model-III": ((0.05,) * 5, "strong", 4000, 1.0 / 12.0),
+        "model-IV": ((0.05,) * 5, "weak-product", 4000, 1.0 / 12.0),
+        "dgp-strong": (_PHI22_BASE, "strong", 1000, 1.0 / 21.0),
+        "dgp-weak": (_PHI22_BASE, "weak-product", 1000, 1.0 / 21.0),
     }
     if name not in presets:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    phi22, kind, default_n = presets[name]
+    phi22, kind, default_n, bandwidth = presets[name]
     model = _five_season_model(phi22)
     return Scenario(
         name=name,
@@ -255,6 +253,7 @@ def preset(name, n_cycles=None, reps=None, base_seed=None):
         reps=1000 if reps is None else reps,
         restrictions=_phi22_restrictions(model),
         base_seed=base_seed if base_seed is not None else 424243,
+        bandwidth=bandwidth,
     )
 
 

@@ -190,11 +190,12 @@ def test_bandwidth_resolved_for_every_cov(tmp_path, model_file, capsys):
     data = str(tmp_path / "sim.csv")
     run_cli(["simulate", "--model", model_file, "--n", "100", "--out", data])
     for command in (["fit"], ["wald", "--restrict", "phi[1](1,1)=0"]):
-        capsys.readouterr()
-        assert run_cli(command + ["--data", data, "--s", "2", "--cov", "strong",
-                                  "--bandwidth", "foo"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: --bandwidth") and err.count("\n") == 1
+        for value in ("foo", "inf"):
+            capsys.readouterr()
+            assert run_cli(command + ["--data", data, "--s", "2", "--cov",
+                                      "strong", "--bandwidth", value]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: --bandwidth") and err.count("\n") == 1
 
 
 def test_exit_codes(tmp_path, model_file):
@@ -232,6 +233,8 @@ def test_exit_codes(tmp_path, model_file):
      "--ar-order"),
     (["fit", "--s", "2", "--order", "foo"], "--order"),
     (["fit", "--s", "2", "--order", "1,-1"], "--order"),
+    (["simulate", "--n", "5", "--m", "-3", "--noise", "strong"], "--m"),
+    (["simulate", "--n", "5", "--m", "0", "--noise", "weak-product"], "--m"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
                                                   capsys):
@@ -286,6 +289,7 @@ def _write(path, content):
     ("simulate-out", 3, "No such file or directory"),
     ("analytic-m0", 2, "argument --m: must be at least 1, got 0"),
     ("analytic-m-2", 2, "argument --m: must be at least 1, got -2"),
+    ("restrict-inf", 3, "bad value in restriction 'phi[1](1,1)=1e999'"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -309,6 +313,7 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "simulate-out": ["simulate", "--model", model_file, "--n", "5"] + unwritable,
         "analytic-m0": ["analytic", "--m", "0"],
         "analytic-m-2": ["analytic", "--m", "-2"],
+        "restrict-inf": ["wald", "--restrict", "phi[1](1,1)=1e999"] + data,
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)
@@ -372,6 +377,9 @@ def test_mc_dump_scenarios(tmp_path):
                             "dgp-strong", "dgp-weak"}
     assert payload["model-II"]["noise"] == "weak-product"
     assert payload["model-III"]["phi22"] == [0.05] * 5
+    assert {name: sc["bandwidth"] for name, sc in payload.items()} == {
+        "model-I": 1 / 21, "model-II": 1 / 21, "model-III": 1 / 12,
+        "model-IV": 1 / 12, "dgp-strong": 1 / 21, "dgp-weak": 1 / 21}
 
 
 def test_mc_command_small(tmp_path):

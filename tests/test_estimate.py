@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from pvar.errors import (DimensionMismatch, InsufficientData,
-                         RankDeficientConstraint)
-from pvar.estimate import (ConstraintSpec, build_design, demean_seasonal,
-                           fit_constrained, fit_ols)
-from pvar.linalg import vec
+from pvar.errors import InsufficientData
+from pvar.estimate import build_design, demean_seasonal, fit_ols
 from pvar.model import PeriodicSeries, PvarModel
 from pvar.noise import simulate
 
@@ -121,38 +118,6 @@ def test_order_zero_season():
     fit = fit_ols(ser, [1, 0], demean=False)
     assert fit.B_hat[1].shape == (2, 0)
     assert np.allclose(fit.residuals[1], fit.Z[1])
-
-
-def test_identity_constraint_equals_unconstrained():
-    ser = simulate(example_model(), 300, seed=5)
-    plain = fit_ols(ser, 1, demean=False)
-    tied = fit_constrained(ser, 1, None, demean=False)
-    for v in range(2):
-        assert np.allclose(tied.B_hat[v], plain.B_hat[v], atol=1e-8)
-        assert np.allclose(tied.xi_hat[v], vec(plain.B_hat[v]), atol=1e-8)
-
-
-def test_zero_constraint_pins_coefficients():
-    ser = simulate(example_model(), 2000, seed=6)
-    # keep only the diagonal entries of Phi(1) free
-    R = np.zeros((4, 2))
-    R[0, 0] = 1.0
-    R[3, 1] = 1.0
-    spec = ConstraintSpec(R, np.zeros(4))
-    fit = fit_constrained(ser, 1, [spec, None], demean=False)
-    B = fit.B_hat[0]
-    assert B[0, 1] == 0.0 and B[1, 0] == 0.0
-    assert abs(B[0, 0] - 0.3) < 0.1
-    assert abs(B[1, 1] + 0.6) < 0.1
-
-
-def test_constraint_validation():
-    with pytest.raises(RankDeficientConstraint):
-        ConstraintSpec(np.zeros((4, 2)), np.zeros(4))
-    ser = simulate(example_model(), 50, seed=7)
-    with pytest.raises(DimensionMismatch):
-        fit_constrained(ser, 1, [ConstraintSpec(np.eye(3), np.zeros(3)), None],
-                        demean=False)
 
 
 def test_insufficient_data():

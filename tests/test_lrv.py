@@ -7,8 +7,7 @@ from pvar.estimate import fit_ols
 from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       default_r_max, kernel_weight, lambda_hat, omega_hat,
                       psi_hac, psi_spectral, score_series,
-                      select_ar_order_aic, theta_sandwich, theta_strong,
-                      theta_xi)
+                      select_ar_order_aic, theta_sandwich, theta_strong)
 from pvar.linalg import solve_guarded
 from pvar.mc import preset
 from pvar.model import PvarModel
@@ -89,17 +88,19 @@ def test_lambda_hat_single_spike():
     assert np.allclose(lambda_hat(W, 0), np.outer(w, w) / 5)
 
 
-def test_lambda_transpose_exact():
+def test_lambda_hat_lag_range():
     _, W, _ = fitted_scores(200)
-    assert np.array_equal(lambda_hat(W, -3), lambda_hat(W, 3).T)
-    with pytest.raises(LagOutOfRange):
-        lambda_hat(W, 200)
+    for h in (-3, W.shape[0]):
+        with pytest.raises(LagOutOfRange):
+            lambda_hat(W, h)
 
 
 def test_full_lag_sum_vanishes_for_ols_scores():
     _, W, _ = fitted_scores(300)
     N = W.shape[0]
-    total = sum(lambda_hat(W, h) for h in range(-N + 1, N))
+    # the lags -h contribute the transposes of the lags h
+    total = lambda_hat(W, 0) + sum(lambda_hat(W, h) + lambda_hat(W, h).T
+                                   for h in range(1, N))
     lam0 = np.linalg.norm(lambda_hat(W, 0))
     assert np.linalg.norm(total) <= 1e-8 * lam0
 
@@ -310,43 +311,6 @@ def test_covariances_inverts_each_omega_once(monkeypatch):
     covariances(fit, ["strong", "sp", "hac"], KernelSpec("bartlett", 0.2),
                 ar_order=1)
     assert whats.count("regressor second-moment matrix") == fit.s
-
-
-def test_theta_xi_identity_reduction():
-    rng = np.random.default_rng(5)
-    omega = random_spd(rng, 2)
-    sigma = random_spd(rng, 2)
-    psi = random_spd(rng, 4)
-    full = theta_sandwich(omega, psi, 2)
-    via_xi = theta_xi(np.eye(4), omega, sigma, psi, 2)
-    assert np.allclose(via_xi, full, atol=1e-10)
-    # strong form reduces to Omega^-1 (x) Sigma
-    strong = theta_xi(np.eye(4), omega, sigma, np.kron(omega, sigma), 2)
-    assert np.allclose(strong, np.kron(np.linalg.inv(omega), sigma), atol=1e-10)
-
-
-def test_theta_xi_coordinate_selector():
-    rng = np.random.default_rng(6)
-    omega = random_spd(rng, 2)
-    sigma = random_spd(rng, 2)
-    psi = random_spd(rng, 4)
-    R = np.zeros((4, 1))
-    R[2, 0] = 1.0
-    got = theta_xi(R, omega, sigma, psi, 2)
-    # dense assembly oracle
-    sig_inv = np.linalg.inv(sigma)
-    bread = np.linalg.inv(R.T @ np.kron(omega, sig_inv) @ R)
-    wing = np.kron(np.eye(2), sig_inv) @ R
-    expect = bread @ wing.T @ psi @ wing @ bread
-    assert np.allclose(got, expect, atol=1e-12)
-
-
-def test_theta_xi_zero_psi():
-    rng = np.random.default_rng(7)
-    omega = random_spd(rng, 2)
-    sigma = random_spd(rng, 2)
-    got = theta_xi(np.eye(4), omega, sigma, np.zeros((4, 4)), 2)
-    assert np.allclose(got, 0.0)
 
 
 def test_s1_reduction_matches_plain_var():

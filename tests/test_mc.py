@@ -6,6 +6,7 @@ import pytest
 import pvar.mc
 from pvar.errors import NotCausal, PvarError, SingularDesign
 from pvar.infer import chisq_sf
+from pvar.lrv import default_bandwidth
 from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
                      run_scenario, sse_summary, _replication)
 from pvar.noise import NoiseSpec, simulate
@@ -52,6 +53,13 @@ def test_preset_dgp_values():
 def test_hac_bandwidth_defaults():
     assert preset("model-I").hac_spec().bandwidth == pytest.approx(1 / 21)
     assert preset("model-III").hac_spec().bandwidth == pytest.approx(1 / 12)
+    # the preset fixes the bandwidth; the cycle count does not move it
+    for n in (999, 1000, 1001):
+        assert preset("model-II", n_cycles=n).hac_spec().bandwidth == 1 / 21
+    # a scenario without one gets the Andrews rule at its own cycle count
+    custom = dataclasses.replace(preset("model-II", n_cycles=4000),
+                                 bandwidth=None)
+    assert custom.hac_spec().bandwidth == default_bandwidth(4000, "andrews")
 
 
 def test_report_deterministic():
