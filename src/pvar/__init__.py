@@ -14,12 +14,12 @@ from .analytic import (DiagExampleParams, example_model, omega_closed,
 from .estimate import FitResult, build_design, demean_seasonal, fit_ols
 from .infer import (Restriction, WaldResult, chisq_sf, normal_sf, t_report,
                     wald)
-from .linalg import cholesky_upper, unvec, vec
+from .linalg import cholesky_upper, vec
 from .lrv import (BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth,
                   kernel_weight, lambda_hat, omega_hat, psi_hac, psi_spectral,
                   score_series, select_ar_order_aic, theta_sandwich,
                   theta_strong)
-from .mc import McReport, Scenario, preset, run_scenario, sse_summary
+from .mc import McReport, Scenario, preset, run_scenario
 from .model import (PeriodicSeries, PvarModel, build_lifted_var,
                     companion_spectral_radius, is_causal, ma_coefficients)
 from .noise import NoiseSpec, gen_noise, simulate
@@ -37,7 +37,6 @@ __all__ = [
     "is_causal", "kernel_weight", "lambda_hat", "ma_coefficients",
     "normal_sf", "omega_closed", "omega_hat", "preset", "psi_closed",
     "psi_hac", "psi_spectral", "run_scenario", "score_series",
-    "select_ar_order_aic", "simulate", "sse_summary", "t_report",
-    "theta_closed", "theta_s_closed", "theta_sandwich", "theta_strong",
-    "unvec", "vec", "wald",
+    "select_ar_order_aic", "simulate", "t_report", "theta_closed",
+    "theta_s_closed", "theta_sandwich", "theta_strong", "vec", "wald",
 ]

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import NotCausal, UnsupportedOrder
-from .lrv import theta_sandwich, theta_strong
+from .lrv import omega_inverse, theta_sandwich, theta_strong
 
 
 @dataclass
@@ -95,8 +95,8 @@ def omega_closed(params):
 def theta_s_closed(params):
     """Standard (independent-innovation) covariances Theta_S(1), Theta_S(2)."""
     omega1, omega2 = omega_closed(params)
-    return (theta_strong(omega1, params.sigma(1)),
-            theta_strong(omega2, params.sigma(2)))
+    return (theta_strong(omega_inverse(omega1), params.sigma(1)),
+            theta_strong(omega_inverse(omega2), params.sigma(2)))
 
 
 def _own_psi_season1(f1, f2, s1, s2, m):
@@ -146,7 +146,8 @@ def theta_closed(params):
     """Sandwich covariances Theta(1), Theta(2) of the example."""
     omega1, omega2 = omega_closed(params)
     psi1, psi2 = psi_closed(params)
-    return theta_sandwich(omega1, psi1, 2), theta_sandwich(omega2, psi2, 2)
+    return (theta_sandwich(omega_inverse(omega1), psi1, 2),
+            theta_sandwich(omega_inverse(omega2), psi2, 2))
 
 
 def example_model(m=1):

@@ -41,14 +41,12 @@ _FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 # data and model file handling
 
-def read_csv(path, s, presample_policy="none"):
+def read_csv(path, s):
     """Load a CSV of d numeric columns into a PeriodicSeries.
 
     An optional single header line is skipped.  A cell that is not a
     finite number is a ParseError naming its row and column.  A
     trailing incomplete cycle is dropped with a warning on stderr.
-    presample_policy "first-cycles" moves enough leading cycles into
-    the presample to cover order-1 lags at every season.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,12 +92,7 @@ def read_csv(path, s, presample_policy="none"):
         data = data[:data.shape[0] - extra]
     if data.shape[0] == 0:
         raise EmptyInput(f"{path}: fewer rows than one cycle of {s}")
-    pre = np.zeros((0, data.shape[1]))
-    if presample_policy == "first-cycles":
-        if data.shape[0] <= s:
-            raise InsufficientData("not enough cycles to reserve a presample")
-        pre, data = data[:s], data[s:]
-    return PeriodicSeries(s=s, data=data, presample=pre)
+    return PeriodicSeries(s=s, data=data)
 
 
 def write_csv(path, data):
@@ -164,6 +157,8 @@ def read_model(path):
         s, d = int(header["s"]), int(header["d"])
     except ValueError:
         raise ParseError(f"{path}: s and d must be integers") from None
+    if s < 1 or d < 1:
+        raise ParseError(f"{path}: s and d must be at least 1")
     phi, sigma = [], []
     for v in range(1, s + 1):
         if v not in seasons:
@@ -326,7 +321,7 @@ def cmd_simulate(args):
 
 
 def _fit_from_args(args):
-    series = read_csv(args.data, args.s, presample_policy=args.presample)
+    series = read_csv(args.data, args.s)
     orders = _season_orders(args.order, args.s)
     return fit_ols(series, orders, demean=args.demean)
 
@@ -368,18 +363,22 @@ def cmd_wald(args):
     per_season = {}
     for text in args.restrict:
         season, index, value = parse_restriction(text, fit.s, fit.d, fit.orders)
-        per_season.setdefault(season, []).append((index, value))
+        targets = per_season.setdefault(season, {})
+        if index in targets:
+            raise RestrictionParseError(
+                f"restriction {text!r} repeats an earlier one's coefficient")
+        targets[index] = value
     methods, thetas = _covariances_from_args(args, fit, sorted(per_season))
     headers = ["season", "method", "statistic", "df", "p_value"]
     rows, payload = [], {"command": "wald", "n_cycles": fit.n_used, "tests": []}
     for season in sorted(per_season):
-        pairs = per_season[season]
+        targets = per_season[season]
         n_coef = fit.d * fit.d * fit.orders[season - 1]
-        rest = Restriction.coordinates([i for i, _ in pairs], n_coef,
-                                       values=[val for _, val in pairs])
+        rest = Restriction.coordinates(list(targets), n_coef,
+                                       values=list(targets.values()))
         for m in methods:
             res = wald(fit.beta_hat[season - 1], thetas[season][m],
-                       fit.n_used, rest, method=m)
+                       fit.n_used, rest)
             rows.append([season, m, _f(res.statistic, 10), res.df, _f(res.p_value, 10)])
             payload["tests"].append({"season": season, "method": m,
                                      "statistic": res.statistic, "df": res.df,
@@ -486,7 +485,6 @@ def _add_fit_flags(p):
     p.add_argument("--s", type=_int_from(1), required=True)
     p.add_argument("--order", type=_orders, default="1")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--presample", choices=["none", "first-cycles"], default="none")
     p.add_argument("--cov", default="strong,sp,hac")
     p.add_argument("--kernel", choices=["bartlett", "rect", "parzen", "qs"],
                    default="bartlett")
@@ -507,7 +505,7 @@ def build_parser():
     p.add_argument("--n", type=_int_from(1), required=True, help="number of cycles")
     p.add_argument("--noise", choices=["strong", "weak-product"], default="strong")
     p.add_argument("--m", type=_int_from(1), default=1, help="product window exponent")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--burnin", type=_int_from(0), default=DEFAULT_BURNIN)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
@@ -530,7 +528,7 @@ def build_parser():
     p.add_argument("--scenario", choices=list(PRESET_NAMES), default="model-I")
     p.add_argument("--reps", type=_int_from(1), default=None)
     p.add_argument("--n", type=_int_from(1), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_from(0), default=None)
     p.add_argument("--dump-scenarios", action="store_true")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", default="-")

@@ -36,7 +36,6 @@ class FitResult:
     sigma_tilde: list
     X: list
     Z: list
-    means: np.ndarray = None
 
     @property
     def beta_hat(self):
@@ -107,9 +106,8 @@ def build_design(series, orders):
 def fit_ols(series, orders, demean=True):
     """Per-season least squares."""
     orders = _normalize_orders(series, orders)
-    means = None
     if demean:
-        series, means = demean_seasonal(series)
+        series, _ = demean_seasonal(series)
     Zs, Xs, n_used = build_design(series, orders)
     B_hat, resid, sig = [], [], []
     for v in range(1, series.s + 1):
@@ -118,17 +116,12 @@ def fit_ols(series, orders, demean=True):
         dof = n_used - series.d * p
         if dof < 1:
             raise InsufficientData(f"season {v}: {n_used} cycles cannot support order {p}")
-        if p == 0:
-            B = np.zeros((series.d, 0))
-            E = Z
-        else:
-            gram = X @ X.T
-            B = solve_guarded(gram, X @ Z.T, err=SingularDesign,
-                              what=f"season {v} design").T
-            E = Z - B @ X
+        B = solve_guarded(X @ X.T, X @ Z.T, err=SingularDesign,
+                          what=f"season {v} design").T
+        E = Z - B @ X
         B_hat.append(B)
         resid.append(E)
         sig.append(E @ E.T / dof)
     return FitResult(s=series.s, d=series.d, orders=orders, n_used=n_used,
                      B_hat=B_hat, residuals=resid, sigma_tilde=sig,
-                     X=Xs, Z=Zs, means=means)
+                     X=Xs, Z=Zs)

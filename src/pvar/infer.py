@@ -83,10 +83,9 @@ class WaldResult:
     statistic: float
     df: int
     p_value: float
-    method: str = ""
 
 
-def wald(beta_hat, theta, n, restriction, method=""):
+def wald(beta_hat, theta, n, restriction):
     """Wald test of R0 beta = r0 with a given covariance estimate."""
     beta_hat = np.asarray(beta_hat, dtype=float).reshape(-1)
     R0, r0 = restriction.R0, restriction.r0
@@ -97,7 +96,7 @@ def wald(beta_hat, theta, n, restriction, method=""):
     stat = float(n * gap @ solve_guarded(mid, gap, err=SingularRestriction,
                                          what="restriction covariance"))
     df = R0.shape[0]
-    return WaldResult(statistic=stat, df=df, p_value=chisq_sf(stat, df), method=method)
+    return WaldResult(statistic=stat, df=df, p_value=chisq_sf(stat, df))
 
 
 @dataclass

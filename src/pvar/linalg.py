@@ -17,14 +17,6 @@ def vec(a):
     return a.reshape(-1, order="F")
 
 
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec` for a matrix of known shape."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise ValueError("length does not match the requested shape")
-    return v.reshape(rows, cols, order="F")
-
-
 def solve_guarded(a, b, err=SingularDesign, what="matrix"):
     """Solve a x = b, raising ``err`` if a is ill-conditioned."""
     a = np.asarray(a, dtype=float)

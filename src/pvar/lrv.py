@@ -141,16 +141,10 @@ def _var_fit(W, r, start):
     """
     Y = W[start:]
     Xl = _lag_design(W, r, start)
-    n_eff = Y.shape[0]
-    if r == 0:
-        resid = Y
-        coef = np.zeros((W.shape[1], 0))
-    else:
-        gram = Xl.T @ Xl
-        coef = solve_guarded(gram, Xl.T @ Y, err=SingularDesign,
-                             what="score lag regression").T
-        resid = Y - Xl @ coef.T
-    return coef, resid.T @ resid / n_eff
+    coef = solve_guarded(Xl.T @ Xl, Xl.T @ Y, err=SingularDesign,
+                         what="score lag regression").T
+    resid = Y - Xl @ coef.T
+    return coef, resid.T @ resid / Y.shape[0]
 
 
 def select_ar_order_aic(W, r_max):
@@ -200,7 +194,7 @@ def default_r_max(n):
     return int(math.floor(n ** (1 / 3)))
 
 
-def psi_spectral(W, r="aic", r_max=None):
+def psi_spectral(W, r="aic"):
     """Long-run variance through an autoregression on the scores.
 
     With fitted lag matrices A_1..A_r and residual covariance S,
@@ -213,9 +207,7 @@ def psi_spectral(W, r="aic", r_max=None):
     if q == 0:
         return np.zeros((0, 0))
     if r == "aic":
-        if r_max is None:
-            r_max = default_r_max(N)
-        r = select_ar_order_aic(W, r_max)
+        r = select_ar_order_aic(W, default_r_max(N))
     r = int(r)
     if N - r < q * r + 1:
         raise SingularDesign("too few score observations for the requested order")
@@ -235,23 +227,13 @@ def omega_inverse(omega):
                          what="regressor second-moment matrix")
 
 
-def theta_strong(omega, sigma, omega_inv=None):
-    """Omega^-1 (x) Sigma, the covariance under independent innovations.
-
-    omega_inv, when given, must be omega_inverse(omega).
-    """
-    if omega_inv is None:
-        omega_inv = omega_inverse(omega)
+def theta_strong(omega_inv, sigma):
+    """Omega^-1 (x) Sigma, the covariance under independent innovations."""
     return np.kron(omega_inv, sigma)
 
 
-def theta_sandwich(omega, psi, d, omega_inv=None):
-    """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d).
-
-    omega_inv, when given, must be omega_inverse(omega).
-    """
-    if omega_inv is None:
-        omega_inv = omega_inverse(omega)
+def theta_sandwich(omega_inv, psi, d):
+    """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d)."""
     bread = np.kron(omega_inv, np.eye(d))
     return bread @ psi @ bread
 
@@ -266,14 +248,12 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     out = {}
     for v in seasons or range(1, fit.s + 1):
         X = fit.X[v - 1]
-        omega = omega_hat(X)
-        omega_inv = omega_inverse(omega)
+        omega_inv = omega_inverse(omega_hat(X))
         W = None
         out[v] = {}
         for method in methods:
             if method == "strong":
-                out[v][method] = theta_strong(omega, fit.sigma_tilde[v - 1],
-                                              omega_inv)
+                out[v][method] = theta_strong(omega_inv, fit.sigma_tilde[v - 1])
                 continue
             if W is None:
                 W = score_series(X, fit.residuals[v - 1])
@@ -283,5 +263,5 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
                 psi = psi_hac(W, hac)
             else:
                 raise ValueError(f"unknown covariance method {method!r}")
-            out[v][method] = theta_sandwich(omega, psi, fit.d, omega_inv)
+            out[v][method] = theta_sandwich(omega_inv, psi, fit.d)
     return out

@@ -92,7 +92,7 @@ def _replication(scenario, series):
         pvals = {}
         if rest is not None:
             for name, theta in season.items():
-                pvals[name] = wald(beta, theta, n, rest, method=name).p_value
+                pvals[name] = wald(beta, theta, n, rest).p_value
         out.append({"beta": beta, "thetas": season, "pvals": pvals, "n": n})
     return out
 
@@ -176,26 +176,6 @@ def run_scenario(scenario):
         theta_mean={k: v / completed for k, v in theta_sums.items()},
         wall_time=time.perf_counter() - t0,
     )
-
-
-def sse_summary(report, season=None):
-    """Pairs (empirical SSE, mean estimated variance) per coefficient.
-
-    The empirical column is the replication mean of N (est - true)^2;
-    the estimated columns are the replication means of the diagonal of
-    each covariance estimate.
-    """
-    rows = []
-    seasons = [season] if season else sorted({k[0] for k in report.coef_sse})
-    for v in seasons:
-        idxs = sorted(i for (vv, i) in report.coef_sse if vv == v)
-        for i in idxs:
-            est = {name: report.theta_mean.get((v, name, i))
-                   for name in METHODS if (v, name, i) in report.theta_mean}
-            rows.append({"season": v, "index": i,
-                         "empirical": report.coef_sse[(v, i)],
-                         "estimated": est})
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .linalg import cholesky_upper
-from .lrv import theta_sandwich, theta_strong
+from .lrv import omega_inverse, theta_sandwich, theta_strong
 from .model import companion_spectral_radius, ma_coefficients, require_causal
 
 #: Relative size of the neglected tail of the moving-average sum.
@@ -107,6 +107,7 @@ def exact_covariances(model, noise=None):
                 psi += excess * np.outer(w, w)
         out.omega.append(omega)
         out.psi.append(psi)
-        out.theta_s.append(theta_strong(omega, sigma))
-        out.theta.append(theta_sandwich(omega, psi, d))
+        omega_inv = omega_inverse(omega)
+        out.theta_s.append(theta_strong(omega_inv, sigma))
+        out.theta.append(theta_sandwich(omega_inv, psi, d))
     return out

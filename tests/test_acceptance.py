@@ -18,8 +18,8 @@ import pvar.analytic as an
 from pvar.estimate import fit_ols
 from pvar.infer import Restriction, chisq_sf, normal_sf, wald
 from pvar.linalg import vec
-from pvar.lrv import (KernelSpec, lambda_hat, omega_hat, psi_hac,
-                      psi_spectral, score_series, theta_sandwich)
+from pvar.lrv import (KernelSpec, lambda_hat, omega_hat, omega_inverse,
+                      psi_hac, psi_spectral, score_series, theta_sandwich)
 from pvar.mc import Scenario, preset, run_scenario
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
@@ -237,7 +237,7 @@ def test_acceptance_5_property_suite(capsys):
 
     # Wald invariance and t^2 identity
     beta = vec(fit.B_hat[0])
-    theta = theta_sandwich(omega_hat(fit.X[0]), psi_spectral(W), 2)
+    theta = theta_sandwich(omega_inverse(omega_hat(fit.X[0])), psi_spectral(W), 2)
     rest = Restriction.coordinates([1, 3], 4)
     base = wald(beta, theta, N, rest)
     T = np.array([[2.0, -1.0], [0.5, 3.0]])

@@ -235,6 +235,8 @@ def test_exit_codes(tmp_path, model_file):
     (["fit", "--s", "2", "--order", "1,-1"], "--order"),
     (["simulate", "--n", "5", "--m", "-3", "--noise", "strong"], "--m"),
     (["simulate", "--n", "5", "--m", "0", "--noise", "weak-product"], "--m"),
+    (["simulate", "--n", "5", "--seed", "-1"], "--seed"),
+    (["mc", "--reps", "1", "--n", "10", "--seed", "-1"], "--seed"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
                                                   capsys):
@@ -290,6 +292,9 @@ def _write(path, content):
     ("analytic-m0", 2, "argument --m: must be at least 1, got 0"),
     ("analytic-m-2", 2, "argument --m: must be at least 1, got -2"),
     ("restrict-inf", 3, "bad value in restriction 'phi[1](1,1)=1e999'"),
+    ("restrict-repeated", 3,
+     "restriction 'phi[1](1,1)=0.5' repeats an earlier one's coefficient"),
+    ("model-s0", 3, "s0_model.txt: s and d must be at least 1"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -314,6 +319,10 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "analytic-m0": ["analytic", "--m", "0"],
         "analytic-m-2": ["analytic", "--m", "-2"],
         "restrict-inf": ["wald", "--restrict", "phi[1](1,1)=1e999"] + data,
+        "restrict-repeated": ["wald", "--restrict", "phi[1](1,1)=0",
+                              "--restrict", "phi[1](1,1)=0.5"] + data,
+        "model-s0": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "s0_model.txt", MODEL_TEXT.replace("s = 2", "s = 0").encode())],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pvar.errors import NotPositiveDefinite, SingularDesign
-from pvar.linalg import cholesky_upper, solve_guarded, unvec, vec
+from pvar.linalg import cholesky_upper, solve_guarded, vec
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -17,12 +17,6 @@ def random_matrix(rng, rows, cols):
 def test_vec_stacks_columns():
     a = np.array([[1.0, 3.0], [2.0, 4.0]])
     assert np.array_equal(vec(a), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_unvec_inverts_vec():
-    rng = np.random.default_rng(0)
-    a = random_matrix(rng, 3, 5)
-    assert np.array_equal(unvec(vec(a), 3, 5), a)
 
 
 @settings(max_examples=50, deadline=None)

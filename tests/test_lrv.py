@@ -6,7 +6,7 @@ from pvar.errors import LagOutOfRange, SingularDesign
 from pvar.estimate import fit_ols
 from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       default_r_max, kernel_weight, lambda_hat, omega_hat,
-                      psi_hac, psi_spectral, score_series,
+                      omega_inverse, psi_hac, psi_spectral, score_series,
                       select_ar_order_aic, theta_sandwich, theta_strong)
 from pvar.linalg import solve_guarded
 from pvar.mc import preset
@@ -256,7 +256,7 @@ def random_spd(rng, n):
 
 def test_theta_strong_identity_omega():
     sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-    theta = theta_strong(np.eye(3), sigma)
+    theta = theta_strong(omega_inverse(np.eye(3)), sigma)
     assert np.allclose(theta, np.kron(np.eye(3), sigma))
 
 
@@ -265,8 +265,9 @@ def test_sandwich_reduces_to_strong():
     omega = random_spd(rng, 2)
     sigma = random_spd(rng, 2)
     psi = np.kron(omega, sigma)
-    assert np.allclose(theta_sandwich(omega, psi, 2), theta_strong(omega, sigma),
-                       atol=1e-12)
+    omega_inv = omega_inverse(omega)
+    assert np.allclose(theta_sandwich(omega_inv, psi, 2),
+                       theta_strong(omega_inv, sigma), atol=1e-12)
 
 
 def test_covariances_builder_matches_parts():
@@ -277,23 +278,23 @@ def test_covariances_builder_matches_parts():
     assert list(got) == [1, 2]
     for v in (1, 2):
         X = fit.X[v - 1]
-        omega = omega_hat(X)
+        omega_inv = omega_inverse(omega_hat(X))
         W = score_series(X, fit.residuals[v - 1])
         assert list(got[v]) == ["strong", "sp", "hac"]
         assert np.array_equal(got[v]["strong"],
-                              theta_strong(omega, fit.sigma_tilde[v - 1]))
+                              theta_strong(omega_inv, fit.sigma_tilde[v - 1]))
         assert np.array_equal(got[v]["sp"],
-                              theta_sandwich(omega, psi_spectral(W, 1), 2))
+                              theta_sandwich(omega_inv, psi_spectral(W, 1), 2))
         assert np.array_equal(got[v]["hac"],
-                              theta_sandwich(omega, psi_hac(W, spec), 2))
+                              theta_sandwich(omega_inv, psi_hac(W, spec), 2))
     only2 = covariances(fit, ["hac", "strong"], spec, ar_order=1, seasons=[2])
     assert list(only2) == [2]
     for m in ("hac", "strong"):
         assert np.array_equal(only2[2][m], got[2][m])
     aic = covariances(fit, ["sp"], spec)
     W1 = score_series(fit.X[0], fit.residuals[0])
-    assert np.array_equal(aic[1]["sp"],
-                          theta_sandwich(omega_hat(fit.X[0]), psi_spectral(W1), 2))
+    assert np.array_equal(aic[1]["sp"], theta_sandwich(
+        omega_inverse(omega_hat(fit.X[0])), psi_spectral(W1), 2))
     with pytest.raises(ValueError, match="unknown covariance method"):
         covariances(fit, ["white"], spec)
 
@@ -331,5 +332,5 @@ def test_s1_reduction_matches_plain_var():
     psi = psi_hac(W2, KernelSpec("bartlett", 0.25))
     theta = np.kron(np.linalg.inv(omega), np.eye(2)) @ psi @ \
         np.kron(np.linalg.inv(omega), np.eye(2))
-    assert np.allclose(theta, theta_sandwich(omega_hat(X), psi_hac(W, KernelSpec("bartlett", 0.25)), 2),
+    assert np.allclose(theta, theta_sandwich(omega_inverse(omega_hat(X)), psi_hac(W, KernelSpec("bartlett", 0.25)), 2),
                        atol=1e-12)

@@ -8,7 +8,7 @@ from pvar.errors import NotCausal, PvarError, SingularDesign
 from pvar.infer import chisq_sf
 from pvar.lrv import default_bandwidth
 from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
-                     run_scenario, sse_summary, _replication)
+                     run_scenario, _replication)
 from pvar.noise import NoiseSpec, simulate
 
 
@@ -106,17 +106,6 @@ def test_wald_pvalue_matches_t_identity_inside_replication():
             se2 = theta[3, 3] / row["n"]
             z2 = beta[3] ** 2 / se2
             assert row["pvals"][name] == pytest.approx(chisq_sf(z2, 1), abs=1e-10)
-
-
-def test_sse_summary_structure():
-    rep = run_scenario(small_scenario(reps=10))
-    rows = sse_summary(rep)
-    assert len(rows) == 5 * 4
-    for r in rows:
-        assert r["empirical"] >= 0.0
-        assert set(r["estimated"]) == set(METHODS)
-    only2 = sse_summary(rep, season=2)
-    assert {r["season"] for r in only2} == {2}
 
 
 def test_sse_matches_reference_strong():
