@@ -294,19 +294,10 @@ def _bandwidth_value(arg, n):
     return b
 
 
-def _parse_methods(text):
-    methods = [m.strip() for m in text.split(",") if m.strip()]
-    for m in methods:
-        if m not in ("strong", "sp", "hac"):
-            raise ParseError(f"unknown covariance method {m!r}; use strong, sp, hac")
-    return methods
-
-
 def _covariances_from_args(args, fit, seasons=None):
     """The --cov methods and their per-season Theta estimates."""
-    methods = _parse_methods(args.cov)
     hac = KernelSpec(args.kernel, _bandwidth_value(args.bandwidth, fit.n_used))
-    return methods, covariances(fit, methods, hac, args.ar_order, seasons)
+    return args.cov, covariances(fit, args.cov, hac, args.ar_order, seasons)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +471,25 @@ def _ar_order(text):
     return text if text == "aic" else _int_from(0)(text)
 
 
+def _cov_methods(text):
+    """argparse type: a nonempty comma-separated list of strong, sp, hac."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of "
+                                         "strong, sp, hac")
+    for m in methods:
+        if m not in ("strong", "sp", "hac"):
+            raise argparse.ArgumentTypeError(
+                f"unknown covariance method {m!r}; use strong, sp, hac")
+    return methods
+
+
 def _add_fit_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--s", type=_int_from(1), required=True)
     p.add_argument("--order", type=_orders, default="1")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--cov", default="strong,sp,hac")
+    p.add_argument("--cov", type=_cov_methods, default="strong,sp,hac")
     p.add_argument("--kernel", choices=["bartlett", "rect", "parzen", "qs"],
                    default="bartlett")
     p.add_argument("--bandwidth", default=None,

@@ -9,7 +9,7 @@ and estimates B(v) = (Phi_1(v), ..., Phi_p(v)) by ordinary least
 squares.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -24,7 +24,8 @@ class FitResult:
     """Per-season estimates from a PVAR regression.
 
     beta_hat[v-1] = vec(B_hat[v-1]) is the coefficient vector of
-    season v.
+    season v.  In a stack of fits (stack_fits) every per-season array
+    has a leading axis with one slice per fit.
     """
 
     s: int
@@ -35,11 +36,33 @@ class FitResult:
     residuals: list
     sigma_tilde: list
     X: list
-    Z: list
 
     @property
     def beta_hat(self):
         return [vec(B) for B in self.B_hat]
+
+
+#: The FitResult fields that hold one array per season.
+_PER_SEASON = ("B_hat", "residuals", "sigma_tilde", "X")
+
+
+def stack_fits(fits):
+    """One FitResult whose per-season arrays stack those of fits.
+
+    The fits must share s, d, orders and n_used, as fits of series
+    drawn from one model at one length do.
+    """
+    first = fits[0]
+    return replace(first, **{
+        name: [np.stack([getattr(f, name)[v] for f in fits])
+               for v in range(first.s)]
+        for name in _PER_SEASON})
+
+
+def take_fit(fit, i):
+    """Fit i of a stack of fits, as a stack of one."""
+    return replace(fit, **{
+        name: [a[i:i + 1] for a in getattr(fit, name)] for name in _PER_SEASON})
 
 
 def demean_seasonal(series):
@@ -123,5 +146,4 @@ def fit_ols(series, orders, demean=True):
         resid.append(E)
         sig.append(E @ E.T / dof)
     return FitResult(s=series.s, d=series.d, orders=orders, n_used=n_used,
-                     B_hat=B_hat, residuals=resid, sigma_tilde=sig,
-                     X=Xs, Z=Zs)
+                     B_hat=B_hat, residuals=resid, sigma_tilde=sig, X=Xs)

@@ -80,23 +80,36 @@ class Restriction:
 
 @dataclass
 class WaldResult:
-    statistic: float
+    statistic: float  # or an array, one entry per slice of a stacked test
     df: int
     p_value: float
 
 
 def wald(beta_hat, theta, n, restriction):
-    """Wald test of R0 beta = r0 with a given covariance estimate."""
-    beta_hat = np.asarray(beta_hat, dtype=float).reshape(-1)
+    """Wald test of R0 beta = r0 with a given covariance estimate.
+
+    theta may be a stack of covariances, with beta_hat one coefficient
+    vector per slice; statistic and p_value are then arrays with one
+    entry per slice, and SingularRestriction is raised if any slice's
+    restriction covariance is singular.
+    """
+    theta = np.asarray(theta, dtype=float)
+    beta = np.asarray(beta_hat, dtype=float).reshape(theta.shape[:-2] + (-1,))
     R0, r0 = restriction.R0, restriction.r0
-    if R0.shape[1] != beta_hat.size:
+    if R0.shape[1] != beta.shape[-1]:
         raise DimensionMismatch("restriction width does not match the parameter count")
-    gap = R0 @ beta_hat - r0
+    # column-vector products, so that one slice multiplies as R0 @ beta does
+    gap = (R0 @ beta[..., None])[..., 0] - r0
     mid = R0 @ theta @ R0.T
-    stat = float(n * gap @ solve_guarded(mid, gap, err=SingularRestriction,
-                                         what="restriction covariance"))
+    sol = solve_guarded(mid, gap[..., None], err=SingularRestriction,
+                        what="restriction covariance")
+    stat = ((n * gap)[..., None, :] @ sol)[..., 0, 0]
     df = R0.shape[0]
-    return WaldResult(statistic=stat, df=df, p_value=chisq_sf(stat, df))
+    if stat.ndim == 0:
+        stat = float(stat)
+        return WaldResult(statistic=stat, df=df, p_value=chisq_sf(stat, df))
+    p_value = np.array([chisq_sf(float(x), df) for x in stat])
+    return WaldResult(statistic=stat, df=df, p_value=p_value)
 
 
 @dataclass

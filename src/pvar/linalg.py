@@ -10,19 +10,24 @@ COND_LIMIT = 1e12
 
 
 def vec(a):
-    """Stack the columns of a 2-d array into one vector."""
+    """Stack the columns of a matrix into one vector.
+
+    For a stack of matrices, one vector per matrix.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("vec expects a 2-d array")
-    return a.reshape(-1, order="F")
+    if a.ndim < 2:
+        raise ValueError("vec expects a matrix or a stack of matrices")
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def solve_guarded(a, b, err=SingularDesign, what="matrix"):
-    """Solve a x = b, raising ``err`` if a is ill-conditioned."""
+    """Solve a x = b, raising ``err`` if a is ill-conditioned.
+
+    a may be a stack of matrices, solved slice by slice as np.linalg.solve
+    does; ``err`` is raised if any slice is ill-conditioned.
+    """
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.zeros((0,) + np.shape(b)[1:])
-    if np.linalg.cond(a) > COND_LIMIT:
+    if a.size and (np.linalg.cond(a) > COND_LIMIT).any():
         raise err(f"{what} is numerically singular")
     return np.linalg.solve(a, b)
 

@@ -11,6 +11,11 @@ kernel-weighted sum of autocovariances (HAC) or through a vector
 autoregression fitted to the scores (spectral method).  Under
 independent innovations Psi = Omega (x) Sigma and Theta reduces to
 Omega^-1 (x) Sigma.
+
+Every estimator takes one season's arrays or a stack of them with a
+leading replication axis, and gives per slice what the single-season
+call gives: the Monte Carlo harness passes the fits of a whole chunk
+of replications at once.
 """
 
 from dataclasses import dataclass
@@ -86,35 +91,52 @@ def default_bandwidth(n, rule="andrews"):
         raise ValueError(f"unknown bandwidth rule {rule!r}") from None
 
 
+def _t(a):
+    """Transpose of each matrix of a stack (or of one matrix)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _kron(a, b):
+    """Kronecker product of each pair of matrices of two stacks.
+
+    Entry by entry the same products as np.kron, so one pair of
+    matrices gives np.kron(a, b) bit for bit.
+    """
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
+
+
 def omega_hat(X):
     """Mean of X_n X_n' over the sample; X has one column per cycle."""
     X = np.asarray(X, dtype=float)
-    return X @ X.T / X.shape[1]
+    return X @ _t(X) / X.shape[-1]
 
 
 def score_series(X, residuals):
     """Scores W_n = X_n (x) e_n, one row per cycle, shape (N, d^2 p)."""
     X = np.asarray(X, dtype=float)
     E = np.asarray(residuals, dtype=float)
-    if X.shape[1] != E.shape[1]:
+    if X.shape[-1] != E.shape[-1]:
         raise DimensionMismatch("regressors and residuals disagree on N")
     # row n of the result is kron(X[:, n], E[:, n])
-    return (X.T[:, :, None] * E.T[:, None, :]).reshape(X.shape[1], -1)
+    prod = _t(X)[..., :, :, None] * _t(E)[..., :, None, :]
+    return prod.reshape(prod.shape[:-2] + (-1,))
 
 
 def lambda_hat(W, h):
     """Autocovariance (1/N) sum_n W_n W_{n-h}' at lag 0 <= h < N."""
     W = np.asarray(W, dtype=float)
-    N = W.shape[0]
+    N = W.shape[-2]
     if not 0 <= h < N:
         raise LagOutOfRange(f"lag {h} outside 0..{N - 1}")
-    return W[h:].T @ W[:N - h] / N
+    return _t(W[..., h:, :]) @ W[..., :N - h, :] / N
 
 
 def psi_hac(W, spec):
     """Kernel-weighted sum of score autocovariances."""
     W = np.asarray(W, dtype=float)
-    N = W.shape[0]
+    N = W.shape[-2]
     T = min(spec.truncation, N - 1)
     psi = lambda_hat(W, 0) * kernel_weight(spec, 0.0)
     for h in range(1, T + 1):
@@ -122,29 +144,31 @@ def psi_hac(W, spec):
         if w == 0.0:
             continue
         lam = lambda_hat(W, h)
-        psi = psi + w * (lam + lam.T)
+        psi = psi + w * (lam + _t(lam))
     return psi
 
 
 def _lag_design(W, r, start):
     """Stacked lag regressors [W_{n-1}; ...; W_{n-r}] for n = start..N-1."""
-    N = W.shape[0]
-    cols = [W[start - k:N - k] for k in range(1, r + 1)]
-    return np.hstack(cols) if cols else np.zeros((N - start, 0))
+    N = W.shape[-2]
+    cols = [W[..., start - k:N - k, :] for k in range(1, r + 1)]
+    if not cols:
+        return np.zeros(W.shape[:-2] + (N - start, 0))
+    return np.concatenate(cols, axis=-1)
 
 
 def _var_fit(W, r, start):
     """Regress W_n on r lags over n = start..N-1.
 
     Returns (coef, resid_cov) where coef stacks the lag matrices
-    horizontally, (q, q*r).
+    horizontally, (q, q*r); for a stack of W, one pair per slice.
     """
-    Y = W[start:]
+    Y = W[..., start:, :]
     Xl = _lag_design(W, r, start)
-    coef = solve_guarded(Xl.T @ Xl, Xl.T @ Y, err=SingularDesign,
-                         what="score lag regression").T
-    resid = Y - Xl @ coef.T
-    return coef, resid.T @ resid / Y.shape[0]
+    coef = _t(solve_guarded(_t(Xl) @ Xl, _t(Xl) @ Y, err=SingularDesign,
+                            what="score lag regression"))
+    resid = Y - Xl @ _t(coef)
+    return coef, _t(resid) @ resid / Y.shape[-2]
 
 
 def select_ar_order_aic(W, r_max):
@@ -160,34 +184,46 @@ def select_ar_order_aic(W, r_max):
     raises exactly when some order's regression would be singular.
     Orders whose residual covariance is not positive definite are
     skipped; ties go to the lowest order.
+
+    W may be a stack of score series; the result is then an int array
+    of one order per series, and the search raises if any series'
+    regression is singular.  The lag design of each series is built
+    and reduced to its Gram on its own, so a stack never holds more
+    than one design.
     """
     W = np.asarray(W, dtype=float)
-    N, q = W.shape
+    stack, (N, q) = W.shape[:-2], W.shape[-2:]
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     if not r_max < N / 2:
         raise ValueError("r_max must be below N/2")
     n_eff = N - r_max
-    Y = W[r_max:]
-    resid = np.empty((r_max + 1, q, q))
-    resid[0] = Y.T @ Y
-    X = _lag_design(W, r_max, r_max)
-    if X.size:
-        gram = X.T @ X
+    Y = W[..., r_max:, :]
+    resid = np.empty(stack + (r_max + 1, q, q))
+    resid[..., 0, :, :] = _t(Y) @ Y
+    if r_max and q:
+        gram = np.empty(stack + (q * r_max, q * r_max))
+        cross = np.empty(stack + (q, q * r_max))
+        for i in np.ndindex(stack):
+            X = _lag_design(W[i], r_max, r_max)
+            gram[i] = X.T @ X
+            # Y'X, whose transpose is X'Y: numpy computes it ~3x faster
+            # at q=18, r_max=15 (and ~equally fast at q=4)
+            cross[i] = Y[i].T @ X
         singular = SingularDesign("score lag regression is numerically singular")
-        if np.linalg.cond(gram) > COND_LIMIT:
+        if (np.linalg.cond(gram) > COND_LIMIT).any():
             raise singular
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise singular from None
-        # X'Y as the transpose of Y'X, which numpy computes ~3x faster at
-        # q=18, r_max=15 (and ~equally fast at q=4)
-        C = np.linalg.solve(L, (Y.T @ X).T).reshape(r_max, q, q)
-        resid[1:] = resid[0] - np.cumsum(C.transpose(0, 2, 1) @ C, axis=0)
+        C = np.linalg.solve(L, _t(cross)).reshape(stack + (r_max, q, q))
+        resid[..., 1:, :, :] = (resid[..., :1, :, :]
+                                - np.cumsum(_t(C) @ C, axis=-3))
     sign, logdet = np.linalg.slogdet(resid / n_eff)
     aic = logdet + 2.0 * np.arange(r_max + 1) * q * q / n_eff
-    return int(np.argmin(np.where(sign > 0, aic, np.inf)))
+    best = np.argmin(np.where(sign > 0, aic, np.inf), axis=-1)
+    return int(best) if best.ndim == 0 else best
 
 
 def default_r_max(n):
@@ -200,41 +236,55 @@ def psi_spectral(W, r="aic"):
     With fitted lag matrices A_1..A_r and residual covariance S,
     Psi = P^-1 S P^-T where P = I - sum_k A_k.  r may be a fixed
     order or "aic".  Scores with no columns (a season of order 0) give
-    the 0x0 Psi.
+    the 0x0 Psi.  For a stack of score series AIC picks an order per
+    series, and the series that share an order are fitted together.
     """
     W = np.asarray(W, dtype=float)
-    N, q = W.shape
+    N, q = W.shape[-2:]
     if q == 0:
-        return np.zeros((0, 0))
+        return np.zeros(W.shape[:-2] + (0, 0))
+    flat = W.reshape((-1, N, q))
     if r == "aic":
-        r = select_ar_order_aic(W, default_r_max(N))
-    r = int(r)
+        orders = select_ar_order_aic(flat, default_r_max(N))
+    else:
+        orders = np.full(flat.shape[0], int(r))
+    psi = np.empty((flat.shape[0], q, q))
+    # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
+    for order in sorted(set(orders.tolist())):
+        at = orders == order
+        psi[at] = _psi_of_order(flat if at.all() else flat[at], order)
+    return psi.reshape(W.shape[:-2] + (q, q))
+
+
+def _psi_of_order(W, r):
+    """psi_spectral of a stack of score series at one fixed order r."""
+    N, q = W.shape[-2:]
     if N - r < q * r + 1:
         raise SingularDesign("too few score observations for the requested order")
     coef, cov = _var_fit(W, r, r)
     P = np.eye(q)
     for k in range(r):
-        P = P - coef[:, k * q:(k + 1) * q]
-    if np.linalg.cond(P) > 1e10:
+        P = P - coef[..., k * q:(k + 1) * q]
+    if (np.linalg.cond(P) > 1e10).any():
         raise NearSingularUnit("score autoregression is nearly noninvertible at z=1")
     Pinv = np.linalg.inv(P)
-    return Pinv @ cov @ Pinv.T
+    return Pinv @ cov @ _t(Pinv)
 
 
 def omega_inverse(omega):
     """Omega^-1 by a guarded solve; SingularDesign if Omega is near singular."""
-    return solve_guarded(omega, np.eye(omega.shape[0]), err=SingularDesign,
+    return solve_guarded(omega, np.eye(omega.shape[-1]), err=SingularDesign,
                          what="regressor second-moment matrix")
 
 
 def theta_strong(omega_inv, sigma):
     """Omega^-1 (x) Sigma, the covariance under independent innovations."""
-    return np.kron(omega_inv, sigma)
+    return _kron(omega_inv, sigma)
 
 
 def theta_sandwich(omega_inv, psi, d):
     """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d)."""
-    bread = np.kron(omega_inv, np.eye(d))
+    bread = _kron(omega_inv, np.eye(d))
     return bread @ psi @ bread
 
 
@@ -243,7 +293,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
 
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
-    Each season inverts its Omega once for all methods.
+    Each season inverts its Omega once for all methods.  A fit whose
+    per-season arrays are stacked (estimate.stack_fits) gives stacked
+    estimates, one slice per fit.
     """
     out = {}
     for v in seasons or range(1, fit.s + 1):

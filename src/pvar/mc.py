@@ -4,10 +4,16 @@ Each scenario simulates a known PVAR, fits it by least squares, builds
 the standard and robust covariance estimates, and runs Wald tests of
 linear restrictions, aggregating rejection frequencies over many
 replications.  Replication r draws its seed as base_seed XOR r, so a
-report is a pure function of the scenario.  The series of CHUNK
-consecutive replications come from one batched noise.simulate call;
-each is then fitted and tested on its own, in r order, so the report
-does not depend on the chunk size.
+report is a pure function of the scenario.
+
+CHUNK consecutive replications go through the pipeline together: one
+batched noise.simulate call draws their series, each series is fitted
+on its own, and the fits are stacked (estimate.stack_fits) for one
+lrv.covariances call and one infer.wald call per season and method.
+A stacked estimate equals the one-fit estimate bit for bit, so the
+report does not depend on the chunk size.  If the stacked stage fails,
+the chunk's fits go through it again one at a time, so only the
+replications that fail on their own count as failures.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +22,7 @@ import time
 import numpy as np
 
 from .errors import PvarError
-from .estimate import fit_ols
+from .estimate import fit_ols, stack_fits, take_fit
 from .infer import Restriction, wald
 from .linalg import vec
 # psi_hac stays importable from here: bench/test_bench.py traces it in mc
@@ -76,16 +82,19 @@ class McReport:
     wall_time: float
 
 
-def _replication(scenario, series):
-    """One fit -> covariances -> tests pass on a simulated series."""
+def _fit(scenario, series):
     model = scenario.model
-    fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
-                  demean=False)
+    return fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
+                   demean=False)
+
+
+def _tests(scenario, fit):
+    """Rows of each fit of a stack: its covariances and Wald tests."""
     n = fit.n_used
     thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
                          scenario.hac_spec())
-    out = []
-    for v in range(1, model.s + 1):
+    rows = [[] for _ in range(len(fit.X[0]))]  # one list per fit
+    for v in range(1, fit.s + 1):
         beta = fit.beta_hat[v - 1]
         season = {name: thetas[v][METHODS[name]] for name in scenario.methods}
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
@@ -93,8 +102,29 @@ def _replication(scenario, series):
         if rest is not None:
             for name, theta in season.items():
                 pvals[name] = wald(beta, theta, n, rest).p_value
-        out.append({"beta": beta, "thetas": season, "pvals": pvals, "n": n})
-    return out
+        for i, row in enumerate(rows):
+            row.append({"beta": beta[i],
+                        "thetas": {name: t[i] for name, t in season.items()},
+                        "pvals": {name: p[i] for name, p in pvals.items()},
+                        "n": n})
+    return rows
+
+
+def _one(scenario, fit):
+    return _tests(scenario, fit)[0]
+
+
+def _replication(scenario, series):
+    """One fit -> covariances -> tests pass on a simulated series."""
+    return _one(scenario, stack_fits([_fit(scenario, series)]))
+
+
+def _or_none(fn, *args):
+    """fn(*args), or None where it raises PvarError."""
+    try:
+        return fn(*args)
+    except PvarError:
+        return None
 
 
 def _replications(scenario):
@@ -106,21 +136,29 @@ def _replications(scenario):
 def _chunk(scenario, rs):
     """Rows of replications rs, whose series one simulate call draws.
 
-    If that simulation fails, every replication of the chunk fails.
-    The series are views of one state array, which is freed when this
-    generator finishes, before the next chunk is drawn.
+    If that simulation fails, every replication of the chunk fails; a
+    replication whose fit fails fails alone.  The series are views of
+    one state array, freed once every series is fitted, and the fits
+    are freed once stacked.
     """
     try:
         chunk = simulate(scenario.model, scenario.n_cycles, scenario.noise,
                          seed=[scenario.base_seed ^ r for r in rs])
     except PvarError:
-        yield from [None] * len(rs)
-        return
-    for series in chunk:
-        try:
-            yield _replication(scenario, series)
-        except PvarError:
-            yield None
+        return [None] * len(rs)
+    fits = [_or_none(_fit, scenario, series) for series in chunk]
+    del chunk
+    failed = [f is None for f in fits]
+    if all(failed):
+        return fits
+    fit = stack_fits([f for f in fits if f is not None])
+    del fits
+    rows = _or_none(_tests, scenario, fit)
+    if rows is None:
+        rows = [_or_none(_one, scenario, take_fit(fit, i))
+                for i in range(len(fit.X[0]))]
+    rows = iter(rows)
+    return [None if bad else next(rows) for bad in failed]
 
 
 def run_scenario(scenario):

@@ -12,7 +12,6 @@ robust covariance estimators are designed for.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch
 from .linalg import cholesky_upper
@@ -56,8 +55,11 @@ def gen_noise(sigmas, n_cycles, spec, rng):
     if spec.kind == "strong":
         raw = rng.standard_normal((total, d))
     else:
+        # raw[t] = eta[t] * eta[t+1] * ... * eta[t+m], multiplied left to right
         eta = rng.standard_normal((total + spec.m, d))
-        raw = np.prod(sliding_window_view(eta, spec.m + 1, axis=0), axis=2)
+        raw = eta[:total].copy()
+        for j in range(1, spec.m + 1):
+            raw *= eta[j:j + total]
     eps = np.empty((total, d))
     for v in range(s):
         eps[v::s] = raw[v::s] @ factors[v]
@@ -82,21 +84,24 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     seeds = [seed] if single else list(seed)
     s, d, max_p = model.s, model.d, model.max_p
     total = (burnin + n_cycles) * s
-    # y[r, max_p + t - 1] is Y[t] of seed r as a d x 1 column.  It holds
-    # eps[t] until step t adds Phi_k(v) @ Y[t - k] in place for k = 1..p(v),
-    # which rounds as a single seed's recursion does; Y @ Phi.T or einsum
-    # would not for d >= 3.
-    y = np.zeros((len(seeds), max_p + total, d, 1))
+    # y[max_p + t - 1, r] is Y[t] of seed r as a d x 1 column, so the
+    # states of one step are contiguous.  It holds eps[t] until step t adds
+    # Phi_k(v) @ Y[t - k] in place for k = 1..p(v), which rounds as a
+    # single seed's recursion does; Y @ Phi.T or einsum would not for d >= 3.
+    y = np.zeros((max_p + total, len(seeds), d, 1))
     for r, sd in enumerate(seeds):
-        y[r, max_p:, :, 0] = gen_noise(model.sigma, burnin + n_cycles, spec,
+        y[max_p:, r, :, 0] = gen_noise(model.sigma, burnin + n_cycles, spec,
                                        np.random.default_rng(sd))
+    lags = [list(enumerate(phis, start=1)) for phis in model.phi]
+    buf = np.empty(y.shape[1:])
     for i in range(max_p, max_p + total):
-        row = y[:, i]
-        for k, phi in enumerate(model.phi[(i - max_p) % s], start=1):
-            row += phi @ y[:, i - k]
-    # each series is a view of its own rows of y
+        row = y[i]
+        for k, phi in lags[(i - max_p) % s]:
+            np.matmul(phi, y[i - k], out=buf)
+            row += buf
+    # each series is a view of its own entries of y
     start = max_p + burnin * s
-    out = [PeriodicSeries(s=s, data=y[r, start:, :, 0],
-                          presample=y[r, start - max_p:start, :, 0])
+    out = [PeriodicSeries(s=s, data=y[start:, r, :, 0],
+                          presample=y[start - max_p:start, r, :, 0])
            for r in range(len(seeds))]
     return out[0] if single else out

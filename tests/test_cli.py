@@ -237,6 +237,11 @@ def test_exit_codes(tmp_path, model_file):
     (["simulate", "--n", "5", "--m", "0", "--noise", "weak-product"], "--m"),
     (["simulate", "--n", "5", "--seed", "-1"], "--seed"),
     (["mc", "--reps", "1", "--n", "10", "--seed", "-1"], "--seed"),
+    (["fit", "--s", "2", "--cov", ","], "--cov"),
+    (["wald", "--s", "2", "--cov", ",", "--restrict", "phi[1](1,1)=0"], "--cov"),
+    (["fit", "--s", "2", "--cov", "foo"], "--cov"),
+    (["wald", "--s", "2", "--cov", "strong,white", "--restrict",
+      "phi[1](1,1)=0"], "--cov"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
                                                   capsys):

@@ -117,7 +117,8 @@ def test_order_zero_season():
     ser = simulate(example_model(), 200, seed=4)
     fit = fit_ols(ser, [1, 0], demean=False)
     assert fit.B_hat[1].shape == (2, 0)
-    assert np.allclose(fit.residuals[1], fit.Z[1])
+    Zs, _, _ = build_design(ser, [1, 0])
+    assert np.allclose(fit.residuals[1], Zs[1])
 
 
 def test_insufficient_data():

@@ -3,7 +3,7 @@ import pytest
 
 import pvar.lrv
 from pvar.errors import LagOutOfRange, SingularDesign
-from pvar.estimate import fit_ols
+from pvar.estimate import build_design, fit_ols, stack_fits
 from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       default_r_max, kernel_weight, lambda_hat, omega_hat,
                       omega_inverse, psi_hac, psi_spectral, score_series,
@@ -225,6 +225,60 @@ def test_aic_order_matches_refit_search_on_wide_scores(kind):
     assert_same_orders_as_refit(scores)
 
 
+@pytest.mark.xfail(strict=True, reason="n ** (1 / 3) rounds below the cube "
+                   "root, e.g. 1000 ** (1 / 3) == 9.999999999999998")
+def test_default_r_max_of_a_cube_is_its_root():
+    assert [default_r_max(k ** 3) for k in range(1, 13)] == list(range(1, 13))
+
+
+def test_stacked_psi_spectral_fits_each_order_group():
+    # white-noise scores pick order 0 and VAR(1) scores a higher one, so
+    # the stack holds two order groups
+    rng = np.random.default_rng(6)
+    white = rng.standard_normal((2000, 3))
+    var1 = np.zeros((2000, 3))
+    for t in range(1, 2000):
+        var1[t] = 0.7 * var1[t - 1] + rng.standard_normal(3)
+    W = np.stack([white, var1, white[::-1].copy()])
+    r_max = default_r_max(2000)
+    orders = select_ar_order_aic(W, r_max)
+    assert orders.tolist() == [select_ar_order_aic(w, r_max) for w in W]
+    assert orders[0] == 0 and orders[1] >= 1
+    for r in ("aic", 0, 2):
+        psi = psi_spectral(W, r)
+        assert all(np.array_equal(psi[i], psi_spectral(w, r))
+                   for i, w in enumerate(W))
+    assert psi_spectral(np.zeros((2, 50, 0))).shape == (2, 0, 0)
+
+
+def test_stacked_covariances_equal_one_fit_at_a_time_on_wide_fits():
+    # the cli-wide shape: 18-entry scores at N=4000, so r_max = 15
+    spec = NoiseSpec("weak-product", m=2)
+    fits = [fit_ols(ser, 2, demean=False)
+            for ser in simulate(wide_model(), 4000, spec, seed=[41, 42, 43])]
+    methods = ["strong", "sp", "hac"]
+    hac = KernelSpec("bartlett", 0.1)
+    stacked = covariances(stack_fits(fits), methods, hac)
+    for i, fit in enumerate(fits):
+        one = covariances(fit, methods, hac)
+        for v in one:
+            for m in methods:
+                assert one[v][m].shape == (18, 18)
+                assert np.array_equal(stacked[v][m][i], one[v][m])
+
+
+def test_stacked_layers_raise_if_any_slice_fails():
+    X, W, _ = fitted_scores(500)
+    extra = np.random.default_rng(1).standard_normal((W.shape[0], 1))
+    good, dup = np.hstack([W, extra]), np.hstack([W, W[:, :1]])
+    assert select_ar_order_aic(good[None], 3).shape == (1,)
+    with pytest.raises(SingularDesign):
+        select_ar_order_aic(np.stack([good, dup]), 3)
+    omega = omega_hat(X)
+    with pytest.raises(SingularDesign):
+        omega_inverse(np.stack([omega, np.ones_like(omega)]))
+
+
 def test_aic_duplicated_score_column_is_singular():
     _, W, _ = fitted_scores(500)
     W = np.hstack([W, W[:, :1]])
@@ -320,7 +374,7 @@ def test_s1_reduction_matches_plain_var():
                       sigma=[np.eye(2)])
     ser = simulate(model, 400, seed=8)
     fit = fit_ols(ser, 1, demean=False)
-    X, Z = fit.X[0], fit.Z[0]
+    X, Z = fit.X[0], build_design(ser, 1)[0][0]
     # plain VAR computation from scratch on the same design
     B = Z @ X.T @ np.linalg.inv(X @ X.T)
     E = Z - B @ X

@@ -5,8 +5,9 @@ import pytest
 
 import pvar.mc
 from pvar.errors import NotCausal, PvarError, SingularDesign
-from pvar.infer import chisq_sf
-from pvar.lrv import default_bandwidth
+from pvar.estimate import fit_ols, stack_fits
+from pvar.infer import chisq_sf, wald
+from pvar.lrv import covariances, default_bandwidth
 from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
                      run_scenario, _replication)
 from pvar.noise import NoiseSpec, simulate
@@ -157,3 +158,50 @@ def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatc
     assert rep.failures == CHUNK and rep.completed == 3
     with pytest.raises(PvarError):
         run_scenario(dataclasses.replace(sc, reps=CHUNK))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_stacked_covariances_and_wald_equal_one_fit_at_a_time(name):
+    sc = small_scenario(name, n=250)
+    fits = [fit_ols(series, 1, demean=False) for series in
+            simulate(sc.model, sc.n_cycles, sc.noise, seed=range(5))]
+    stacked_fit = stack_fits(fits)
+    methods = list(METHODS.values())
+    stacked = covariances(stacked_fit, methods, sc.hac_spec())
+    n = stacked_fit.n_used
+    for i, fit in enumerate(fits):
+        one = covariances(fit, methods, sc.hac_spec())
+        for v in range(1, 6):
+            assert np.array_equal(stacked_fit.beta_hat[v - 1][i],
+                                  fit.beta_hat[v - 1])
+            for m in methods:
+                assert np.array_equal(stacked[v][m][i], one[v][m])
+    for v in range(1, 6):
+        rest = sc.restrictions[v - 1]
+        for m in methods:
+            got = wald(stacked_fit.beta_hat[v - 1], stacked[v][m], n, rest)
+            for i, fit in enumerate(fits):
+                ref = wald(fit.beta_hat[v - 1],
+                           covariances(fit, [m], sc.hac_spec())[v][m], n, rest)
+                assert got.statistic[i] == ref.statistic
+                assert got.p_value[i] == ref.p_value
+
+
+def test_stacked_stage_failure_fails_only_its_replication(monkeypatch):
+    # a data-dependent failure of some slices of the stacked covariances
+    covs = pvar.mc.covariances
+
+    def failing_covariances(fit, *args, **kwargs):
+        if np.any(fit.X[0][..., 0, 0] > 1.0):
+            raise SingularDesign("injected")
+        return covs(fit, *args, **kwargs)
+
+    monkeypatch.setattr(pvar.mc, "covariances", failing_covariances)
+    sc = small_scenario(name="model-II", reps=2 * CHUNK + 3, n=150)
+    chunked = run_scenario(sc)
+    monkeypatch.setattr(pvar.mc, "CHUNK", 1)
+    serial = run_scenario(sc)
+    assert 0 < chunked.failures < CHUNK
+    assert chunked.completed + chunked.failures == 2 * CHUNK + 3
+    assert _fields(chunked) == _fields(serial)
+    assert list(chunked.rejection) == list(serial.rejection)

@@ -1,7 +1,9 @@
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 
 from pvar.errors import NotCausal
+from pvar.linalg import cholesky_upper
 from pvar.model import PvarModel, is_causal
 from pvar.noise import NoiseSpec, gen_noise, simulate
 
@@ -45,6 +47,19 @@ def test_product_noise_is_heavy_tailed():
                     np.random.default_rng(2))
     kurt = np.mean(eps**4) / np.mean(eps**2) ** 2
     assert kurt > 6.0  # products of two normals have kurtosis 9
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_product_noise_equals_sliding_window_product(m):
+    # reference: the product of each window of m + 1 draws taken by np.prod
+    sigmas = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([1.0, 3.0]),
+              np.eye(2)]
+    eps = gen_noise(sigmas, 300, NoiseSpec("weak-product", m=m),
+                    np.random.default_rng(40 + m))
+    eta = np.random.default_rng(40 + m).standard_normal((900 + m, 2))
+    raw = np.prod(sliding_window_view(eta, m + 1, axis=0), axis=2)
+    for v, sig in enumerate(sigmas):
+        assert np.array_equal(eps[v::3], raw[v::3] @ cholesky_upper(sig))
 
 
 def test_gen_noise_deterministic_given_rng_seed():
