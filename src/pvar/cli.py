@@ -26,7 +26,7 @@ from .estimate import fit_ols
 from .infer import Restriction, t_report, wald
 from .linalg import vec
 from .lrv import BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth
-from .model import PeriodicSeries, PvarModel
+from .model import PeriodicSeries, PvarModel, companion_spectral_radius
 from .noise import DEFAULT_BURNIN, NoiseSpec, simulate
 from .mc import PRESET_NAMES, preset, run_scenario
 
@@ -307,6 +307,10 @@ def cmd_simulate(args):
     model = read_model(args.model)
     spec = NoiseSpec(kind=args.noise, m=args.m)
     series = simulate(model, args.n, spec, seed=args.seed, burnin=args.burnin)
+    rho = companion_spectral_radius(model)
+    if rho > 0 and rho ** args.burnin > 1e-12:
+        print(f"warning: --burnin {args.burnin} is short for companion spectral "
+              f"radius {rho:.4g}", file=sys.stderr)
     write_csv(args.out, series.data)
     return EXIT_OK
 

@@ -66,42 +66,52 @@ def gen_noise(sigmas, n_cycles, spec, rng):
     return eps
 
 
+def cycle_maps(model):
+    """(A, B) such that the values of one cycle are A x + B e.
+
+    x stacks the max_p values before the cycle, e the cycle's s
+    innovations and A x + B e its s values, each oldest first.
+    """
+    s, d, max_p = model.s, model.d, model.max_p
+    # the step recursion run on the identity: z[i] maps (x, e) to value i
+    z = np.eye((max_p + s) * d).reshape(max_p + s, d, -1)
+    for i, lags in enumerate(model.phi, start=max_p):
+        for k, phi in enumerate(lags, start=1):
+            z[i] += phi @ z[i - k]
+    return np.split(z[max_p:].reshape(s * d, -1), [max_p * d], axis=1)
+
+
 def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     """Simulate a causal PVAR from zero initial values.
 
-    Runs burnin extra cycles before the retained sample and returns a
-    PeriodicSeries whose presample holds the max_p values preceding
-    time 1, so estimation can use every retained cycle.  seed may be
-    one seed or a sequence of them; a sequence returns one series per
-    seed, each equal to simulating that seed on its own.  The noise of
-    each seed comes from its own default_rng(seed), and the recursion
-    runs once over the stacked states of all seeds.
+    Runs burnin extra cycles first and returns a PeriodicSeries whose
+    presample holds the max_p values preceding time 1, so estimation
+    can use every retained cycle.  seed may be one seed or a sequence;
+    a sequence returns one series per seed, bitwise equal to that seed
+    simulated alone with noise from default_rng(seed).  The recursion
+    steps once per cycle through cycle_maps, so it rounds differently
+    from a step-by-step one.
     """
     require_causal(model)
     if spec is None:
         spec = NoiseSpec()
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    s, d, max_p = model.s, model.d, model.max_p
-    total = (burnin + n_cycles) * s
-    # y[max_p + t - 1, r] is Y[t] of seed r as a d x 1 column, so the
-    # states of one step are contiguous.  It holds eps[t] until step t adds
-    # Phi_k(v) @ Y[t - k] in place for k = 1..p(v), which rounds as a
-    # single seed's recursion does; Y @ Phi.T or einsum would not for d >= 3.
-    y = np.zeros((max_p + total, len(seeds), d, 1))
+    R, s, d, max_p = len(seeds), model.s, model.d, model.max_p
+    cycles = burnin + n_cycles
+    A, B = cycle_maps(model)
+    # y[r, max_p + t - 1] is Y[t] of seed r; cyc[r, c] views its cycle c
+    y = np.zeros((R, max_p + cycles * s, d))
+    cyc = y[:, max_p:].reshape(R, cycles, 1, s * d)
     for r, sd in enumerate(seeds):
-        y[max_p:, r, :, 0] = gen_noise(model.sigma, burnin + n_cycles, spec,
-                                       np.random.default_rng(sd))
-    lags = [list(enumerate(phis, start=1)) for phis in model.phi]
-    buf = np.empty(y.shape[1:])
-    for i in range(max_p, max_p + total):
-        row = y[i]
-        for k, phi in lags[(i - max_p) % s]:
-            np.matmul(phi, y[i - k], out=buf)
-            row += buf
-    # each series is a view of its own entries of y
+        eps = gen_noise(model.sigma, cycles, spec, np.random.default_rng(sd))
+        np.matmul(eps.reshape(cycles, s * d), B.T, out=cyc[r, :, 0])
+    # one 1 x max_p*d product per seed, whatever R: a batch rounds as one seed
+    buf = np.empty((R, 1, s * d))
+    for c in range(cycles):
+        np.matmul(y[:, c * s:c * s + max_p].reshape(R, 1, -1), A.T, out=buf)
+        cyc[:, c] += buf
     start = max_p + burnin * s
-    out = [PeriodicSeries(s=s, data=y[start:, r, :, 0],
-                          presample=y[start - max_p:start, r, :, 0])
-           for r in range(len(seeds))]
+    out = [PeriodicSeries(s=s, data=y[r, start:],
+                          presample=y[r, start - max_p:start]) for r in range(R)]
     return out[0] if single else out

@@ -120,6 +120,29 @@ def test_simulate_fit_pipeline(tmp_path, model_file, capsys):
     assert set(coef["p_values_wald"]) == {"strong", "sp", "hac"}
 
 
+def test_simulate_warns_once_on_a_short_burnin(tmp_path, model_file, capsys):
+    # MODEL_TEXT has companion spectral radius 0.21: 0.21**500 is far below
+    # 1e-12, 0.21**0 is not
+    data = tmp_path / "sim.csv"
+    base = ["simulate", "--model", model_file, "--n", "20", "--out", str(data)]
+    assert run_cli(base) == 0
+    assert capsys.readouterr().err == ""
+    default = data.read_text()
+    assert run_cli(base + ["--burnin", "0"]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning: --burnin 0 is short") and "0.21" in err
+    assert len(data.read_text().splitlines()) == len(default.splitlines()) == 40
+    assert run_cli(base) == 0
+    assert capsys.readouterr().err == "" and data.read_text() == default
+    # a model with no lags starts in its stationary law: no warning
+    white = tmp_path / "white.txt"
+    white.write_text("s = 1\nd = 1\n[season 1]\np = 0\nsigma = 1\n")
+    assert run_cli(["simulate", "--model", str(white), "--n", "5", "--burnin",
+                    "0", "--out", str(data)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_deterministic_output(tmp_path, model_file):
     data = str(tmp_path / "sim.csv")
     run_cli(["simulate", "--model", model_file, "--n", "300", "--seed", "1",

@@ -4,8 +4,8 @@ import pytest
 
 from pvar.errors import NotCausal
 from pvar.linalg import cholesky_upper
-from pvar.model import PvarModel, is_causal
-from pvar.noise import NoiseSpec, gen_noise, simulate
+from pvar.model import PvarModel, build_lifted_var, is_causal
+from pvar.noise import NoiseSpec, cycle_maps, gen_noise, simulate
 
 
 def test_noise_spec_validation():
@@ -82,7 +82,6 @@ def test_simulate_deterministic_and_seed_sensitive():
 def test_simulated_covariance_matches_lifted_var_solution():
     # independent oracle: stationary covariance of the cycle vector solves
     # a discrete Lyapunov equation in the reduced stacked representation
-    from pvar.model import build_lifted_var
     model = PvarModel(
         s=2, d=2,
         phi=[[np.diag([0.3, -0.6])], [np.diag([-0.7, 0.15])]],
@@ -134,8 +133,11 @@ def _simulate_by_steps(model, n_cycles, spec, seed, burnin):
     return y[start - max_p:start], y[start:]
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("orders", [[1], [0, 3], [2, 1, 3], [3, 0, 1, 2]])
+ORDERS = [[0], [0, 0], [1], [0, 3], [2, 1, 3], [3, 0, 1, 2]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("orders", ORDERS)
 @pytest.mark.parametrize("spec", [NoiseSpec("strong"), NoiseSpec("weak-product", m=2)])
 def test_batched_simulate_equals_per_seed(d, orders, spec):
     model = _random_causal_model(np.random.default_rng(d * 100 + sum(orders)),
@@ -145,12 +147,36 @@ def test_batched_simulate_equals_per_seed(d, orders, spec):
     assert len(batch) == len(seeds)
     for sd, ser in zip(seeds, batch):
         one = simulate(model, 25, spec, seed=sd, burnin=15)
+        assert np.array_equal(ser.data, one.data)
+        assert np.array_equal(ser.presample, one.presample)
+        # the cycle recursion sums in another order than the step one
         pre, data = _simulate_by_steps(model, 25, spec, sd, 15)
-        for got in (ser, one):
-            assert np.array_equal(got.data, data)
-            assert np.array_equal(got.presample, pre)
+        scale = np.abs(data).max()
+        assert np.abs(ser.data - data).max() <= 1e-13 * scale
+        assert np.abs(ser.presample - pre).max(initial=0.0) <= 1e-13 * scale
     (alone,) = simulate(model, 25, spec, seed=[seeds[0]], burnin=15)
     assert np.array_equal(alone.data, batch[0].data)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("orders", ORDERS)
+def test_cycle_maps_match_the_lifted_var_and_the_step_recursion(d, orders):
+    model = _random_causal_model(np.random.default_rng(d * 100 + sum(orders)),
+                                 orders, d)
+    s, max_p = model.s, model.max_p
+    A, B = cycle_maps(model)
+    assert A.shape == (s * d, max_p * d) and B.shape == (s * d, s * d)
+    # the lifted VAR stacks a cycle newest first; P reverses the season blocks
+    phi0, _ = build_lifted_var(model)
+    P = np.kron(np.eye(s)[::-1], np.eye(d))
+    assert np.allclose(B, P @ np.linalg.inv(phi0) @ P, rtol=0, atol=1e-12)
+    # one cycle of A x + B e from the (nonzero) state after the burn-in
+    spec = NoiseSpec("weak-product", m=2)
+    pre, data = _simulate_by_steps(model, 2, spec, 5, 3)
+    eps = gen_noise(model.sigma, 5, spec, np.random.default_rng(5))
+    cycle = A @ pre.ravel() + B @ eps[3 * s:4 * s].ravel()
+    assert np.allclose(cycle, data[:s].ravel(), rtol=0,
+                       atol=1e-13 * np.abs(data).max())
 
 
 def test_batched_simulate_raises_for_a_noncausal_model():
