@@ -11,8 +11,7 @@ harness.
 from . import errors
 from .analytic import (DiagExampleParams, example_model, omega_closed,
                        psi_closed, theta_closed, theta_s_closed)
-from .estimate import (FitResult, build_design, demean_seasonal, fit_ols,
-                       stack_fits)
+from .estimate import FitResult, build_design, demean_seasonal, fit_ols
 from .infer import (Restriction, WaldResult, chisq_sf, normal_sf, t_report,
                     wald)
 from .linalg import cholesky_upper, vec
@@ -38,7 +37,6 @@ __all__ = [
     "is_causal", "kernel_weight", "lambda_hat", "ma_coefficients",
     "normal_sf", "omega_closed", "omega_hat", "preset", "psi_closed",
     "psi_hac", "psi_spectral", "run_scenario", "score_series",
-    "select_ar_order_aic", "simulate", "stack_fits", "t_report",
-    "theta_closed",
+    "select_ar_order_aic", "simulate", "t_report", "theta_closed",
     "theta_s_closed", "theta_sandwich", "theta_strong", "vec", "wald",
 ]

@@ -122,8 +122,9 @@ def read_model(path):
     """Parse the flat structured-text model format.
 
     Scalar keys s and d come first; each season block starts with a
-    line "[season v]" and holds p, lag matrices phi1..phip, and sigma.
-    Matrix literals are row-major with ';' between rows.
+    line "[season v]" and holds p, lag matrices phi1..phip, and sigma,
+    and no other key.  Matrix literals are row-major with ';' between
+    rows.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -140,6 +141,9 @@ def read_model(path):
         msec = re.fullmatch(r"\[season\s+(\d+)\]", line)
         if msec:
             current = int(msec.group(1))
+            if current in seasons:
+                raise ParseError(
+                    f"{path}: line {lineno}: repeated [season {current}] block")
             seasons[current] = {}
             continue
         if "=" not in line:
@@ -159,6 +163,9 @@ def read_model(path):
         raise ParseError(f"{path}: s and d must be integers") from None
     if s < 1 or d < 1:
         raise ParseError(f"{path}: s and d must be at least 1")
+    for v in seasons:
+        if not 1 <= v <= s:
+            raise ParseError(f"{path}: [season {v}] outside 1..{s}")
     phi, sigma = [], []
     for v in range(1, s + 1):
         if v not in seasons:
@@ -168,6 +175,8 @@ def read_model(path):
             p = int(block.get("p", "1"))
         except ValueError:
             raise ParseError(f"{path}: season {v}: p must be an integer") from None
+        if p < 0:
+            raise ParseError(f"{path}: season {v}: p must be at least 0")
         lags = []
         for k in range(1, p + 1):
             key = f"phi{k}"
@@ -177,6 +186,10 @@ def read_model(path):
             if mat.shape != (d, d):
                 raise ParseError(f"{path}: season {v} {key}: expected {d}x{d}")
             lags.append(mat)
+        # phi1..phip are all present here, so p is at most the block's size
+        unknown = set(block) - {"p", "sigma"} - {f"phi{k}" for k in range(1, p + 1)}
+        if unknown:
+            raise ParseError(f"{path}: season {v}: unknown key '{min(unknown)}'")
         if "sigma" not in block:
             raise ParseError(f"{path}: season {v}: missing 'sigma'")
         sig = _parse_matrix(block["sigma"], f"{path}: season {v} sigma")
@@ -476,15 +489,17 @@ def _ar_order(text):
 
 
 def _cov_methods(text):
-    """argparse type: a nonempty comma-separated list of strong, sp, hac."""
+    """argparse type: a nonempty list of distinct strong, sp, hac."""
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise argparse.ArgumentTypeError("expected a comma-separated list of "
                                          "strong, sp, hac")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in ("strong", "sp", "hac"):
             raise argparse.ArgumentTypeError(
                 f"unknown covariance method {m!r}; use strong, sp, hac")
+        if m in methods[:i]:
+            raise argparse.ArgumentTypeError(f"covariance method {m!r} repeated")
     return methods
 
 

@@ -9,13 +9,13 @@ and estimates B(v) = (Phi_1(v), ..., Phi_p(v)) by ordinary least
 squares.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientData, SingularDesign
-from .linalg import solve_guarded, vec
+from .linalg import mT, solve_guarded, vec
 from .model import PeriodicSeries
 
 
@@ -24,8 +24,8 @@ class FitResult:
     """Per-season estimates from a PVAR regression.
 
     beta_hat[v-1] = vec(B_hat[v-1]) is the coefficient vector of
-    season v.  In a stack of fits (stack_fits) every per-season array
-    has a leading axis with one slice per fit.
+    season v.  The fit of a stack of series has a leading axis on every
+    per-season array, one slice per series.
     """
 
     s: int
@@ -42,47 +42,20 @@ class FitResult:
         return [vec(B) for B in self.B_hat]
 
 
-#: The FitResult fields that hold one array per season.
-_PER_SEASON = ("B_hat", "residuals", "sigma_tilde", "X")
-
-
-def stack_fits(fits):
-    """One FitResult whose per-season arrays stack those of fits.
-
-    The fits must share s, d, orders and n_used, as fits of series
-    drawn from one model at one length do.
-    """
-    first = fits[0]
-    return replace(first, **{
-        name: [np.stack([getattr(f, name)[v] for f in fits])
-               for v in range(first.s)]
-        for name in _PER_SEASON})
-
-
-def take_fit(fit, i):
-    """Fit i of a stack of fits, as a stack of one."""
-    return replace(fit, **{
-        name: [a[i:i + 1] for a in getattr(fit, name)] for name in _PER_SEASON})
-
-
 def demean_seasonal(series):
     """Subtract per-season sample means; returns (centered, means).
 
     Means are computed from the main sample only; presample rows are
     centered with the mean of their own season.
     """
-    s, d = series.s, series.d
-    means = np.empty((s, d))
-    data = series.data.copy()
+    s, data = series.s, series.data.copy()
+    means = np.empty(data.shape[:-2] + (s, series.d))
     for v in range(s):
-        means[v] = data[v::s].mean(axis=0)
-        data[v::s] -= means[v]
-    pre = series.presample.copy()
-    L = pre.shape[0]
-    for i in range(L):
-        t = i - L  # time of this presample row is t + 1 <= 0
-        v = t % s  # season index (0-based) of time t + 1
-        pre[i] -= means[v]
+        means[..., v, :] = data[..., v::s, :].mean(axis=-2)
+        data[..., v::s, :] -= means[..., v, None, :]
+    L = series.presample.shape[-2]
+    # presample row i holds time i - L + 1, of 0-based season (i - L) % s
+    pre = series.presample - means[..., (np.arange(L) - L) % s, :]
     return PeriodicSeries(s=s, data=data, presample=pre), means
 
 
@@ -102,32 +75,35 @@ def build_design(series, orders):
 
     If the presample is too shallow for the earliest regressions the
     leading cycles are dropped, keeping a common cycle count across
-    seasons.
+    seasons.  A stack of series gives stacked blocks.
     """
     orders = _normalize_orders(series, orders)
-    s, N = series.s, series.n_cycles
+    s, N, L = series.s, series.n_cycles, series.presample.shape[-2]
     needed = max((orders[v - 1] - v + 1 for v in range(1, s + 1)), default=0)
-    needed = max(needed, 0)
-    short = max(needed - series.presample.shape[0], 0)
-    n0 = math.ceil(short / s)
+    n0 = math.ceil(max(needed - L, 0) / s)
     n_used = N - n0
     if n_used < 1:
         raise InsufficientData("not enough cycles for the requested orders")
-    full = np.vstack([series.presample, series.data])
+    full = np.concatenate([series.presample, series.data], axis=-2)
     Zs, Xs = [], []
     for v in range(1, s + 1):
         # row first of full is Y[t] at t = n0 s + v; stepping by s walks
         # the cycles, and k rows earlier is the lag-k regressor
-        first = series.presample.shape[0] + n0 * s + v - 1
-        lagged = [full[first - k:first - k + (n_used - 1) * s + 1:s]
+        first = L + n0 * s + v - 1
+        lagged = [full[..., first - k:first - k + (n_used - 1) * s + 1:s, :]
                   for k in range(orders[v - 1] + 1)]
-        Zs.append(lagged[0].T.copy())
-        Xs.append(np.hstack(lagged[1:] or [np.empty((n_used, 0))]).T.copy())
+        Zs.append(mT(lagged[0]).copy())
+        X = np.concatenate(lagged[1:] or [lagged[0][..., :0]], axis=-1)
+        Xs.append(mT(X).copy())
     return Zs, Xs, n_used
 
 
 def fit_ols(series, orders, demean=True):
-    """Per-season least squares."""
+    """Per-season least squares.
+
+    A stack of series is fitted with one guarded solve per season, and
+    each slice of the result equals the fit of its series alone.
+    """
     orders = _normalize_orders(series, orders)
     if demean:
         series, _ = demean_seasonal(series)
@@ -139,11 +115,11 @@ def fit_ols(series, orders, demean=True):
         dof = n_used - series.d * p
         if dof < 1:
             raise InsufficientData(f"season {v}: {n_used} cycles cannot support order {p}")
-        B = solve_guarded(X @ X.T, X @ Z.T, err=SingularDesign,
-                          what=f"season {v} design").T
+        B = mT(solve_guarded(X @ mT(X), X @ mT(Z), err=SingularDesign,
+                             what=f"season {v} design"))
         E = Z - B @ X
         B_hat.append(B)
         resid.append(E)
-        sig.append(E @ E.T / dof)
+        sig.append(E @ mT(E) / dof)
     return FitResult(s=series.s, d=series.d, orders=orders, n_used=n_used,
                      B_hat=B_hat, residuals=resid, sigma_tilde=sig, X=Xs)

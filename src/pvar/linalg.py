@@ -9,6 +9,11 @@ from .errors import NotPositiveDefinite, SingularDesign
 COND_LIMIT = 1e12
 
 
+def mT(a):
+    """Transpose of each matrix of a stack (or of one matrix)."""
+    return np.swapaxes(a, -1, -2)
+
+
 def vec(a):
     """Stack the columns of a matrix into one vector.
 
@@ -17,7 +22,7 @@ def vec(a):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2:
         raise ValueError("vec expects a matrix or a stack of matrices")
-    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
+    return mT(a).reshape(a.shape[:-2] + (-1,))
 
 
 def solve_guarded(a, b, err=SingularDesign, what="matrix"):

@@ -14,7 +14,7 @@ Omega^-1 (x) Sigma.
 
 Every estimator takes one season's arrays or a stack of them with a
 leading replication axis, and gives per slice what the single-season
-call gives: the Monte Carlo harness passes the fits of a whole chunk
+call gives: the Monte Carlo harness passes the fit of a whole chunk
 of replications at once.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, LagOutOfRange, NearSingularUnit,
                      SingularDesign)
-from .linalg import COND_LIMIT, solve_guarded
+from .linalg import COND_LIMIT, mT, solve_guarded
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
@@ -91,11 +91,6 @@ def default_bandwidth(n, rule="andrews"):
         raise ValueError(f"unknown bandwidth rule {rule!r}") from None
 
 
-def _t(a):
-    """Transpose of each matrix of a stack (or of one matrix)."""
-    return np.swapaxes(a, -1, -2)
-
-
 def _kron(a, b):
     """Kronecker product of each pair of matrices of two stacks.
 
@@ -110,7 +105,7 @@ def _kron(a, b):
 def omega_hat(X):
     """Mean of X_n X_n' over the sample; X has one column per cycle."""
     X = np.asarray(X, dtype=float)
-    return X @ _t(X) / X.shape[-1]
+    return X @ mT(X) / X.shape[-1]
 
 
 def score_series(X, residuals):
@@ -120,7 +115,7 @@ def score_series(X, residuals):
     if X.shape[-1] != E.shape[-1]:
         raise DimensionMismatch("regressors and residuals disagree on N")
     # row n of the result is kron(X[:, n], E[:, n])
-    prod = _t(X)[..., :, :, None] * _t(E)[..., :, None, :]
+    prod = mT(X)[..., :, :, None] * mT(E)[..., :, None, :]
     return prod.reshape(prod.shape[:-2] + (-1,))
 
 
@@ -130,7 +125,7 @@ def lambda_hat(W, h):
     N = W.shape[-2]
     if not 0 <= h < N:
         raise LagOutOfRange(f"lag {h} outside 0..{N - 1}")
-    return _t(W[..., h:, :]) @ W[..., :N - h, :] / N
+    return mT(W[..., h:, :]) @ W[..., :N - h, :] / N
 
 
 def psi_hac(W, spec):
@@ -144,7 +139,7 @@ def psi_hac(W, spec):
         if w == 0.0:
             continue
         lam = lambda_hat(W, h)
-        psi = psi + w * (lam + _t(lam))
+        psi = psi + w * (lam + mT(lam))
     return psi
 
 
@@ -165,10 +160,10 @@ def _var_fit(W, r, start):
     """
     Y = W[..., start:, :]
     Xl = _lag_design(W, r, start)
-    coef = _t(solve_guarded(_t(Xl) @ Xl, _t(Xl) @ Y, err=SingularDesign,
+    coef = mT(solve_guarded(mT(Xl) @ Xl, mT(Xl) @ Y, err=SingularDesign,
                             what="score lag regression"))
-    resid = Y - Xl @ _t(coef)
-    return coef, _t(resid) @ resid / Y.shape[-2]
+    resid = Y - Xl @ mT(coef)
+    return coef, mT(resid) @ resid / Y.shape[-2]
 
 
 def select_ar_order_aic(W, r_max):
@@ -200,7 +195,7 @@ def select_ar_order_aic(W, r_max):
     n_eff = N - r_max
     Y = W[..., r_max:, :]
     resid = np.empty(stack + (r_max + 1, q, q))
-    resid[..., 0, :, :] = _t(Y) @ Y
+    resid[..., 0, :, :] = mT(Y) @ Y
     if r_max and q:
         gram = np.empty(stack + (q * r_max, q * r_max))
         cross = np.empty(stack + (q, q * r_max))
@@ -217,9 +212,9 @@ def select_ar_order_aic(W, r_max):
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise singular from None
-        C = np.linalg.solve(L, _t(cross)).reshape(stack + (r_max, q, q))
+        C = np.linalg.solve(L, mT(cross)).reshape(stack + (r_max, q, q))
         resid[..., 1:, :, :] = (resid[..., :1, :, :]
-                                - np.cumsum(_t(C) @ C, axis=-3))
+                                - np.cumsum(mT(C) @ C, axis=-3))
     sign, logdet = np.linalg.slogdet(resid / n_eff)
     aic = logdet + 2.0 * np.arange(r_max + 1) * q * q / n_eff
     best = np.argmin(np.where(sign > 0, aic, np.inf), axis=-1)
@@ -268,7 +263,7 @@ def _psi_of_order(W, r):
     if (np.linalg.cond(P) > 1e10).any():
         raise NearSingularUnit("score autoregression is nearly noninvertible at z=1")
     Pinv = np.linalg.inv(P)
-    return Pinv @ cov @ _t(Pinv)
+    return Pinv @ cov @ mT(Pinv)
 
 
 def omega_inverse(omega):
@@ -293,9 +288,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
 
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
-    Each season inverts its Omega once for all methods.  A fit whose
-    per-season arrays are stacked (estimate.stack_fits) gives stacked
-    estimates, one slice per fit.
+    Each season inverts its Omega once for all methods.  The fit of a
+    stack of series (estimate.fit_ols) gives stacked estimates, one
+    slice per series.
     """
     out = {}
     for v in seasons or range(1, fit.s + 1):

@@ -7,13 +7,13 @@ replications.  Replication r draws its seed as base_seed XOR r, so a
 report is a pure function of the scenario.
 
 CHUNK consecutive replications go through the pipeline together: one
-batched noise.simulate call draws their series, each series is fitted
-on its own, and the fits are stacked (estimate.stack_fits) for one
-lrv.covariances call and one infer.wald call per season and method.
-A stacked estimate equals the one-fit estimate bit for bit, so the
-report does not depend on the chunk size.  If the stacked stage fails,
-the chunk's fits go through it again one at a time, so only the
-replications that fail on their own count as failures.
+batched noise.simulate call draws their series as one stack, one
+fit_ols call fits it, and one lrv.covariances call and one infer.wald
+call per season and method test it.  Each slice of a stacked estimate
+equals the estimate of its series alone bit for bit, so the report
+does not depend on the chunk size.  If the stacked pipeline fails,
+each series of the chunk goes through it again on its own, so only
+the replications that fail on their own count as failures.
 """
 
 from dataclasses import dataclass, field
@@ -22,12 +22,12 @@ import time
 import numpy as np
 
 from .errors import PvarError
-from .estimate import fit_ols, stack_fits, take_fit
+from .estimate import fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
 # psi_hac stays importable from here: bench/test_bench.py traces it in mc
 from .lrv import KernelSpec, covariances, default_bandwidth, psi_hac  # noqa: F401
-from .model import PvarModel
+from .model import PeriodicSeries, PvarModel
 from .noise import NoiseSpec, simulate
 
 #: Report name of each test -> name of its covariance in lrv.covariances.
@@ -82,18 +82,15 @@ class McReport:
     wall_time: float
 
 
-def _fit(scenario, series):
+def _fit_and_test(scenario, series):
+    """Rows of each series of a stack: its fit, covariances and Wald tests."""
     model = scenario.model
-    return fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
-                   demean=False)
-
-
-def _tests(scenario, fit):
-    """Rows of each fit of a stack: its covariances and Wald tests."""
+    fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
+                  demean=False)
     n = fit.n_used
     thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
                          scenario.hac_spec())
-    rows = [[] for _ in range(len(fit.X[0]))]  # one list per fit
+    rows = [[] for _ in series.data]  # one list per series
     for v in range(1, fit.s + 1):
         beta = fit.beta_hat[v - 1]
         season = {name: thetas[v][METHODS[name]] for name in scenario.methods}
@@ -110,23 +107,6 @@ def _tests(scenario, fit):
     return rows
 
 
-def _one(scenario, fit):
-    return _tests(scenario, fit)[0]
-
-
-def _replication(scenario, series):
-    """One fit -> covariances -> tests pass on a simulated series."""
-    return _one(scenario, stack_fits([_fit(scenario, series)]))
-
-
-def _or_none(fn, *args):
-    """fn(*args), or None where it raises PvarError."""
-    try:
-        return fn(*args)
-    except PvarError:
-        return None
-
-
 def _replications(scenario):
     """Rows of replication r = 0, 1, ..., or None where it failed."""
     for first in range(0, scenario.reps, CHUNK):
@@ -136,29 +116,26 @@ def _replications(scenario):
 def _chunk(scenario, rs):
     """Rows of replications rs, whose series one simulate call draws.
 
-    If that simulation fails, every replication of the chunk fails; a
-    replication whose fit fails fails alone.  The series are views of
-    one state array, freed once every series is fitted, and the fits
-    are freed once stacked.
+    If that simulation fails, every replication of the chunk fails;
+    otherwise a replication fails where its series fails on its own.
     """
     try:
         chunk = simulate(scenario.model, scenario.n_cycles, scenario.noise,
                          seed=[scenario.base_seed ^ r for r in rs])
     except PvarError:
         return [None] * len(rs)
-    fits = [_or_none(_fit, scenario, series) for series in chunk]
-    del chunk
-    failed = [f is None for f in fits]
-    if all(failed):
-        return fits
-    fit = stack_fits([f for f in fits if f is not None])
-    del fits
-    rows = _or_none(_tests, scenario, fit)
-    if rows is None:
-        rows = [_or_none(_one, scenario, take_fit(fit, i))
-                for i in range(len(fit.X[0]))]
-    rows = iter(rows)
-    return [None if bad else next(rows) for bad in failed]
+    try:
+        return _fit_and_test(scenario, chunk)
+    except PvarError:
+        pass
+    rows = []
+    for i in range(len(rs)):
+        one = PeriodicSeries(chunk.s, chunk.data[i:i + 1], chunk.presample[i:i + 1])
+        try:
+            rows += _fit_and_test(scenario, one)
+        except PvarError:
+            rows.append(None)
+    return rows
 
 
 def run_scenario(scenario):

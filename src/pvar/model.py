@@ -72,7 +72,8 @@ class PeriodicSeries:
 
     data has shape (N*s, d); row t-1 holds Y[t] for t = 1..N*s.
     presample has shape (L, d) in chronological order, so its last row
-    is Y[0], the one before is Y[-1], and so on.
+    is Y[0], the one before is Y[-1], and so on.  A stack of R series
+    has data (R, N*s, d) and presample (R, L, d).
     """
 
     s: int
@@ -81,32 +82,31 @@ class PeriodicSeries:
 
     def __post_init__(self):
         self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if self.presample is None:
-            self.presample = np.zeros((0, self.data.shape[1]))
+        if self.presample is None or np.size(self.presample) == 0:
+            self.presample = np.zeros(self.data.shape[:-2] + (0, self.d))
         self.presample = np.atleast_2d(np.asarray(self.presample, dtype=float))
-        if self.presample.size == 0:
-            self.presample = self.presample.reshape(0, self.data.shape[1])
-        if self.data.shape[0] % self.s:
+        if self.data.shape[-2] % self.s:
             raise DimensionMismatch("data length must be a whole number of cycles")
-        if self.presample.shape[1] != self.data.shape[1]:
+        pre = self.presample.shape
+        if pre[:-2] != self.data.shape[:-2] or pre[-1] != self.d:
             raise DimensionMismatch("presample dimension differs from data")
 
     @property
     def d(self):
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
     def n_cycles(self):
-        return self.data.shape[0] // self.s
+        return self.data.shape[-2] // self.s
 
     def at(self, t):
         """Y[t] for t in the data range or the presample (t <= 0)."""
         if t >= 1:
-            return self.data[t - 1]
-        idx = self.presample.shape[0] + t - 1
+            return self.data[..., t - 1, :]
+        idx = self.presample.shape[-2] + t - 1
         if idx < 0:
             raise LagOutOfRange(f"time {t} precedes the available presample")
-        return self.presample[idx]
+        return self.presample[..., idx, :]
 
 
 def build_lifted_var(model):

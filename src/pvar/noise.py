@@ -87,7 +87,8 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     Runs burnin extra cycles first and returns a PeriodicSeries whose
     presample holds the max_p values preceding time 1, so estimation
     can use every retained cycle.  seed may be one seed or a sequence;
-    a sequence returns one series per seed, bitwise equal to that seed
+    a sequence returns one stack of series whose data and presample
+    have a leading seed axis, each slice bitwise equal to that seed
     simulated alone with noise from default_rng(seed).  The recursion
     steps once per cycle through cycle_maps, so it rounds differently
     from a step-by-step one.
@@ -112,6 +113,6 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
         np.matmul(y[:, c * s:c * s + max_p].reshape(R, 1, -1), A.T, out=buf)
         cyc[:, c] += buf
     start = max_p + burnin * s
-    out = [PeriodicSeries(s=s, data=y[r, start:],
-                          presample=y[r, start - max_p:start]) for r in range(R)]
-    return out[0] if single else out
+    pick = 0 if single else slice(None)
+    return PeriodicSeries(s=s, data=y[pick, start:],
+                          presample=y[pick, start - max_p:start])

@@ -265,6 +265,9 @@ def test_exit_codes(tmp_path, model_file):
     (["fit", "--s", "2", "--cov", "foo"], "--cov"),
     (["wald", "--s", "2", "--cov", "strong,white", "--restrict",
       "phi[1](1,1)=0"], "--cov"),
+    (["fit", "--s", "2", "--cov", "hac,hac"], "--cov"),
+    (["wald", "--s", "2", "--cov", "sp,strong,sp", "--restrict",
+      "phi[1](1,1)=0"], "--cov"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
                                                   capsys):
@@ -323,6 +326,12 @@ def _write(path, content):
     ("restrict-repeated", 3,
      "restriction 'phi[1](1,1)=0.5' repeats an earlier one's coefficient"),
     ("model-s0", 3, "s0_model.txt: s and d must be at least 1"),
+    ("model-p-negative", 3, "p_model.txt: season 2: p must be at least 0"),
+    ("model-season-repeated", 3,
+     "repeat_model.txt: line 10: repeated [season 1] block"),
+    ("model-season-outside", 3, "outside_model.txt: [season 7] outside 1..2"),
+    ("model-extra-lag", 3, "lag_model.txt: season 1: unknown key 'phi2'"),
+    ("model-key-typo", 3, "typo_model.txt: season 2: unknown key 'sigmaa'"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -351,6 +360,22 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
                               "--restrict", "phi[1](1,1)=0.5"] + data,
         "model-s0": ["simulate", "--n", "5", "--model", _write(
             tmp_path / "s0_model.txt", MODEL_TEXT.replace("s = 2", "s = 0").encode())],
+        "model-p-negative": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "p_model.txt",
+            MODEL_TEXT.replace("p = 1\nphi1 = -0.7", "p = -1\nphi1 = -0.7").encode())],
+        "model-season-repeated": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "repeat_model.txt",
+            MODEL_TEXT.replace("[season 2]", "[season 1]").encode())],
+        "model-season-outside": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "outside_model.txt",
+            (MODEL_TEXT + "\n[season 7]\np = 0\nsigma = 1 0; 0 1\n").encode())],
+        "model-extra-lag": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "lag_model.txt",
+            MODEL_TEXT.replace("phi1 = 0.3 0; 0 -0.6",
+                               "phi1 = 0.3 0; 0 -0.6\nphi2 = 0 0; 0 0").encode())],
+        "model-key-typo": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "typo_model.txt",
+            MODEL_TEXT.replace("sigma = 1 0", "sigmaa = 1 0").encode())],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pvar.errors import InsufficientData
+from pvar.errors import InsufficientData, SingularDesign
 from pvar.estimate import build_design, demean_seasonal, fit_ols
 from pvar.model import PeriodicSeries, PvarModel
 from pvar.noise import simulate
@@ -125,3 +125,32 @@ def test_insufficient_data():
     ser = PeriodicSeries(s=2, data=np.random.default_rng(0).standard_normal((8, 2)))
     with pytest.raises(InsufficientData):
         fit_ols(ser, 4)
+
+
+@pytest.mark.parametrize("orders", [[1, 1], [2, 0], [0, 3]])
+def test_stacked_fit_equals_each_slice_fitted_alone(orders):
+    stack = simulate(example_model(), 120, seed=[5, 6, 7])
+    stack.data[1] += np.array([4.0, -2.0])  # seasonal means to remove
+    for demean in (True, False):
+        fit = fit_ols(stack, orders, demean=demean)
+        for i in range(3):
+            one = fit_ols(PeriodicSeries(2, stack.data[i], stack.presample[i]),
+                          orders, demean=demean)
+            assert fit.n_used == one.n_used
+            for v in range(2):
+                for name in ("B_hat", "residuals", "sigma_tilde", "X"):
+                    assert np.array_equal(getattr(fit, name)[v][i],
+                                          getattr(one, name)[v])
+
+
+def test_stacked_fit_raises_if_one_slice_is_singular():
+    good = simulate(example_model(), 100, seed=8)
+    stack = PeriodicSeries(2, np.stack([good.data, np.zeros_like(good.data)]),
+                           np.stack([good.presample, np.zeros_like(good.presample)]))
+    for demean in (True, False):
+        with pytest.raises(SingularDesign):
+            fit_ols(stack, 1, demean=demean)
+        alone = fit_ols(PeriodicSeries(2, stack.data[:1], stack.presample[:1]), 1,
+                        demean=demean)
+        assert np.array_equal(alone.B_hat[0][0],
+                              fit_ols(good, 1, demean=demean).B_hat[0])

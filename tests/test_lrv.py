@@ -3,7 +3,7 @@ import pytest
 
 import pvar.lrv
 from pvar.errors import LagOutOfRange, SingularDesign
-from pvar.estimate import build_design, fit_ols, stack_fits
+from pvar.estimate import build_design, fit_ols
 from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
                       default_r_max, kernel_weight, lambda_hat, omega_hat,
                       omega_inverse, psi_hac, psi_spectral, score_series,
@@ -181,10 +181,10 @@ def refit_aic_order(W, r_max):
 
 def season_scores(model, n_cycles, noise, seeds, order):
     """Scores of every season of fits to one series per seed."""
-    for series in simulate(model, n_cycles, noise, seed=seeds):
-        fit = fit_ols(series, order, demean=False)
+    fit = fit_ols(simulate(model, n_cycles, noise, seed=seeds), order, demean=False)
+    for i in range(len(seeds)):
         for v in range(fit.s):
-            yield score_series(fit.X[v], fit.residuals[v])
+            yield score_series(fit.X[v][i], fit.residuals[v][i])
 
 
 def assert_same_orders_as_refit(scores):
@@ -254,12 +254,13 @@ def test_stacked_psi_spectral_fits_each_order_group():
 def test_stacked_covariances_equal_one_fit_at_a_time_on_wide_fits():
     # the cli-wide shape: 18-entry scores at N=4000, so r_max = 15
     spec = NoiseSpec("weak-product", m=2)
-    fits = [fit_ols(ser, 2, demean=False)
-            for ser in simulate(wide_model(), 4000, spec, seed=[41, 42, 43])]
+    seeds = [41, 42, 43]
     methods = ["strong", "sp", "hac"]
     hac = KernelSpec("bartlett", 0.1)
-    stacked = covariances(stack_fits(fits), methods, hac)
-    for i, fit in enumerate(fits):
+    stacked = covariances(fit_ols(simulate(wide_model(), 4000, spec, seed=seeds),
+                                  2, demean=False), methods, hac)
+    for i, sd in enumerate(seeds):
+        fit = fit_ols(simulate(wide_model(), 4000, spec, seed=sd), 2, demean=False)
         one = covariances(fit, methods, hac)
         for v in one:
             for m in methods:

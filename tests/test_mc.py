@@ -5,11 +5,11 @@ import pytest
 
 import pvar.mc
 from pvar.errors import NotCausal, PvarError, SingularDesign
-from pvar.estimate import fit_ols, stack_fits
+from pvar.estimate import fit_ols
 from pvar.infer import chisq_sf, wald
 from pvar.lrv import covariances, default_bandwidth
 from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
-                     run_scenario, _replication)
+                     run_scenario, _fit_and_test)
 from pvar.noise import NoiseSpec, simulate
 
 
@@ -98,8 +98,8 @@ def test_method_subset_matches_full_run():
 
 def test_wald_pvalue_matches_t_identity_inside_replication():
     sc = small_scenario(reps=1, n=400)
-    rows = _replication(sc, simulate(sc.model, sc.n_cycles, sc.noise,
-                                     seed=sc.base_seed))
+    (rows,) = _fit_and_test(sc, simulate(sc.model, sc.n_cycles, sc.noise,
+                                         seed=[sc.base_seed]))
     for v in range(5):
         row = rows[v]
         beta = row["beta"]
@@ -131,7 +131,7 @@ def test_chunked_run_equals_one_replication_at_a_time(monkeypatch):
     fit_ols = pvar.mc.fit_ols
 
     def failing_fit(series, *args, **kwargs):
-        if series.data[0, 0] > 1.0:
+        if np.any(series.data[..., 0, 0] > 1.0):
             raise SingularDesign("injected")
         return fit_ols(series, *args, **kwargs)
 
@@ -163,17 +163,22 @@ def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatc
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_stacked_covariances_and_wald_equal_one_fit_at_a_time(name):
     sc = small_scenario(name, n=250)
-    fits = [fit_ols(series, 1, demean=False) for series in
-            simulate(sc.model, sc.n_cycles, sc.noise, seed=range(5))]
-    stacked_fit = stack_fits(fits)
+    stacked_fit = fit_ols(simulate(sc.model, sc.n_cycles, sc.noise,
+                                   seed=range(5)), 1, demean=False)
+    fits = [fit_ols(simulate(sc.model, sc.n_cycles, sc.noise, seed=sd), 1,
+                    demean=False) for sd in range(5)]
     methods = list(METHODS.values())
     stacked = covariances(stacked_fit, methods, sc.hac_spec())
     n = stacked_fit.n_used
     for i, fit in enumerate(fits):
         one = covariances(fit, methods, sc.hac_spec())
+        assert fit.n_used == n
         for v in range(1, 6):
             assert np.array_equal(stacked_fit.beta_hat[v - 1][i],
                                   fit.beta_hat[v - 1])
+            for name in ("B_hat", "residuals", "sigma_tilde", "X"):
+                assert np.array_equal(getattr(stacked_fit, name)[v - 1][i],
+                                      getattr(fit, name)[v - 1])
             for m in methods:
                 assert np.array_equal(stacked[v][m][i], one[v][m])
     for v in range(1, 6):

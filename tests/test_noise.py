@@ -144,18 +144,19 @@ def test_batched_simulate_equals_per_seed(d, orders, spec):
                                  orders, d)
     seeds = [3, 17, 17 ^ 5, 99]
     batch = simulate(model, 25, spec, seed=seeds, burnin=15)
-    assert len(batch) == len(seeds)
-    for sd, ser in zip(seeds, batch):
+    assert batch.data.shape == (len(seeds), 25 * len(orders), d)
+    assert batch.presample.shape == (len(seeds), max(orders), d)
+    for i, sd in enumerate(seeds):
         one = simulate(model, 25, spec, seed=sd, burnin=15)
-        assert np.array_equal(ser.data, one.data)
-        assert np.array_equal(ser.presample, one.presample)
+        assert np.array_equal(batch.data[i], one.data)
+        assert np.array_equal(batch.presample[i], one.presample)
         # the cycle recursion sums in another order than the step one
         pre, data = _simulate_by_steps(model, 25, spec, sd, 15)
         scale = np.abs(data).max()
-        assert np.abs(ser.data - data).max() <= 1e-13 * scale
-        assert np.abs(ser.presample - pre).max(initial=0.0) <= 1e-13 * scale
-    (alone,) = simulate(model, 25, spec, seed=[seeds[0]], burnin=15)
-    assert np.array_equal(alone.data, batch[0].data)
+        assert np.abs(batch.data[i] - data).max() <= 1e-13 * scale
+        assert np.abs(batch.presample[i] - pre).max(initial=0.0) <= 1e-13 * scale
+    alone = simulate(model, 25, spec, seed=[seeds[0]], burnin=15)
+    assert np.array_equal(alone.data, batch.data[:1])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -89,13 +89,12 @@ def test_psi_against_simulated_score_variance_m1():
     acc = [np.zeros(4), np.zeros(4)]
     seeds = range(1000, 1000 + reps)
     for first in range(0, reps, 100):  # one simulate call per 100 seeds
-        for ser in simulate(model, n, spec, seed=seeds[first:first + 100],
-                            burnin=20):
-            Zs, Xs, _ = build_design(ser, 1)
-            for v in (0, 1):
-                eps = Zs[v] - model.phi[v][0] @ Xs[v]
-                W = score_series(Xs[v], eps)
-                acc[v] += (W.sum(axis=0) / np.sqrt(W.shape[0])) ** 2
+        batch = simulate(model, n, spec, seed=seeds[first:first + 100], burnin=20)
+        Zs, Xs, _ = build_design(batch, 1)
+        for v in (0, 1):
+            eps = Zs[v] - model.phi[v][0] @ Xs[v]
+            W = score_series(Xs[v], eps)
+            acc[v] += ((W.sum(axis=-2) / np.sqrt(W.shape[-2])) ** 2).sum(axis=0)
     exact = exact_covariances(model, spec)
     for v in (0, 1):
         assert np.allclose(acc[v] / reps, np.diag(exact.psi[v]), rtol=0.10)
