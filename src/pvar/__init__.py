@@ -21,7 +21,7 @@ from .lrv import (BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth,
                   theta_strong)
 from .mc import McReport, Scenario, preset, run_scenario
 from .model import (PeriodicSeries, PvarModel, build_lifted_var,
-                    companion_spectral_radius, is_causal, ma_coefficients)
+                    companion_spectral_radius, ma_coefficients)
 from .noise import NoiseSpec, gen_noise, simulate
 from .oracle import ExactCovariances, exact_covariances
 
@@ -34,7 +34,7 @@ __all__ = [
     "cholesky_upper", "chisq_sf", "companion_spectral_radius",
     "covariances", "default_bandwidth", "demean_seasonal", "errors",
     "exact_covariances", "example_model", "fit_ols", "gen_noise",
-    "is_causal", "kernel_weight", "lambda_hat", "ma_coefficients",
+    "kernel_weight", "lambda_hat", "ma_coefficients",
     "normal_sf", "omega_closed", "omega_hat", "preset", "psi_closed",
     "psi_hac", "psi_spectral", "run_scenario", "score_series",
     "select_ar_order_aic", "simulate", "t_report", "theta_closed",

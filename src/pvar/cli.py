@@ -123,8 +123,8 @@ def read_model(path):
 
     Scalar keys s and d come first; each season block starts with a
     line "[season v]" and holds p, lag matrices phi1..phip, and sigma,
-    and no other key.  Matrix literals are row-major with ';' between
-    rows.
+    and no other key.  No key may appear twice in the header or in one
+    block.  Matrix literals are row-major with ';' between rows.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -150,10 +150,12 @@ def read_model(path):
             raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if current is None:
-            header[key] = value
-        else:
-            seasons[current][key] = value
+        block = header if current is None else seasons[current]
+        if current is None and key not in ("s", "d"):
+            raise ParseError(f"{path}: line {lineno}: unknown header key '{key}'")
+        if key in block:
+            raise ParseError(f"{path}: line {lineno}: repeated key '{key}'")
+        block[key] = value
     for key in ("s", "d"):
         if key not in header:
             raise ParseError(f"{path}: missing header key '{key}'")

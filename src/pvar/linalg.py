@@ -4,8 +4,8 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, SingularDesign
 
-#: Condition-number threshold above which a cross-product matrix is
-#: treated as numerically singular.
+#: 2-norm condition number above which a matrix is numerically singular.
+#: Of a symmetric matrix it is max |eig| / min |eig|, so no SVD is needed.
 COND_LIMIT = 1e12
 
 
@@ -25,15 +25,25 @@ def vec(a):
     return mT(a).reshape(a.shape[:-2] + (-1,))
 
 
+def require_conditioned(a, err=SingularDesign, what="matrix"):
+    """Raise ``err`` unless min |eig| > max |eig| / COND_LIMIT for each
+    symmetric matrix of a stack; a zero or non-finite matrix raises."""
+    if np.isfinite(a).all():
+        lam = np.abs(np.linalg.eigvalsh(a))
+        if (lam.min(axis=-1) > lam.max(axis=-1) / COND_LIMIT).all():
+            return
+    raise err(f"{what} is numerically singular")
+
+
 def solve_guarded(a, b, err=SingularDesign, what="matrix"):
-    """Solve a x = b, raising ``err`` if a is ill-conditioned.
+    """Solve a x = b for symmetric a, raising ``err`` if a is ill-conditioned.
 
     a may be a stack of matrices, solved slice by slice as np.linalg.solve
     does; ``err`` is raised if any slice is ill-conditioned.
     """
     a = np.asarray(a, dtype=float)
-    if a.size and (np.linalg.cond(a) > COND_LIMIT).any():
-        raise err(f"{what} is numerically singular")
+    if a.size:
+        require_conditioned(a, err, what)
     return np.linalg.solve(a, b)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, LagOutOfRange, NearSingularUnit,
                      SingularDesign)
-from .linalg import COND_LIMIT, mT, solve_guarded
+from .linalg import mT, require_conditioned, solve_guarded
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
@@ -128,17 +128,32 @@ def lambda_hat(W, h):
     return mT(W[..., h:, :]) @ W[..., :N - h, :] / N
 
 
-def psi_hac(W, spec):
-    """Kernel-weighted sum of score autocovariances."""
+def autocovariances(W, H):
+    """S_h = sum_{n>=h} W_n W_{n-h}' for h = 0..H, shape (..., H+1, q, q).
+
+    S_h / N is lambda_hat(W, h) bit for bit.
+    """
+    W = np.asarray(W, dtype=float)
+    N, q = W.shape[-2:]
+    S = np.empty(W.shape[:-2] + (H + 1, q, q))
+    for h in range(H + 1):
+        S[..., h, :, :] = mT(W[..., h:, :]) @ W[..., :N - h, :]
+    return S
+
+
+def psi_hac(W, spec, S=None):
+    """Kernel-weighted sum of score autocovariances S (computed if None)."""
     W = np.asarray(W, dtype=float)
     N = W.shape[-2]
     T = min(spec.truncation, N - 1)
-    psi = lambda_hat(W, 0) * kernel_weight(spec, 0.0)
+    if S is None:
+        S = autocovariances(W, T)
+    psi = S[..., 0, :, :] / N * kernel_weight(spec, 0.0)
     for h in range(1, T + 1):
         w = kernel_weight(spec, h * spec.bandwidth)
         if w == 0.0:
             continue
-        lam = lambda_hat(W, h)
+        lam = S[..., h, :, :] / N
         psi = psi + w * (lam + mT(lam))
     return psi
 
@@ -166,7 +181,32 @@ def _var_fit(W, r, start):
     return coef, mT(resid) @ resid / Y.shape[-2]
 
 
-def select_ar_order_aic(W, r_max):
+def _lag_moments(W, r, S):
+    """Y'Y, Y'X and X'X of the r-lag regression on n = r..N-1, from S.
+
+    With W zero outside 0..N-1, X'X summed over every n is the block
+    Toeplitz matrix of S_0..S_{r-1}; the rows n < r and n >= N are taken
+    off as two r-row lag designs of the zero-padded ends.  Y'X and Y'Y
+    are S_1..S_r and S_0 less the rows n < r: least squares, not
+    Yule-Walker.
+    """
+    stack, (N, q) = W.shape[:-2], W.shape[-2:]
+    head = W[..., :r, :]
+    zeros = np.zeros(stack + (r, q))
+    U = _lag_design(np.concatenate([zeros, head], axis=-2), r, r)
+    V = _lag_design(np.concatenate([W[..., N - r:, :], zeros], axis=-2), r, r)
+    blocks = np.concatenate([mT(S[..., r - 1:0:-1, :, :]), S[..., :r, :, :]],
+                            axis=-3)
+    lag = np.arange(r)
+    toeplitz = blocks[..., r - 1 + lag[None, :] - lag[:, None], :, :]
+    xx = (np.swapaxes(toeplitz, -3, -2).reshape(stack + (q * r, q * r))
+          - mT(U) @ U - mT(V) @ V)
+    yx = (np.swapaxes(S[..., 1:r + 1, :, :], -3, -2).reshape(stack + (q, q * r))
+          - mT(head) @ U)
+    return S[..., 0, :, :] - mT(head) @ head, yx, xx
+
+
+def select_ar_order_aic(W, r_max, S=None):
     """AIC order choice for the score autoregression.
 
     All candidate orders are scored on the common sample n = r_max..N-1
@@ -180,11 +220,13 @@ def select_ar_order_aic(W, r_max):
     Orders whose residual covariance is not positive definite are
     skipped; ties go to the lowest order.
 
+    No design is built: the moments come from the autocovariance sums
+    S = autocovariances(W, H), H >= r_max (computed if None), through
+    _lag_moments.
+
     W may be a stack of score series; the result is then an int array
     of one order per series, and the search raises if any series'
-    regression is singular.  The lag design of each series is built
-    and reduced to its Gram on its own, so a stack never holds more
-    than one design.
+    regression is singular.
     """
     W = np.asarray(W, dtype=float)
     stack, (N, q) = W.shape[:-2], W.shape[-2:]
@@ -193,25 +235,17 @@ def select_ar_order_aic(W, r_max):
     if not r_max < N / 2:
         raise ValueError("r_max must be below N/2")
     n_eff = N - r_max
-    Y = W[..., r_max:, :]
+    yy, cross, gram = _lag_moments(
+        W, r_max, autocovariances(W, r_max) if S is None else S)
     resid = np.empty(stack + (r_max + 1, q, q))
-    resid[..., 0, :, :] = mT(Y) @ Y
+    resid[..., 0, :, :] = yy
     if r_max and q:
-        gram = np.empty(stack + (q * r_max, q * r_max))
-        cross = np.empty(stack + (q, q * r_max))
-        for i in np.ndindex(stack):
-            X = _lag_design(W[i], r_max, r_max)
-            gram[i] = X.T @ X
-            # Y'X, whose transpose is X'Y: numpy computes it ~3x faster
-            # at q=18, r_max=15 (and ~equally fast at q=4)
-            cross[i] = Y[i].T @ X
-        singular = SingularDesign("score lag regression is numerically singular")
-        if (np.linalg.cond(gram) > COND_LIMIT).any():
-            raise singular
+        require_conditioned(gram, SingularDesign, "score lag regression")
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            raise singular from None
+            raise SingularDesign(
+                "score lag regression is numerically singular") from None
         C = np.linalg.solve(L, mT(cross)).reshape(stack + (r_max, q, q))
         resid[..., 1:, :, :] = (resid[..., :1, :, :]
                                 - np.cumsum(mT(C) @ C, axis=-3))
@@ -225,14 +259,15 @@ def default_r_max(n):
     return int(math.floor(n ** (1 / 3)))
 
 
-def psi_spectral(W, r="aic"):
+def psi_spectral(W, r="aic", S=None):
     """Long-run variance through an autoregression on the scores.
 
-    With fitted lag matrices A_1..A_r and residual covariance S,
-    Psi = P^-1 S P^-T where P = I - sum_k A_k.  r may be a fixed
+    With fitted lag matrices A_1..A_r and residual covariance Sigma,
+    Psi = P^-1 Sigma P^-T where P = I - sum_k A_k.  r may be a fixed
     order or "aic".  Scores with no columns (a season of order 0) give
     the 0x0 Psi.  For a stack of score series AIC picks an order per
     series, and the series that share an order are fitted together.
+    S is passed on to select_ar_order_aic.
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape[-2:]
@@ -240,7 +275,7 @@ def psi_spectral(W, r="aic"):
         return np.zeros(W.shape[:-2] + (0, 0))
     flat = W.reshape((-1, N, q))
     if r == "aic":
-        orders = select_ar_order_aic(flat, default_r_max(N))
+        orders = np.reshape(select_ar_order_aic(W, default_r_max(N), S), -1)
     else:
         orders = np.full(flat.shape[0], int(r))
     psi = np.empty((flat.shape[0], q, q))
@@ -288,9 +323,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
 
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
-    Each season inverts its Omega once for all methods.  The fit of a
-    stack of series (estimate.fit_ols) gives stacked estimates, one
-    slice per series.
+    Each season inverts its Omega and sums the autocovariances of W once
+    for all methods.  The fit of a stack of series (estimate.fit_ols)
+    gives stacked estimates, one slice per series.
     """
     out = {}
     for v in seasons or range(1, fit.s + 1):
@@ -304,10 +339,13 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
                 continue
             if W is None:
                 W = score_series(X, fit.residuals[v - 1])
+                N = W.shape[-2]
+                S = autocovariances(
+                    W, min(max(hac.truncation, default_r_max(N)), N - 1))
             if method == "sp":
-                psi = psi_spectral(W, ar_order)
+                psi = psi_spectral(W, ar_order, S)
             elif method == "hac":
-                psi = psi_hac(W, hac)
+                psi = psi_hac(W, hac, S)
             else:
                 raise ValueError(f"unknown covariance method {method!r}")
             out[v][method] = theta_sandwich(omega_inv, psi, fit.d)

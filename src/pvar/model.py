@@ -99,15 +99,6 @@ class PeriodicSeries:
     def n_cycles(self):
         return self.data.shape[-2] // self.s
 
-    def at(self, t):
-        """Y[t] for t in the data range or the presample (t <= 0)."""
-        if t >= 1:
-            return self.data[..., t - 1, :]
-        idx = self.presample.shape[-2] + t - 1
-        if idx < 0:
-            raise LagOutOfRange(f"time {t} precedes the available presample")
-        return self.presample[..., idx, :]
-
 
 def build_lifted_var(model):
     """Rewrite a PVAR as a season-stacked VAR on cycle-level vectors.
@@ -153,11 +144,6 @@ def companion_spectral_radius(model):
     if p_star > 1:
         comp[ds:, :ds * (p_star - 1)] = np.eye(ds * (p_star - 1))
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
-
-
-def is_causal(model):
-    """Whether the PVAR admits a causal stationary solution."""
-    return companion_spectral_radius(model) < 1.0 - CAUSAL_TOL
 
 
 def require_causal(model):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -197,9 +203,9 @@ def test_wald_builds_covariances_of_restricted_seasons_only(
     searches = []
     real = pvar.lrv.select_ar_order_aic
 
-    def counting(W, r_max):
+    def counting(W, r_max, S=None):
         searches.append(r_max)
-        return real(W, r_max)
+        return real(W, r_max, S)
 
     monkeypatch.setattr(pvar.lrv, "select_ar_order_aic", counting)
     assert run_cli(["wald", "--data", data, "--s", "2", "--restrict",
@@ -332,6 +338,9 @@ def _write(path, content):
     ("model-season-outside", 3, "outside_model.txt: [season 7] outside 1..2"),
     ("model-extra-lag", 3, "lag_model.txt: season 1: unknown key 'phi2'"),
     ("model-key-typo", 3, "typo_model.txt: season 2: unknown key 'sigmaa'"),
+    ("model-header-key", 3, "header_model.txt: line 4: unknown header key 'peroid'"),
+    ("model-header-repeated", 3, "dup_header_model.txt: line 3: repeated key 's'"),
+    ("model-key-repeated", 3, "dup_key_model.txt: line 9: repeated key 'sigma'"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -376,6 +385,16 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "model-key-typo": ["simulate", "--n", "5", "--model", _write(
             tmp_path / "typo_model.txt",
             MODEL_TEXT.replace("sigma = 1 0", "sigmaa = 1 0").encode())],
+        "model-header-key": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "header_model.txt",
+            MODEL_TEXT.replace("d = 2\n", "d = 2\nperoid = 3\n").encode())],
+        "model-header-repeated": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "dup_header_model.txt",
+            MODEL_TEXT.replace("s = 2\n", "s = 2\ns = 3\n").encode())],
+        "model-key-repeated": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "dup_key_model.txt",
+            MODEL_TEXT.replace("sigma = 1.5 0; 0 2.5",
+                               "sigma = 1.5 0; 0 2.5\nsigma = 2 0; 0 2").encode())],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)
@@ -384,6 +403,63 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert needle in proc.stderr
+
+
+# Model-file text: lines of a valid file, header and season keys with
+# values of their kind, and raw text.  Lag entries of at most 0.1 in
+# absolute value keep any model with d, p <= 3 causal, and every sigma
+# literal is symmetric positive definite, so a file that parses simulates
+# (exit 0) and one that does not is a data error (exit 3).
+_BAD_ENTRY = st.sampled_from(["nan", "inf", "1e999", "x", ""])
+
+
+def _literal(entries):
+    row = st.lists(entries, min_size=1, max_size=3).map(" ".join)
+    return st.lists(row, min_size=1, max_size=3).map("; ".join)
+
+
+_PHI = _literal(st.one_of(st.sampled_from(["0", "0.1", "-0.1"]), _BAD_ENTRY))
+_SIGMA = st.one_of(
+    st.sampled_from(["1", "2", "1 0; 0 1", "1.5 0.2; 0.2 2.5",
+                     "1 0 0; 0 1 0; 0 0 1", "2 0.5 0; 0.5 1 0; 0 0 3"]),
+    _literal(_BAD_ENTRY))
+_INT = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["", "x", "1.5"]))
+_MODEL_LINE = st.one_of(
+    st.sampled_from(MODEL_TEXT.splitlines()),
+    st.builds("{} = {}".format, st.sampled_from(["s", "d", "p", "peroid", ""]), _INT),
+    st.builds("{} = {}".format, st.sampled_from(["phi1", "phi2", "phi3", "sigmaa"]), _PHI),
+    st.builds("sigma = {}".format, _SIGMA),
+    st.integers(-1, 4).map("[season {}]".format),
+    st.text(alphabet="sdp=[]#;. -0123456789", max_size=16),
+)
+
+
+def _spliced(inserts):
+    """MODEL_TEXT's lines with each (position, line) inserted."""
+    lines = MODEL_TEXT.splitlines()
+    for at, line in inserts:
+        lines.insert(at, line)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(_MODEL_LINE, max_size=24),
+    st.lists(st.tuples(st.integers(0, 14), _MODEL_LINE), max_size=2).map(_spliced)))
+def test_model_file_either_simulates_or_is_a_data_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--model", path, "--n", "5", "--seed", "1",
+                         "--out", os.path.join(tmp, "sim.csv")])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith(f"error: {path}")
 
 
 def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):

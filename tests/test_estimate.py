@@ -48,8 +48,16 @@ def test_build_design_drops_cycles_without_presample():
     assert Xs[0].ravel().tolist() == [2.0, 4.0]
 
 
+def _at(series, t):
+    """Y[t] for t in the data range or the presample (t <= 0)."""
+    if t >= 1:
+        return series.data[t - 1]
+    assert series.presample.shape[0] + t - 1 >= 0, "t precedes the presample"
+    return series.presample[series.presample.shape[0] + t - 1]
+
+
 def _design_by_cells(series, orders):
-    """build_design's blocks copied one cell at a time through series.at."""
+    """build_design's blocks copied one cell at a time through _at."""
     s, d = series.s, series.d
     Zs, Xs, n_used = build_design(series, orders)
     n0 = series.n_cycles - n_used
@@ -60,9 +68,9 @@ def _design_by_cells(series, orders):
         X = np.empty((d * p, n_used))
         for j, n in enumerate(range(n0, series.n_cycles)):
             t = n * s + v
-            Z[:, j] = series.at(t)
+            Z[:, j] = _at(series, t)
             for k in range(1, p + 1):
-                X[(k - 1) * d:k * d, j] = series.at(t - k)
+                X[(k - 1) * d:k * d, j] = _at(series, t - k)
         refs.append((Z, X))
     return Zs, Xs, refs
 

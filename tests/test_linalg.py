@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pvar.errors import NotPositiveDefinite, SingularDesign
-from pvar.linalg import cholesky_upper, solve_guarded, vec
+from pvar.errors import NotPositiveDefinite, SingularDesign, SingularRestriction
+from pvar.linalg import COND_LIMIT, cholesky_upper, solve_guarded, vec
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -65,3 +65,42 @@ def test_solve_guarded_solves():
     a = np.array([[2.0, 0.0], [0.0, 4.0]])
     x = solve_guarded(a, np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 3)), np.full((3, 3), np.nan),
+                               np.diag([1.0, np.inf])])
+def test_solve_guarded_raises_its_error_on_zero_and_nonfinite(a):
+    with pytest.raises(SingularRestriction, match="R Theta R' is numerically singular"):
+        solve_guarded(a, np.ones(a.shape[0]), err=SingularRestriction,
+                      what="R Theta R'")
+    with pytest.raises(SingularDesign):
+        solve_guarded(np.stack([np.eye(len(a)), a]), np.ones((2, len(a))))
+
+
+def test_solve_guarded_accepts_well_conditioned_indefinite():
+    a = np.diag([1.0, -1.0])
+    assert np.array_equal(solve_guarded(a, np.array([2.0, 3.0])), [2.0, -3.0])
+
+
+def spd_with_condition(rng, n, cond):
+    """Random symmetric positive definite n x n matrix of condition ~cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("n", [2, 5, 18, 36, 90, 270])
+def test_solve_guarded_decides_as_the_condition_number(n):
+    # near COND_LIMIT the smallest eigenvalue is known only to about
+    # eps * max, ~1e-4 relative, so the nearest matrices sit 1% away
+    rng = np.random.default_rng(n)
+    for factor in (1e-9, 1e-6, 0.5, 0.99, 1.01, 2.0, 1e3):
+        a = spd_with_condition(rng, n, factor * COND_LIMIT)
+        b = rng.standard_normal(n)
+        if np.linalg.cond(a) > COND_LIMIT:
+            assert factor > 1
+            with pytest.raises(SingularDesign):
+                solve_guarded(a, b)
+        else:
+            assert factor < 1
+            assert np.array_equal(solve_guarded(a, b), np.linalg.solve(a, b))

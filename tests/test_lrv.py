@@ -4,11 +4,11 @@ import pytest
 import pvar.lrv
 from pvar.errors import LagOutOfRange, SingularDesign
 from pvar.estimate import build_design, fit_ols
-from pvar.lrv import (KernelSpec, covariances, default_bandwidth,
-                      default_r_max, kernel_weight, lambda_hat, omega_hat,
+from pvar.lrv import (KernelSpec, autocovariances, covariances,
+                      default_bandwidth, default_r_max, kernel_weight, lambda_hat, omega_hat,
                       omega_inverse, psi_hac, psi_spectral, score_series,
                       select_ar_order_aic, theta_sandwich, theta_strong)
-from pvar.linalg import solve_guarded
+from pvar.linalg import mT, solve_guarded
 from pvar.mc import preset
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
@@ -223,6 +223,53 @@ def test_aic_order_matches_refit_search_on_wide_scores(kind):
     assert {W.shape for W in scores} == {(4000, 18)}
     assert default_r_max(4000) == 15
     assert_same_orders_as_refit(scores)
+
+
+def assert_lag_moments_match_explicit_design(W, r):
+    """_lag_moments against Y'Y, Y'X and X'X of the built r-lag design.
+
+    An entry near zero is a sum of N terms that cancel, computed in
+    another order by each side, so the tolerance is 1e-12 relative to
+    the matrix's largest entry as well as to the entry itself.
+    """
+    X, Y = pvar.lrv._lag_design(W, r, r), W[..., r:, :]
+    got = pvar.lrv._lag_moments(W, r, autocovariances(W, r))
+    for g, want in zip(got, (mT(Y) @ Y, mT(Y) @ X, mT(X) @ X)):
+        assert g.shape == want.shape
+        np.testing.assert_allclose(g, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_lag_moments_from_autocovariances_match_the_design():
+    rng = np.random.default_rng(12)
+    assert_lag_moments_match_explicit_design(rng.standard_normal((300, 3)), 6)
+    # a model-II chunk: season 1's scores of ten series, N=1000, r_max = 9
+    sc = preset("model-II")
+    fit = fit_ols(simulate(sc.model, sc.n_cycles, sc.noise, seed=list(range(10))),
+                  1, demean=False)
+    W = score_series(fit.X[0], fit.residuals[0])
+    assert W.shape == (10, 1000, 4)
+    assert_lag_moments_match_explicit_design(W, 9)
+    # the cli-wide shape, and the shortest series r = 15 allows
+    assert_lag_moments_match_explicit_design(rng.standard_normal((4000, 18)), 15)
+    assert_lag_moments_match_explicit_design(rng.standard_normal((31, 2)), 15)
+
+
+def test_autocovariances_are_lambda_hat_times_n():
+    W = np.random.default_rng(13).standard_normal((2, 40, 3))
+    S = autocovariances(W, 5)
+    assert S.shape == (2, 6, 3, 3)
+    for h in range(6):
+        assert np.array_equal(S[:, h] / 40, lambda_hat(W, h))
+    # psi_hac is the kernel-weighted lambda_hat sum, bit for bit, whether
+    # it computes S or reads one with more lags
+    spec = KernelSpec("parzen", 0.25)
+    want = lambda_hat(W, 0) * 1.0
+    for h in (1, 2, 3):
+        lam = lambda_hat(W, h)
+        want = want + kernel_weight(spec, h * 0.25) * (lam + mT(lam))
+    assert np.array_equal(psi_hac(W, spec), want)
+    assert np.array_equal(psi_hac(W, spec, S), want)
 
 
 @pytest.mark.xfail(strict=True, reason="n ** (1 / 3) rounds below the cube "

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pvar.errors import DimensionMismatch, LagOutOfRange, NotCausal
+from pvar.errors import DimensionMismatch, NotCausal
 from pvar.model import (PeriodicSeries, PvarModel, build_lifted_var,
-                        companion_spectral_radius, is_causal, ma_coefficients,
+                        companion_spectral_radius, ma_coefficients,
                         require_causal)
 from pvar.noise import NoiseSpec, gen_noise, simulate
 
@@ -61,17 +61,20 @@ def test_lifted_var_stacked_order():
 def test_causality_scalar_product_rule():
     # for scalar periodic AR(1) the companion radius is the coefficient product
     assert companion_spectral_radius(scalar_model([0.3, -0.7])) == pytest.approx(0.21)
-    assert is_causal(scalar_model([0.3, -0.7]))
+    require_causal(scalar_model([0.3, -0.7]))
     assert companion_spectral_radius(scalar_model([2.0, 0.6])) == pytest.approx(1.2)
-    assert not is_causal(scalar_model([2.0, 0.6]))
     with pytest.raises(NotCausal):
         require_causal(scalar_model([2.0, 0.6]))
     # large within-season coefficients are fine if the cycle contracts
-    assert is_causal(scalar_model([-1.43, 0.46, 1.23, 0.30, 0.90]))
+    wide = scalar_model([-1.43, 0.46, 1.23, 0.30, 0.90])
+    assert companion_spectral_radius(wide) < 1.0
+    require_causal(wide)
 
 
 def test_causality_boundary():
-    assert not is_causal(scalar_model([1.0, 1.0]))
+    assert companion_spectral_radius(scalar_model([1.0, 1.0])) == pytest.approx(1.0)
+    with pytest.raises(NotCausal, match="is not below one"):
+        require_causal(scalar_model([1.0, 1.0]))
 
 
 def test_ma_coefficients_reproduce_simulation():
@@ -117,12 +120,9 @@ def test_periodic_series_indexing():
     data = np.arange(8.0).reshape(4, 2)
     pre = np.array([[-1.0, -2.0]])
     ser = PeriodicSeries(s=2, data=data, presample=pre)
-    assert ser.n_cycles == 2
-    assert np.array_equal(ser.at(1), [0.0, 1.0])
-    assert np.array_equal(ser.at(4), [6.0, 7.0])
-    assert np.array_equal(ser.at(0), [-1.0, -2.0])
-    with pytest.raises(LagOutOfRange):
-        ser.at(-1)
+    assert ser.n_cycles == 2 and ser.d == 2
+    with pytest.raises(DimensionMismatch):
+        PeriodicSeries(s=2, data=data, presample=np.zeros((1, 3)))
 
 
 def test_periodic_series_requires_whole_cycles():
