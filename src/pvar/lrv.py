@@ -142,7 +142,11 @@ def autocovariances(W, H):
 
 
 def psi_hac(W, spec, S=None):
-    """Kernel-weighted sum of score autocovariances S (computed if None)."""
+    """Kernel-weighted sum of the score autocovariances.
+
+    S is autocovariances(W, H) for some H at or past the truncation lag,
+    or None to compute it here.
+    """
     W = np.asarray(W, dtype=float)
     N = W.shape[-2]
     T = min(spec.truncation, N - 1)
