@@ -53,45 +53,52 @@ def read_csv(path, s):
             lines = [ln.rstrip("\n") for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    rows = []
     start = 0
-    non_empty = [ln for ln in lines if ln.strip()]
-    if not non_empty:
+    body = [ln for ln in lines if ln.strip()]
+    if not body:
         raise EmptyInput(f"{path}: no data rows")
-    first = non_empty[0].split(",")
     try:
-        [float(cell) for cell in first]
+        [float(cell) for cell in body[0].split(",")]
     except ValueError:
-        start = lines.index(non_empty[0]) + 1  # header line
-    for lineno, ln in enumerate(lines[start:], start=start + 1):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        row = []
-        for colno, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: row {lineno}, column {colno}: "
-                                 f"non-numeric value {cell.strip()!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: row {lineno}, column {colno}: "
-                                 f"non-finite value {cell.strip()!r}")
-            row.append(value)
-        rows.append(row)
-    if not rows:
-        raise EmptyInput(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ParseError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
-    data = np.array(rows, dtype=float)
+        start = lines.index(body[0]) + 1  # header line
+        body = body[1:]
+    try:
+        # numpy accepts and rejects a cell exactly as float() does
+        data = np.array(",".join(body).split(","), dtype=float).reshape(len(body), -1)
+        parsed = len({ln.count(",") for ln in body}) == 1 and np.isfinite(data).all()
+    except ValueError:
+        parsed = False
+    if not parsed:  # name the first bad cell, or the widths of ragged rows
+        rows = []
+        for lineno, ln in enumerate(lines[start:], start=start + 1):
+            if not ln.strip():
+                continue
+            cells = ln.split(",")
+            row = []
+            for colno, cell in enumerate(cells, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: row {lineno}, column {colno}: "
+                                     f"non-numeric value {cell.strip()!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: row {lineno}, column {colno}: "
+                                     f"non-finite value {cell.strip()!r}")
+                row.append(value)
+            rows.append(row)
+        if not rows:
+            raise EmptyInput(f"{path}: no data rows")
+        widths = {len(r) for r in rows}
+        if len(widths) != 1:
+            raise ParseError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
+        data = np.array(rows, dtype=float)
     extra = data.shape[0] % s
+    if data.shape[0] == extra:
+        raise EmptyInput(f"{path}: fewer rows than one cycle of {s}")
     if extra:
         print(f"warning: dropping {extra} trailing rows (incomplete cycle)",
               file=sys.stderr)
         data = data[:data.shape[0] - extra]
-    if data.shape[0] == 0:
-        raise EmptyInput(f"{path}: fewer rows than one cycle of {s}")
     return PeriodicSeries(s=s, data=data)
 
 

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .errors import (DimensionMismatch, LagOutOfRange, NearSingularUnit,
-                     SingularDesign)
+from .errors import (DimensionMismatch, InsufficientData, LagOutOfRange,
+                     NearSingularUnit, SingularDesign)
 from .linalg import mT, require_conditioned, solve_guarded
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
@@ -236,8 +236,8 @@ def select_ar_order_aic(W, r_max, S=None):
     stack, (N, q) = W.shape[:-2], W.shape[-2:]
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    if not r_max < N / 2:
-        raise ValueError("r_max must be below N/2")
+    if not r_max < N / 2:  # default_r_max(N) too, for N <= 2
+        raise InsufficientData("r_max must be below N/2")
     n_eff = N - r_max
     yy, cross, gram = _lag_moments(
         W, r_max, autocovariances(W, r_max) if S is None else S)

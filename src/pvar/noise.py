@@ -7,6 +7,12 @@ standard normals from a channel-specific stream, then colors the
 vector with the season's covariance factor.  The product noise is
 uncorrelated in time but not independent, which is the regime the
 robust covariance estimators are designed for.
+
+simulate carries the recursion's state x_c, the max_p values that end
+cycle c, BLOCK cycles per step: one product with M, the recursion of a
+block run on the identity, maps the state before a block and its
+cycles' u_c = B e_c (cycle_maps) to the values each cycle adds to the
+state, its last min(max_p, s) d.  The others are u_c + A x_{c-1}.
 """
 
 from dataclasses import dataclass
@@ -18,6 +24,8 @@ from .linalg import cholesky_upper
 from .model import PeriodicSeries, require_causal
 
 DEFAULT_BURNIN = 500
+
+BLOCK = 40  # cycles per step of simulate's state scan
 
 NOISE_KINDS = ("strong", "weak-product")
 
@@ -40,17 +48,19 @@ class NoiseSpec:
             raise ValueError("product window exponent m must be at least 1")
 
 
-def gen_noise(sigmas, n_cycles, spec, rng):
+def gen_noise(sigmas, n_cycles, spec, rng, factors=None):
     """Draw n_cycles full cycles of innovations.
 
-    sigmas is the per-season list of d x d covariances.  Returns an
-    array of shape (n_cycles * s, d) whose row t-1 is eps[t].
+    sigmas is the per-season list of d x d covariances, factors (if
+    given) their cholesky_upper factors.  Returns an array of shape
+    (n_cycles * s, d) whose row t-1 is eps[t].
     """
     s = len(sigmas)
     if s == 0:
         raise DimensionMismatch("need at least one season covariance")
     d = np.asarray(sigmas[0]).shape[0]
-    factors = [cholesky_upper(sig) for sig in sigmas]
+    if factors is None:
+        factors = [cholesky_upper(sig) for sig in sigmas]
     total = n_cycles * s
     if spec.kind == "strong":
         raw = rng.standard_normal((total, d))
@@ -90,8 +100,8 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     a sequence returns one stack of series whose data and presample
     have a leading seed axis, each slice bitwise equal to that seed
     simulated alone with noise from default_rng(seed).  The recursion
-    steps once per cycle through cycle_maps, so it rounds differently
-    from a step-by-step one.
+    steps once per BLOCK cycles (see the module docstring), so it
+    rounds differently from a step-by-step one.
     """
     require_causal(model)
     if spec is None:
@@ -101,17 +111,35 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     R, s, d, max_p = len(seeds), model.s, model.d, model.max_p
     cycles = burnin + n_cycles
     A, B = cycle_maps(model)
-    # y[r, max_p + t - 1] is Y[t] of seed r; cyc[r, c] views its cycle c
+    m, n, q = max_p * d, min(max_p, s) * d, s * d
+    # z maps the state before a block and the last n entries of its
+    # u_c to the state after its cycle j, and M stacks their last n rows
+    z = np.eye(m, m + BLOCK * n)
+    M = np.empty((BLOCK * n, m + BLOCK * n))
+    for j in range(BLOCK):
+        z = np.vstack([z, A @ z])[q:]
+        z[m - n:, m + j * n:m + j * n + n] += np.eye(n)
+        M[j * n:j * n + n] = z[m - n:]
+    factors = [cholesky_upper(sig) for sig in model.sigma]
+    # y[r, max_p + t - 1] is Y[t] of seed r, cyc[r, c] the values of its
+    # cycle c and x[r, c] the state before that cycle
     y = np.zeros((R, max_p + cycles * s, d))
-    cyc = y[:, max_p:].reshape(R, cycles, 1, s * d)
+    flat = y.reshape(R, -1)
+    cyc = flat[:, m:].reshape(R, cycles, q)
+    x = np.lib.stride_tricks.sliding_window_view(flat, m, axis=1)[:, ::q]
     for r, sd in enumerate(seeds):
-        eps = gen_noise(model.sigma, cycles, spec, np.random.default_rng(sd))
-        np.matmul(eps.reshape(cycles, s * d), B.T, out=cyc[r, :, 0])
-    # one 1 x max_p*d product per seed, whatever R: a batch rounds as one seed
-    buf = np.empty((R, 1, s * d))
-    for c in range(cycles):
-        np.matmul(y[:, c * s:c * s + max_p].reshape(R, 1, -1), A.T, out=buf)
-        cyc[:, c] += buf
+        eps = gen_noise(model.sigma, cycles, spec, np.random.default_rng(sd),
+                        factors)
+        np.matmul(eps.reshape(cycles, q), B.T, out=cyc[r])
+    # every product is per seed, whatever R: a batch rounds as one seed
+    for c in range(0, cycles, BLOCK):
+        k = min(BLOCK, cycles - c)
+        xg = np.concatenate([x[:, c], cyc[:, c:c + k, q - n:].reshape(R, k * n)],
+                            axis=1)
+        cyc[:, c:c + k, q - n:] = (xg[:, None] @ M[:k * n, :m + k * n].T
+                                   ).reshape(R, k, n)
+    for r in range(R):  # a cycle's first q - n values
+        cyc[r, :, :q - n] += x[r, :cycles] @ A[:q - n].T
     start = max_p + burnin * s
     pick = 0 if single else slice(None)
     return PeriodicSeries(s=s, data=y[pick, start:],

@@ -320,6 +320,8 @@ def _write(path, content):
     ("inf-cell", 3, "row 7, column 2: non-finite value 'inf'"),
     ("huge-cell", 4, "error: overflow encountered"),
     ("csv-not-utf8", 3, "not_utf8.csv: 'utf-8' codec can't decode byte 0xff"),
+    ("csv-under-one-cycle", 3, "one_row.csv: fewer rows than one cycle of 2"),
+    ("csv-too-short-for-aic", 3, "error: r_max must be below N/2"),
     ("model-not-utf8", 3, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
     ("model-nan-phi", 3, "nan_model.txt: season 1 phi1: non-finite matrix entry"),
     ("model-inf-sigma", 3, "inf_model.txt: season 2 sigma: non-finite matrix entry"),
@@ -351,6 +353,10 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "huge-cell": ["fit", "--data", _with_cell(weak_data, 3, 1, "1e300"), "--s", "2"],
         "csv-not-utf8": ["fit", "--s", "2", "--data",
                          _write(tmp_path / "not_utf8.csv", b"\xff\xfe1,2\n3,4\n")],
+        "csv-under-one-cycle": ["fit", "--s", "2", "--data",
+                                _write(tmp_path / "one_row.csv", b"1,2\n")],
+        "csv-too-short-for-aic": ["fit", "--s", "2", "--data", _write(
+            tmp_path / "short.csv", b"0.1\n0.3\n0.5\n-0.2\n0.7\n0.2\n")],
         "model-not-utf8": ["simulate", "--n", "5", "--model",
                            _write(tmp_path / "not_utf8.txt", b"\xff\xfes = 2\n")],
         "model-nan-phi": ["simulate", "--n", "5", "--model", _write(
@@ -460,6 +466,76 @@ def test_model_file_either_simulates_or_is_a_data_error(lines):
     if code:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith(f"error: {path}")
+
+
+# CSV text: seeded normal draws in float()'s shortest spelling, with lines
+# spliced in or in place of them.  A spliced line mixes cells float()
+# reads (in other spellings too), non-finite and non-numeric cells, and
+# may be blank, a header or of another width.
+_CSV_CELL = st.one_of(
+    st.floats(-10, 10).map(repr),
+    st.sampled_from([" 1.5", "2 ", "\t-3", "1_0", "-0", ".5", "5.", "1E+1",
+                     "٣", "1e300", "5e-324"]),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e400", "x", "", "0x10",
+                     "1__0", "y1"]),
+)
+_CSV_LINE = st.one_of(
+    st.lists(_CSV_CELL, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "  ", "y1,y2", "a"]),
+    st.text(alphabet="0123456789.,-+eE_ ", max_size=12),
+)
+
+
+def _csv_lines(seed, n_rows, d, inserts):
+    """Seeded normal rows with each (position, line) inserted."""
+    rows = np.random.default_rng(seed).standard_normal((n_rows, d))
+    lines = [",".join(map(repr, row)) for row in rows.tolist()]
+    for at, line in inserts:
+        lines.insert(at, line)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(_CSV_LINE, max_size=30),
+    st.builds(_csv_lines, st.integers(0, 2**16), st.integers(1, 60),
+              st.integers(1, 3),
+              st.lists(st.tuples(st.integers(0, 60), _CSV_LINE), max_size=2))))
+def test_csv_either_fits_or_is_a_data_or_numeric_error(lines):
+    # a file read_csv rejects is a data error on one stderr line naming
+    # it; one it reads holds float() of each cell, the fit may then fail
+    # with one error line (after any trailing-rows warning)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                data = read_csv(path, 2).data
+            except ParseError:
+                data = None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fit", "--data", path, "--s", "2"])
+    err = err.getvalue()
+    assert code in (0, 3, 4), err
+    assert "Traceback" not in err
+    if data is None:
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+        return
+    body = [ln for ln in lines if ln.strip()]
+    try:
+        [float(cell) for cell in body[0].split(",")]
+    except ValueError:
+        body = body[1:]  # header line
+    ref = np.array([[float(cell) for cell in ln.split(",")] for ln in body])
+    ref = ref[:len(ref) - len(ref) % 2]
+    assert data.shape == ref.shape and data.tobytes() == ref.tobytes()
+    if code:
+        errors = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: ")
 
 
 def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from pvar.errors import NotCausal
 from pvar.linalg import cholesky_upper
 from pvar.model import (CAUSAL_TOL, PvarModel, build_lifted_var,
                         companion_spectral_radius)
-from pvar.noise import NoiseSpec, cycle_maps, gen_noise, simulate
+from pvar.noise import BLOCK, NoiseSpec, cycle_maps, gen_noise, simulate
 
 
 def test_noise_spec_validation():
@@ -151,13 +151,35 @@ def test_batched_simulate_equals_per_seed(d, orders, spec):
         one = simulate(model, 25, spec, seed=sd, burnin=15)
         assert np.array_equal(batch.data[i], one.data)
         assert np.array_equal(batch.presample[i], one.presample)
-        # the cycle recursion sums in another order than the step one
+        # the blocked scan sums in another order than the step one
         pre, data = _simulate_by_steps(model, 25, spec, sd, 15)
         scale = np.abs(data).max()
         assert np.abs(batch.data[i] - data).max() <= 1e-13 * scale
         assert np.abs(batch.presample[i] - pre).max(initial=0.0) <= 1e-13 * scale
     alone = simulate(model, 25, spec, seed=[seeds[0]], burnin=15)
     assert np.array_equal(alone.data, batch.data[:1])
+
+
+@pytest.mark.parametrize("orders", [[0], [0, 3], [2, 1, 1, 1]])
+@pytest.mark.parametrize("burnin, n_cycles", [
+    (0, 1), (5, BLOCK - 6), (0, BLOCK), (BLOCK, 1), (9, 2 * BLOCK - 8)])
+def test_simulate_across_block_boundaries(orders, burnin, n_cycles):
+    # burnin + n_cycles is 1, BLOCK - 1, BLOCK, BLOCK + 1 and 2 BLOCK + 1;
+    # max_p is 0, above s, and below s with every season reaching back to
+    # the previous cycle, so the state carried into a block matters
+    model = _random_causal_model(np.random.default_rng(7 + sum(orders)),
+                                 orders, 2)
+    spec = NoiseSpec("weak-product", m=2)
+    seeds = [4, 21]
+    batch = simulate(model, n_cycles, spec, seed=seeds, burnin=burnin)
+    for i, sd in enumerate(seeds):
+        one = simulate(model, n_cycles, spec, seed=sd, burnin=burnin)
+        assert np.array_equal(batch.data[i], one.data)
+        assert np.array_equal(batch.presample[i], one.presample)
+        pre, data = _simulate_by_steps(model, n_cycles, spec, sd, burnin)
+        scale = np.abs(data).max()
+        assert np.abs(one.data - data).max() <= 1e-13 * scale
+        assert np.abs(one.presample - pre).max(initial=0.0) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
