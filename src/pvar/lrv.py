@@ -236,8 +236,8 @@ def select_ar_order_aic(W, r_max, S=None):
     stack, (N, q) = W.shape[:-2], W.shape[-2:]
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    if not r_max < N / 2:  # default_r_max(N) too, for N <= 2
-        raise InsufficientData("r_max must be below N/2")
+    if not r_max < N / 2:
+        raise ValueError("r_max must be below N/2")
     n_eff = N - r_max
     yy, cross, gram = _lag_moments(
         W, r_max, autocovariances(W, r_max) if S is None else S)
@@ -279,6 +279,9 @@ def psi_spectral(W, r="aic", S=None):
         return np.zeros(W.shape[:-2] + (0, 0))
     flat = W.reshape((-1, N, q))
     if r == "aic":
+        if not default_r_max(N) < N / 2:  # N <= 2
+            raise InsufficientData(f"{N} score observations are too few "
+                                   "for the AIC order search")
         orders = np.reshape(select_ar_order_aic(W, default_r_max(N), S), -1)
     else:
         orders = np.full(flat.shape[0], int(r))

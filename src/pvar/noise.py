@@ -8,11 +8,13 @@ vector with the season's covariance factor.  The product noise is
 uncorrelated in time but not independent, which is the regime the
 robust covariance estimators are designed for.
 
-simulate carries the recursion's state x_c, the max_p values that end
-cycle c, BLOCK cycles per step: one product with M, the recursion of a
-block run on the identity, maps the state before a block and its
-cycles' u_c = B e_c (cycle_maps) to the values each cycle adds to the
-state, its last min(max_p, s) d.  The others are u_c + A x_{c-1}.
+simulate runs the recursion on its state x_c, the max_p values that
+end cycle c.  With (A, B) = cycle_maps(model) and u_c = B e_c, a cycle
+renews the last n = min(max_p, s) d values of the state, and over a
+block of K = block_cycles(model) cycles these are P x + T g: x is the
+state before the block and g stacks the last n entries of its u_c.
+One product per seed takes T g of every block, the loop carries x
+through P once per block, and a cycle's first values are u_c + A x_{c-1}.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,8 @@ from .model import PeriodicSeries, require_causal
 
 DEFAULT_BURNIN = 500
 
-BLOCK = 40  # cycles per step of simulate's state scan
+BLOCK = 40  # most cycles per block of simulate's recursion
+BLOCK_VALUES = 80  # most renewed state values per block, bounding P and T
 
 NOISE_KINDS = ("strong", "weak-product")
 
@@ -48,19 +51,21 @@ class NoiseSpec:
             raise ValueError("product window exponent m must be at least 1")
 
 
-def gen_noise(sigmas, n_cycles, spec, rng, factors=None):
+def gen_noise(sigmas, n_cycles, spec, rng):
     """Draw n_cycles full cycles of innovations.
 
-    sigmas is the per-season list of d x d covariances, factors (if
-    given) their cholesky_upper factors.  Returns an array of shape
-    (n_cycles * s, d) whose row t-1 is eps[t].
+    sigmas is the per-season list of d x d covariances.  Returns an
+    array of shape (n_cycles * s, d) whose row t-1 is eps[t].
     """
-    s = len(sigmas)
-    if s == 0:
+    if len(sigmas) == 0:
         raise DimensionMismatch("need at least one season covariance")
-    d = np.asarray(sigmas[0]).shape[0]
-    if factors is None:
-        factors = [cholesky_upper(sig) for sig in sigmas]
+    return _colored_noise([cholesky_upper(sig) for sig in sigmas], n_cycles,
+                          spec, rng)
+
+
+def _colored_noise(factors, n_cycles, spec, rng):
+    """gen_noise given the seasons' cholesky_upper factors."""
+    s, d = len(factors), factors[0].shape[0]
     total = n_cycles * s
     if spec.kind == "strong":
         raw = rng.standard_normal((total, d))
@@ -91,6 +96,17 @@ def cycle_maps(model):
     return np.split(z[max_p:].reshape(s * d, -1), [max_p * d], axis=1)
 
 
+def block_cycles(model):
+    """simulate's cycles per block: BLOCK, fewer for a large state.
+
+    K n <= BLOCK_VALUES unless K = 1, where T = I goes unused, so T is at
+    most BLOCK_VALUES square, and the loop's P x costs max_p d n per cycle,
+    at most what one cycle's A x costs.
+    """
+    n = min(model.max_p, model.s) * model.d
+    return max(1, min(BLOCK, BLOCK_VALUES // max(n, 1)))
+
+
 def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     """Simulate a causal PVAR from zero initial values.
 
@@ -100,8 +116,8 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     a sequence returns one stack of series whose data and presample
     have a leading seed axis, each slice bitwise equal to that seed
     simulated alone with noise from default_rng(seed).  The recursion
-    steps once per BLOCK cycles (see the module docstring), so it
-    rounds differently from a step-by-step one.
+    steps once per block_cycles(model) cycles (see the module
+    docstring), so it rounds differently from a step-by-step one.
     """
     require_causal(model)
     if spec is None:
@@ -111,15 +127,16 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     R, s, d, max_p = len(seeds), model.s, model.d, model.max_p
     cycles = burnin + n_cycles
     A, B = cycle_maps(model)
-    m, n, q = max_p * d, min(max_p, s) * d, s * d
-    # z maps the state before a block and the last n entries of its
-    # u_c to the state after its cycle j, and M stacks their last n rows
-    z = np.eye(m, m + BLOCK * n)
-    M = np.empty((BLOCK * n, m + BLOCK * n))
-    for j in range(BLOCK):
+    m, n, q, K = max_p * d, min(max_p, s) * d, s * d, block_cycles(model)
+    # z maps (x, g) of a block to the state after its cycle j, and
+    # [P | T] stacks the last n rows of each
+    z = np.eye(m, m + K * n)
+    M = np.empty((K * n, m + K * n))
+    for j in range(K):
         z = np.vstack([z, A @ z])[q:]
         z[m - n:, m + j * n:m + j * n + n] += np.eye(n)
         M[j * n:j * n + n] = z[m - n:]
+    P, T = np.split(M, [m], axis=1)
     factors = [cholesky_upper(sig) for sig in model.sigma]
     # y[r, max_p + t - 1] is Y[t] of seed r, cyc[r, c] the values of its
     # cycle c and x[r, c] the state before that cycle
@@ -128,16 +145,19 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     cyc = flat[:, m:].reshape(R, cycles, q)
     x = np.lib.stride_tricks.sliding_window_view(flat, m, axis=1)[:, ::q]
     for r, sd in enumerate(seeds):
-        eps = gen_noise(model.sigma, cycles, spec, np.random.default_rng(sd),
-                        factors)
+        eps = _colored_noise(factors, cycles, spec, np.random.default_rng(sd))
         np.matmul(eps.reshape(cycles, q), B.T, out=cyc[r])
     # every product is per seed, whatever R: a batch rounds as one seed
-    for c in range(0, cycles, BLOCK):
-        k = min(BLOCK, cycles - c)
-        xg = np.concatenate([x[:, c], cyc[:, c:c + k, q - n:].reshape(R, k * n)],
-                            axis=1)
-        cyc[:, c:c + k, q - n:] = (xg[:, None] @ M[:k * n, :m + k * n].T
-                                   ).reshape(R, k, n)
+    g, full = cyc[:, :, q - n:], cycles - cycles % K
+    if K > 1:  # T g of every block, the last one maybe short; T = I at K = 1
+        g[:, :full] = (g[:, :full].reshape(R, full // K, K * n) @ T.T
+                       ).reshape(R, full, n)
+        k = cycles - full
+        g[:, full:] = (g[:, full:].reshape(R, 1, k * n) @ T[:k * n, :k * n].T
+                       ).reshape(R, k, n)
+    for c in range(0, cycles, K):
+        k = min(K, cycles - c)
+        g[:, c:c + k] += (x[:, c, None] @ P[:k * n].T).reshape(R, k, n)
     for r in range(R):  # a cycle's first q - n values
         cyc[r, :, :q - n] += x[r, :cycles] @ A[:q - n].T
     start = max_p + burnin * s

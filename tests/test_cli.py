@@ -321,7 +321,8 @@ def _write(path, content):
     ("huge-cell", 4, "error: overflow encountered"),
     ("csv-not-utf8", 3, "not_utf8.csv: 'utf-8' codec can't decode byte 0xff"),
     ("csv-under-one-cycle", 3, "one_row.csv: fewer rows than one cycle of 2"),
-    ("csv-too-short-for-aic", 3, "error: r_max must be below N/2"),
+    ("csv-too-short-for-aic", 3,
+     "error: 2 score observations are too few for the AIC order search"),
     ("model-not-utf8", 3, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
     ("model-nan-phi", 3, "nan_model.txt: season 1 phi1: non-finite matrix entry"),
     ("model-inf-sigma", 3, "inf_model.txt: season 2 sigma: non-finite matrix entry"),

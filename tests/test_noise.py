@@ -6,7 +6,8 @@ from pvar.errors import NotCausal
 from pvar.linalg import cholesky_upper
 from pvar.model import (CAUSAL_TOL, PvarModel, build_lifted_var,
                         companion_spectral_radius)
-from pvar.noise import BLOCK, NoiseSpec, cycle_maps, gen_noise, simulate
+from pvar.noise import (BLOCK, NoiseSpec, block_cycles, cycle_maps, gen_noise,
+                        simulate)
 
 
 def test_noise_spec_validation():
@@ -160,15 +161,25 @@ def test_batched_simulate_equals_per_seed(d, orders, spec):
     assert np.array_equal(alone.data, batch.data[:1])
 
 
-@pytest.mark.parametrize("orders", [[0], [0, 3], [2, 1, 1, 1]])
-@pytest.mark.parametrize("burnin, n_cycles", [
-    (0, 1), (5, BLOCK - 6), (0, BLOCK), (BLOCK, 1), (9, 2 * BLOCK - 8)])
-def test_simulate_across_block_boundaries(orders, burnin, n_cycles):
-    # burnin + n_cycles is 1, BLOCK - 1, BLOCK, BLOCK + 1 and 2 BLOCK + 1;
-    # max_p is 0, above s, and below s with every season reaching back to
-    # the previous cycle, so the state carried into a block matters
+def _block_boundary_cases():
+    # orders, d and the block length K they take; max_p is 0, above s, and
+    # below s with every season reaching back to the previous cycle, so
+    # the state carried into a block matters; a larger state takes
+    # shorter blocks, down to one cycle
+    for orders, d, K in [([0], 2, BLOCK), ([0, 3], 2, 20), ([2, 1, 1, 1], 2, 20),
+                         ([2, 1, 1, 1], 5, 8), ([6] * 6, 5, 2), ([6] * 6, 7, 1)]:
+        # burnin + n_cycles is 1, K - 1 (none at K = 1), K, K + 1 and 2 K + 1
+        for burnin, total in [(0, 1), ((K - 1) // 2, K - 1), (0, K),
+                              (K, K + 1), (K // 2, 2 * K + 1)]:
+            if total > burnin:
+                yield orders, d, K, burnin, total - burnin
+
+
+@pytest.mark.parametrize("orders, d, K, burnin, n_cycles", _block_boundary_cases())
+def test_simulate_across_block_boundaries(orders, d, K, burnin, n_cycles):
     model = _random_causal_model(np.random.default_rng(7 + sum(orders)),
-                                 orders, 2)
+                                 orders, d)
+    assert block_cycles(model) == K
     spec = NoiseSpec("weak-product", m=2)
     seeds = [4, 21]
     batch = simulate(model, n_cycles, spec, seed=seeds, burnin=burnin)
