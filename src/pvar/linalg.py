@@ -50,17 +50,17 @@ def solve_guarded(a, b, err=SingularDesign, what="matrix"):
 def cholesky_upper(sigma):
     """Upper-triangular factor M with M.T @ M == sigma.
 
-    Raises NotPositiveDefinite when sigma is not symmetric positive
-    definite.
+    For a stack of matrices, one factor per matrix.  Raises
+    NotPositiveDefinite when a matrix is not symmetric positive definite.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    if sigma.ndim < 2 or sigma.shape[-2] != sigma.shape[-1]:
         raise ValueError("covariance must be square")
     # np.allclose's test written out, a quarter of its cost on a 2 x 2 matrix
-    if not (np.abs(sigma - sigma.T) <= 1e-12 + 1e-10 * np.abs(sigma.T)).all():
+    if not (np.abs(sigma - mT(sigma)) <= 1e-12 + 1e-10 * np.abs(mT(sigma))).all():
         raise NotPositiveDefinite("covariance is not symmetric")
     try:
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("covariance is not positive definite") from None
-    return lower.T
+    return mT(lower)

@@ -57,15 +57,11 @@ def gen_noise(sigmas, n_cycles, spec, rng):
     sigmas is the per-season list of d x d covariances.  Returns an
     array of shape (n_cycles * s, d) whose row t-1 is eps[t].
     """
-    if len(sigmas) == 0:
+    s = len(sigmas)
+    if s == 0:
         raise DimensionMismatch("need at least one season covariance")
-    return _colored_noise([cholesky_upper(sig) for sig in sigmas], n_cycles,
-                          spec, rng)
-
-
-def _colored_noise(factors, n_cycles, spec, rng):
-    """gen_noise given the seasons' cholesky_upper factors."""
-    s, d = len(factors), factors[0].shape[0]
+    d = np.asarray(sigmas[0]).shape[0]
+    factors = cholesky_upper(np.stack(sigmas))  # one call for every season
     total = n_cycles * s
     if spec.kind == "strong":
         raw = rng.standard_normal((total, d))
@@ -137,7 +133,6 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
         z[m - n:, m + j * n:m + j * n + n] += np.eye(n)
         M[j * n:j * n + n] = z[m - n:]
     P, T = np.split(M, [m], axis=1)
-    factors = [cholesky_upper(sig) for sig in model.sigma]
     # y[r, max_p + t - 1] is Y[t] of seed r, cyc[r, c] the values of its
     # cycle c and x[r, c] the state before that cycle
     y = np.zeros((R, max_p + cycles * s, d))
@@ -145,7 +140,7 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     cyc = flat[:, m:].reshape(R, cycles, q)
     x = np.lib.stride_tricks.sliding_window_view(flat, m, axis=1)[:, ::q]
     for r, sd in enumerate(seeds):
-        eps = _colored_noise(factors, cycles, spec, np.random.default_rng(sd))
+        eps = gen_noise(model.sigma, cycles, spec, np.random.default_rng(sd))
         np.matmul(eps.reshape(cycles, q), B.T, out=cyc[r])
     # every product is per seed, whatever R: a batch rounds as one seed
     g, full = cyc[:, :, q - n:], cycles - cycles % K

@@ -47,6 +47,10 @@ def test_cholesky_upper_factorizes():
     m = cholesky_upper(sigma)
     assert np.allclose(np.triu(m), m)
     assert np.allclose(m.T @ m, sigma)
+    # a stack gives each matrix's own factor, bit for bit
+    stack = np.stack([sigma, 2 * sigma + np.eye(4), np.eye(4)])
+    for one, sig in zip(cholesky_upper(stack), stack):
+        assert np.array_equal(one, cholesky_upper(sig))
 
 
 def test_cholesky_upper_rejects_indefinite():
@@ -54,6 +58,10 @@ def test_cholesky_upper_rejects_indefinite():
         cholesky_upper(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(NotPositiveDefinite):
         cholesky_upper(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(NotPositiveDefinite):  # one bad matrix in a stack
+        cholesky_upper(np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]))
+    with pytest.raises(ValueError):
+        cholesky_upper(np.ones(3))
 
 
 def test_solve_guarded_flags_singular():
