@@ -25,10 +25,18 @@ def vec(a):
     return mT(a).reshape(a.shape[:-2] + (-1,))
 
 
-def require_conditioned(a, err=SingularDesign, what="matrix"):
+def require_conditioned(a, err=SingularDesign, what="matrix", inv_factor=None):
     """Raise ``err`` unless min |eig| > max |eig| / COND_LIMIT for each
-    symmetric matrix of a stack; a zero or non-finite matrix raises."""
+    symmetric matrix of a stack; a zero or non-finite matrix raises.  Given
+    inv_factor = L^-1 for Cholesky factors L L' = a, the stack passes with
+    no eigenvalues if every trace(a) ||L^-1||_F^2, a bound on cond_2(a), is
+    at most COND_LIMIT / 2."""
     if np.isfinite(a).all():
+        if inv_factor is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf declines
+                bound = np.trace(a, axis1=-2, axis2=-1) * (inv_factor ** 2).sum((-2, -1))
+            if (bound <= COND_LIMIT / 2).all():
+                return
         lam = np.abs(np.linalg.eigvalsh(a))
         if (lam.min(axis=-1) > lam.max(axis=-1) / COND_LIMIT).all():
             return

@@ -27,6 +27,10 @@ from .errors import (DimensionMismatch, InsufficientData, LagOutOfRange,
                      NearSingularUnit, SingularDesign)
 from .linalg import mT, require_conditioned, solve_guarded
 
+#: Largest q * r_max whose AIC lag Gram is guarded by its Cholesky bound;
+#: past it, solving for L^-1 took longer than the eigenvalues it saves.
+CERTIFY_MAX_COLUMNS = 144
+
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
 #: Effective support of the quadratic-spectral window; its weights past
@@ -51,7 +55,8 @@ class KernelSpec:
 
     @property
     def truncation(self):
-        return int(math.floor(self.support / self.bandwidth))
+        # support / bandwidth overflows to inf for a subnormal bandwidth
+        return int(math.floor(min(self.support / self.bandwidth, np.finfo(float).max)))
 
 
 def kernel_weight(spec, x):
@@ -220,7 +225,8 @@ def select_ar_order_aic(W, r_max, S=None):
     residual cross-product is Y'Y - sum_{k<r} C_k'C_k, where C_k is the
     k-th q-row block of C.  Every order's Gram is a leading principal
     submatrix of G and so no worse conditioned, hence one guard on G
-    raises exactly when some order's regression would be singular.
+    raises exactly when some order's regression would be singular.  Up
+    to q*r_max = CERTIFY_MAX_COLUMNS it tries the Cholesky bound first.
     Orders whose residual covariance is not positive definite are
     skipped; ties go to the lowest order.
 
@@ -244,13 +250,18 @@ def select_ar_order_aic(W, r_max, S=None):
     resid = np.empty(stack + (r_max + 1, q, q))
     resid[..., 0, :, :] = yy
     if r_max and q:
-        require_conditioned(gram, SingularDesign, "score lag regression")
+        certify = q * r_max <= CERTIFY_MAX_COLUMNS and np.isfinite(gram).all()
+        if not certify:
+            require_conditioned(gram, SingularDesign, "score lag regression")
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            raise SingularDesign(
-                "score lag regression is numerically singular") from None
-        C = np.linalg.solve(L, mT(cross)).reshape(stack + (r_max, q, q))
+            raise SingularDesign("score lag regression is numerically singular") from None
+        eye = [np.broadcast_to(np.eye(q * r_max), gram.shape)] if certify else []
+        C = np.linalg.solve(L, np.concatenate([mT(cross)] + eye, axis=-1))
+        if certify:  # C's last q * r_max columns are L^-1
+            require_conditioned(gram, what="score lag regression", inv_factor=C[..., q:])
+        C = C[..., :q].reshape(stack + (r_max, q, q))
         resid[..., 1:, :, :] = (resid[..., :1, :, :]
                                 - np.cumsum(mT(C) @ C, axis=-3))
     sign, logdet = np.linalg.slogdet(resid / n_eff)
@@ -270,8 +281,8 @@ def psi_spectral(W, r="aic", S=None):
     Psi = P^-1 Sigma P^-T where P = I - sum_k A_k.  r may be a fixed
     order or "aic".  Scores with no columns (a season of order 0) give
     the 0x0 Psi.  For a stack of score series AIC picks an order per
-    series, and the series that share an order are fitted together.
-    S is passed on to select_ar_order_aic.
+    series, and those that share an order > 0 are fitted together (order
+    0 is S_0 / N).  S is passed on to select_ar_order_aic.
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape[-2:]
@@ -285,9 +296,10 @@ def psi_spectral(W, r="aic", S=None):
         orders = np.reshape(select_ar_order_aic(W, default_r_max(N), S), -1)
     else:
         orders = np.full(flat.shape[0], int(r))
-    psi = np.empty((flat.shape[0], q, q))
+    psi = ((autocovariances(W, 0) if S is None else S)[..., 0, :, :]
+           .reshape((-1, q, q)) / N)  # what an order-0 fit gives, bit for bit
     # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
-    for order in sorted(set(orders.tolist())):
+    for order in sorted(set(orders.tolist()) - {0}):
         at = orders == order
         psi[at] = _psi_of_order(flat if at.all() else flat[at], order)
     return psi.reshape(W.shape[:-2] + (q, q))
@@ -297,7 +309,7 @@ def _psi_of_order(W, r):
     """psi_spectral of a stack of score series at one fixed order r."""
     N, q = W.shape[-2:]
     if N - r < q * r + 1:
-        raise SingularDesign("too few score observations for the requested order")
+        raise InsufficientData("too few score observations for the requested order")
     coef, cov = _var_fit(W, r, r)
     P = np.eye(q)
     for k in range(r):

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -323,6 +323,8 @@ def _write(path, content):
     ("csv-under-one-cycle", 3, "one_row.csv: fewer rows than one cycle of 2"),
     ("csv-too-short-for-aic", 3,
      "error: 2 score observations are too few for the AIC order search"),
+    ("csv-too-short-for-ar-order", 3,
+     "error: too few score observations for the requested order"),
     ("model-not-utf8", 3, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
     ("model-nan-phi", 3, "nan_model.txt: season 1 phi1: non-finite matrix entry"),
     ("model-inf-sigma", 3, "inf_model.txt: season 2 sigma: non-finite matrix entry"),
@@ -358,6 +360,9 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
                                 _write(tmp_path / "one_row.csv", b"1,2\n")],
         "csv-too-short-for-aic": ["fit", "--s", "2", "--data", _write(
             tmp_path / "short.csv", b"0.1\n0.3\n0.5\n-0.2\n0.7\n0.2\n")],
+        "csv-too-short-for-ar-order": ["fit", "--s", "2", "--ar-order", "1",
+                                       "--data", _write(tmp_path / "short.csv",
+                                                        b"0.1\n0.3\n0.5\n-0.2\n0.7\n0.2\n")],
         "model-not-utf8": ["simulate", "--n", "5", "--model",
                            _write(tmp_path / "not_utf8.txt", b"\xff\xfes = 2\n")],
         "model-nan-phi": ["simulate", "--n", "5", "--model", _write(
@@ -537,6 +542,75 @@ def test_csv_either_fits_or_is_a_data_or_numeric_error(lines):
     if code:
         errors = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
         assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
+# Command-line arguments of fit and wald: every flag of the two commands
+# with values of its kind, perturbed values, a required flag dropped, a
+# flag without its value, and unknown flags.  "<data>", "<out>" and the
+# like stand for paths made in each example's directory.
+_FLAG_VALUES = {  # flag: (values of its kind, perturbed values)
+    "--data": (["<data>"], ["<missing>", "<dir>", ""]),
+    "--s": (["1", "2", "3", "5", "7", "121"], ["0", "-1", "2.5", "x", ""]),
+    "--order": (["1", "0", "2", "1,0", "0,2", "1,2,1", "9", "60"],
+                ["-1", "1,", "x", ""]),
+    "--cov": (["strong", "sp", "hac", "strong,sp,hac", "hac,sp", " sp , hac"],
+              ["hac,hac", ",", "", "white"]),
+    "--kernel": (["bartlett", "rect", "parzen", "qs"], ["gauss", ""]),
+    "--bandwidth": (["andrews", "log", "nw-2/9", "nw-1/4", "llsw", "full", "0.1",
+                     "3", "1e-300", "5e-324", "1e300"],
+                    ["0", "-0.5", "nan", "inf", "x", ""]),
+    "--ar-order": (["aic", "0", "1", "3", "40"], ["-1", "2.5", "AIC", ""]),
+    "--format": (["table", "csv", "json"], ["xml"]),
+    "--out": (["-", "<out>"], ["<missing-dir>", "<dir>"]),
+    "--restrict": (["phi[1](1,1)=0", "phi[2](2,1)=0.5", "phi[1,2](1,1)=0",
+                    "phi[1](2,2)=-1e300"],
+                   ["phi[3](1,1)=0", "phi[1](3,1)=0", "phi[0](1,1)=0",
+                    "phi[1](1,1)=1e999", "phi(1,1)=0", ""]),
+}
+_KIND = st.sampled_from([(flag, value) for flag, (values, _) in _FLAG_VALUES.items()
+                         for value in values])
+_PERTURBED = st.sampled_from(
+    [(flag, value) for flag, (_, values) in _FLAG_VALUES.items() for value in values]
+    + [("--demean",), ("--no-demean",), ("--bogus",), ("--s",), ("--restrict",),
+       ("extra",)])
+_ARGUMENT = st.one_of(_KIND, _KIND, _KIND, _PERTURBED)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["fit", "wald"]), st.lists(_ARGUMENT, max_size=5),
+       st.sampled_from([None] * 6 + ["--data", "--s", "--restrict"]))
+@example("fit", [("--bandwidth", "5e-324")], None)  # its lag overflowed
+def test_arguments_either_run_or_exit_with_a_documented_code(command, arguments,
+                                                             dropped):
+    # any argument vector runs (exit 0, with output) or exits 2, 3 or 4
+    # with one error line after any trailing-rows warning, and no traceback
+    base = [("--data", "<data>"), ("--s", "2")]
+    if command == "wald":
+        base.append(("--restrict", "phi[1](1,1)=0"))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"<data>": os.path.join(tmp, "data.csv"),
+                 "<missing>": os.path.join(tmp, "missing.csv"),
+                 "<dir>": tmp, "<out>": os.path.join(tmp, "out.txt"),
+                 "<missing-dir>": os.path.join(tmp, "missing", "out.txt")}
+        write_csv(paths["<data>"], np.random.default_rng(5).standard_normal((120, 2)))
+        argv = [command] + [paths.get(word, word) for arg in base + arguments
+                            if arg[0] != dropped for word in arg]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = (os.path.isfile(paths["<out>"])
+                   and os.path.getsize(paths["<out>"]) > 0)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err, argv
+    errors = [ln for ln in err.splitlines()
+              if not ln.startswith("warning: dropping")]
+    if code:
+        assert len(errors) == 1 and "error: " in errors[0], (argv, err)
+        assert out.getvalue() == "" and not written, argv
+    else:
+        assert errors == [], (argv, err)
+        assert out.getvalue() or written, argv
 
 
 def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pvar.errors import NotPositiveDefinite, SingularDesign, SingularRestriction
-from pvar.linalg import COND_LIMIT, cholesky_upper, solve_guarded, vec
+from pvar.linalg import (COND_LIMIT, cholesky_upper, require_conditioned,
+                         solve_guarded, vec)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -112,3 +113,62 @@ def test_solve_guarded_decides_as_the_condition_number(n):
         else:
             assert factor < 1
             assert np.array_equal(solve_guarded(a, b), np.linalg.solve(a, b))
+
+
+def _guard_raises(a, inv_factor=None):
+    try:
+        require_conditioned(a, inv_factor=inv_factor)
+    except SingularDesign:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [2, 5, 18, 36, 90, 270])
+def test_cholesky_bound_decides_as_the_eigenvalues(n, monkeypatch):
+    # trace(a) ||L^-1||_F^2 >= cond(a): a bound at most COND_LIMIT / 2
+    # passes with no eigenvalues, a larger one leaves the decision to them
+    rng = np.random.default_rng(n)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or eigvalsh(a))
+    matrices = [spd_with_condition(rng, n, factor * COND_LIMIT)
+                for factor in (1e-9, 1e-6, 0.5, 0.99, 1.01, 2.0, 1e3)]
+    if n == 36:
+        # eigenvalues 1 and 1e-10, half each: condition 1e10, far inside
+        # the limit, yet the bound, about 18 * 18e10, declines
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.repeat([1.0, 1e-10], n // 2)) @ q.T
+        matrices.append((a + a.T) / 2)
+    by_eigenvalues = []
+    for a in matrices:
+        want = _guard_raises(a)
+        try:
+            lower = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:  # the search raises before its guard
+            assert want
+            continue
+        inv = np.linalg.solve(lower, np.eye(n))
+        bound = np.trace(a) * (inv ** 2).sum()
+        # both sides are known only to ~eps * cond relative: ~1e-4 near
+        # COND_LIMIT, nothing at 1e3 times it
+        if np.linalg.cond(a) < 10 * COND_LIMIT:
+            assert bound >= np.linalg.cond(a) * (1 - 1e-3)
+        calls.clear()
+        assert _guard_raises(a, inv) == want
+        assert calls == ([] if bound <= COND_LIMIT / 2 else [(n, n)])
+        by_eigenvalues.append(bool(calls))
+    assert by_eigenvalues[:2] == [False, False]
+    if n == 36:
+        assert by_eigenvalues[-1] and not want
+    # a stack is decided as a whole, as its matrices one by one
+    stack = np.stack(matrices[:4])
+    inv = np.linalg.solve(np.linalg.cholesky(stack), np.eye(n))
+    assert _guard_raises(stack, inv) == any(map(_guard_raises, matrices[:4]))
+    assert _guard_raises(np.stack([stack[0], stack[0]]),
+                         np.stack([inv[0], inv[0]])) is False
+
+
+@pytest.mark.parametrize("a", [np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf])])
+def test_cholesky_bound_never_passes_a_nonfinite_matrix(a):
+    assert _guard_raises(a, np.eye(3) * 1e-3)

@@ -8,7 +8,7 @@ from pvar.lrv import (KernelSpec, autocovariances, covariances,
                       default_bandwidth, default_r_max, kernel_weight, lambda_hat, omega_hat,
                       omega_inverse, psi_hac, psi_spectral, score_series,
                       select_ar_order_aic, theta_sandwich, theta_strong)
-from pvar.linalg import mT, solve_guarded
+from pvar.linalg import mT, require_conditioned, solve_guarded
 from pvar.mc import preset
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
@@ -122,6 +122,8 @@ def test_psi_hac_truncation_zero_gives_lambda0():
 def test_psi_spectral_order_zero_gives_lambda0():
     _, W, _ = fitted_scores(200)
     assert np.array_equal(psi_spectral(W, 0), lambda_hat(W, 0))
+    assert np.array_equal(psi_spectral(W, 0, autocovariances(W, 4)),
+                          lambda_hat(W, 0))
 
 
 @pytest.mark.parametrize("r", ["aic", 0, 2])
@@ -335,6 +337,124 @@ def test_aic_duplicated_score_column_is_singular():
                            match="score lag regression is numerically singular"):
             search(W, 3)
     assert select_ar_order_aic(W, 0) == 0
+
+
+def parent_select_ar_order_aic(W, r_max, S):
+    """select_ar_order_aic as it was before the Cholesky bound: the
+    eigenvalue guard first, then C = solve(L, X'Y) alone."""
+    stack, (N, q) = W.shape[:-2], W.shape[-2:]
+    yy, cross, gram = pvar.lrv._lag_moments(W, r_max, S)
+    resid = np.empty(stack + (r_max + 1, q, q))
+    resid[..., 0, :, :] = yy
+    if r_max and q:
+        require_conditioned(gram, SingularDesign, "score lag regression")
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise SingularDesign(
+                "score lag regression is numerically singular") from None
+        C = np.linalg.solve(L, mT(cross)).reshape(stack + (r_max, q, q))
+        resid[..., 1:, :, :] = (resid[..., :1, :, :]
+                                - np.cumsum(mT(C) @ C, axis=-3))
+    sign, logdet = np.linalg.slogdet(resid / (N - r_max))
+    aic = logdet + 2.0 * np.arange(r_max + 1) * q * q / (N - r_max)
+    best = np.argmin(np.where(sign > 0, aic, np.inf), axis=-1)
+    return int(best) if best.ndim == 0 else best
+
+
+def parent_psi_spectral(W, r="aic", S=None):
+    """psi_spectral as it was before order 0 took S_0 / N: every order
+    group, order 0 included, refitted by _psi_of_order."""
+    N, q = W.shape[-2:]
+    if q == 0:
+        return np.zeros(W.shape[:-2] + (0, 0))
+    flat = W.reshape((-1, N, q))
+    if r == "aic":
+        r_max = default_r_max(N)
+        orders = np.reshape(parent_select_ar_order_aic(
+            W, r_max, autocovariances(W, r_max) if S is None else S), -1)
+    else:
+        orders = np.full(flat.shape[0], int(r))
+    psi = np.empty((flat.shape[0], q, q))
+    for order in sorted(set(orders.tolist())):
+        at = orders == order
+        psi[at] = pvar.lrv._psi_of_order(flat if at.all() else flat[at], order)
+    return psi.reshape(W.shape[:-2] + (q, q))
+
+
+@pytest.mark.parametrize("name,seeds,ar_order", [
+    ("model-II", range(10), "aic"), ("model-II", range(10), 0),
+    ("wide", [41, 42, 43], "aic"), ("wide", [41, 42, 43], 1)])
+def test_covariances_equal_the_eigenvalue_guarded_refit_bit_for_bit(
+        monkeypatch, name, seeds, ar_order):
+    # a model-II chunk (q * r_max = 36, the Cholesky-bound guard) and a
+    # wide one (270, the eigenvalue guard); both hold order-0 and higher
+    # order groups
+    if name == "wide":
+        model, n, order, noise = wide_model(), 4000, 2, NoiseSpec("weak-product", m=2)
+    else:
+        sc = preset(name)
+        model, n, order, noise = sc.model, sc.n_cycles, 1, sc.noise
+    fit = fit_ols(simulate(model, n, noise, seed=list(seeds)), order, demean=False)
+    methods, hac = ["strong", "sp", "hac"], KernelSpec("bartlett", 0.1)
+    got = covariances(fit, methods, hac, ar_order)
+    if ar_order == "aic":
+        orders = np.concatenate([select_ar_order_aic(
+            score_series(X, E), default_r_max(n)) for X, E in zip(fit.X, fit.residuals)])
+        assert 0 in orders and orders.max() >= 1
+    monkeypatch.setattr(pvar.lrv, "psi_spectral", parent_psi_spectral)
+    want = covariances(fit, methods, hac, ar_order)
+    for v in want:
+        for m in methods:
+            assert got[v][m].tobytes() == want[v][m].tobytes()
+
+
+def _outcome(search, W, r_max):
+    """The order a search picks, or the class and message it raises, with
+    numpy's floating-point errors ignored and raised (as in the CLI)."""
+    out = []
+    for err in ("ignore", "raise"):
+        try:
+            with np.errstate(over=err, invalid=err, divide=err):
+                out.append(np.asarray(
+                    search(W, r_max, autocovariances(W, r_max))).tolist())
+        except (SingularDesign, FloatingPointError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("q,r_max", [(4, 9), (18, 15)])
+def test_aic_guard_raises_as_the_eigenvalue_guard(q, r_max):
+    # q * r_max = 36 takes the Cholesky-bound guard, 270 the eigenvalue
+    # guard; each raises exactly where the eigenvalue guard first did
+    assert (q * r_max <= pvar.lrv.CERTIFY_MAX_COLUMNS) == (q == 4)
+    rng = np.random.default_rng(q)
+    base = rng.standard_normal((1000, q))
+    cases = [np.zeros((1000, q)), np.hstack([base[:, 1:], base[:, :1]])]
+    for bad in (np.nan, np.inf):
+        W = base.copy()
+        W[500, 1] = bad
+        cases.append(W)
+    cases.append(np.hstack([base[:, :-1], base[:, :1]]))  # duplicated column
+    for eps in (1e-9, 1e-7, 1e-6, 1e-5, 1e-3):  # nearly collinear columns
+        cases.append(np.hstack([base[:, :-1],
+                                base[:, :1] + eps * base[:, -1:]]))
+    # scales where L^-1 squared overflows, of all columns and of one
+    for scale in (1e-150, 1e-155, 1e-160):
+        cases += [base * scale, np.hstack([base[:, :-1], base[:, -1:] * scale])]
+    outcomes = []
+    for W in cases:
+        want = _outcome(parent_select_ar_order_aic, W, r_max)
+        assert _outcome(select_ar_order_aic, W, r_max) == want
+        # the same series inside a stack of good ones
+        stack = np.stack([base, W, base[::-1]])
+        assert (_outcome(select_ar_order_aic, stack, r_max)
+                == _outcome(parent_select_ar_order_aic, stack, r_max))
+        outcomes.append(want)
+    raised = [o[0] == (SingularDesign, "score lag regression is numerically singular")
+              for o in outcomes]
+    assert raised[:5] == [True, False, True, True, True]
+    assert True in raised[5:10] and False in raised[5:10]  # eps crosses the limit
 
 
 def test_strong_noise_lrv_matches_kronecker_form():
