@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import NotCausal, UnsupportedOrder
+from .errors import NumericError
 from .lrv import omega_inverse, theta_sandwich, theta_strong
 
 
@@ -62,7 +62,7 @@ class DiagExampleParams:
     def __post_init__(self):
         for f1, f2 in self.channels():
             if abs(f1 * f2) >= 1.0:
-                raise NotCausal("channel coefficient product must be below one")
+                raise NumericError("channel coefficient product must be below one")
 
     def channels(self):
         return ((self.phi1_s1, self.phi1_s2), (self.phi2_s1, self.phi2_s2))
@@ -122,7 +122,7 @@ def _own_psi_season2(f1, f2, s1, s2, m):
 def psi_closed(params):
     """Diagonal Psi(1), Psi(2) of the example; requires m >= 1."""
     if params.m < 1:
-        raise UnsupportedOrder("the closed forms are only valid for m >= 1")
+        raise ValueError("the closed forms are only valid for m >= 1")
     (f11, f12), (f21, f22) = params.channels()
     (s11, s12), (s21, s22) = params.variances()
     q1 = f11 * f11 * f12 * f12

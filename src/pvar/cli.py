@@ -7,8 +7,8 @@ Commands:
   mc         run a built-in Monte Carlo scenario
   analytic   closed-form covariance tables of the diagonal two-season example
 
-Exit codes: 0 success, 2 usage error, 3 data or file error, 4 numerical
-error.
+Exit codes: 0 success, 2 usage error, 3 data or file error (DataError,
+OSError), 4 numerical error (NumericError).
 """
 
 import argparse
@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from . import analytic as an
-from .errors import (EmptyInput, InsufficientData, ParseError, PvarError,
-                     RestrictionParseError)
+from .errors import DataError, PvarError
 from .estimate import fit_ols
 from .infer import Restriction, t_report, wald
 from .linalg import vec
@@ -45,18 +44,18 @@ def read_csv(path, s):
     """Load a CSV of d numeric columns into a PeriodicSeries.
 
     An optional single header line is skipped.  A cell that is not a
-    finite number is a ParseError naming its row and column.  A
+    finite number is a DataError naming its row and column.  A
     trailing incomplete cycle is dropped with a warning on stderr.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     start = 0
     body = [ln for ln in lines if ln.strip()]
     if not body:
-        raise EmptyInput(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     try:
         [float(cell) for cell in body[0].split(",")]
     except ValueError:
@@ -79,22 +78,22 @@ def read_csv(path, s):
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(f"{path}: row {lineno}, column {colno}: "
-                                     f"non-numeric value {cell.strip()!r}") from None
+                    raise DataError(f"{path}: row {lineno}, column {colno}: "
+                                    f"non-numeric value {cell.strip()!r}") from None
                 if not math.isfinite(value):
-                    raise ParseError(f"{path}: row {lineno}, column {colno}: "
-                                     f"non-finite value {cell.strip()!r}")
+                    raise DataError(f"{path}: row {lineno}, column {colno}: "
+                                    f"non-finite value {cell.strip()!r}")
                 row.append(value)
             rows.append(row)
         if not rows:
-            raise EmptyInput(f"{path}: no data rows")
+            raise DataError(f"{path}: no data rows")
         widths = {len(r) for r in rows}
         if len(widths) != 1:
-            raise ParseError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
+            raise DataError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
         data = np.array(rows, dtype=float)
     extra = data.shape[0] % s
     if data.shape[0] == extra:
-        raise EmptyInput(f"{path}: fewer rows than one cycle of {s}")
+        raise DataError(f"{path}: fewer rows than one cycle of {s}")
     if extra:
         print(f"warning: dropping {extra} trailing rows (incomplete cycle)",
               file=sys.stderr)
@@ -116,12 +115,12 @@ def _parse_matrix(text, what):
     try:
         rows = [[float(x) for x in row.split()] for row in text.split(";")]
     except ValueError:
-        raise ParseError(f"{what}: non-numeric matrix entry in {text!r}") from None
+        raise DataError(f"{what}: non-numeric matrix entry in {text!r}") from None
     if not all(math.isfinite(x) for row in rows for x in row):
-        raise ParseError(f"{what}: non-finite matrix entry in {text!r}")
+        raise DataError(f"{what}: non-finite matrix entry in {text!r}")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ParseError(f"{what}: ragged matrix literal {text!r}")
+        raise DataError(f"{what}: ragged matrix literal {text!r}")
     return np.array(rows, dtype=float)
 
 
@@ -137,7 +136,7 @@ def read_model(path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     header = {}
     seasons = {}
     current = None
@@ -149,61 +148,61 @@ def read_model(path):
         if msec:
             current = int(msec.group(1))
             if current in seasons:
-                raise ParseError(
+                raise DataError(
                     f"{path}: line {lineno}: repeated [season {current}] block")
             seasons[current] = {}
             continue
         if "=" not in line:
-            raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
+            raise DataError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
         block = header if current is None else seasons[current]
         if current is None and key not in ("s", "d"):
-            raise ParseError(f"{path}: line {lineno}: unknown header key '{key}'")
+            raise DataError(f"{path}: line {lineno}: unknown header key '{key}'")
         if key in block:
-            raise ParseError(f"{path}: line {lineno}: repeated key '{key}'")
+            raise DataError(f"{path}: line {lineno}: repeated key '{key}'")
         block[key] = value
     for key in ("s", "d"):
         if key not in header:
-            raise ParseError(f"{path}: missing header key '{key}'")
+            raise DataError(f"{path}: missing header key '{key}'")
     try:
         s, d = int(header["s"]), int(header["d"])
     except ValueError:
-        raise ParseError(f"{path}: s and d must be integers") from None
+        raise DataError(f"{path}: s and d must be integers") from None
     if s < 1 or d < 1:
-        raise ParseError(f"{path}: s and d must be at least 1")
+        raise DataError(f"{path}: s and d must be at least 1")
     for v in seasons:
         if not 1 <= v <= s:
-            raise ParseError(f"{path}: [season {v}] outside 1..{s}")
+            raise DataError(f"{path}: [season {v}] outside 1..{s}")
     phi, sigma = [], []
     for v in range(1, s + 1):
         if v not in seasons:
-            raise ParseError(f"{path}: missing [season {v}] block")
+            raise DataError(f"{path}: missing [season {v}] block")
         block = seasons[v]
         try:
             p = int(block.get("p", "1"))
         except ValueError:
-            raise ParseError(f"{path}: season {v}: p must be an integer") from None
+            raise DataError(f"{path}: season {v}: p must be an integer") from None
         if p < 0:
-            raise ParseError(f"{path}: season {v}: p must be at least 0")
+            raise DataError(f"{path}: season {v}: p must be at least 0")
         lags = []
         for k in range(1, p + 1):
             key = f"phi{k}"
             if key not in block:
-                raise ParseError(f"{path}: season {v}: missing '{key}'")
+                raise DataError(f"{path}: season {v}: missing '{key}'")
             mat = _parse_matrix(block[key], f"{path}: season {v} {key}")
             if mat.shape != (d, d):
-                raise ParseError(f"{path}: season {v} {key}: expected {d}x{d}")
+                raise DataError(f"{path}: season {v} {key}: expected {d}x{d}")
             lags.append(mat)
         # phi1..phip are all present here, so p is at most the block's size
         unknown = set(block) - {"p", "sigma"} - {f"phi{k}" for k in range(1, p + 1)}
         if unknown:
-            raise ParseError(f"{path}: season {v}: unknown key '{min(unknown)}'")
+            raise DataError(f"{path}: season {v}: unknown key '{min(unknown)}'")
         if "sigma" not in block:
-            raise ParseError(f"{path}: season {v}: missing 'sigma'")
+            raise DataError(f"{path}: season {v}: missing 'sigma'")
         sig = _parse_matrix(block["sigma"], f"{path}: season {v} sigma")
         if sig.shape != (d, d):
-            raise ParseError(f"{path}: season {v} sigma: expected {d}x{d}")
+            raise DataError(f"{path}: season {v} sigma: expected {d}x{d}")
         phi.append(lags)
         sigma.append(sig)
     return PvarModel(s=s, d=d, phi=phi, sigma=sigma)
@@ -220,7 +219,7 @@ def parse_restriction(text, s, d, orders):
     """
     m = _RESTRICT_RE.fullmatch(text.strip())
     if not m:
-        raise RestrictionParseError(
+        raise DataError(
             f"cannot parse restriction {text!r}; expected phi[season](row,col)=value")
     season = int(m.group(1))
     lag = int(m.group(2)) if m.group(2) else 1
@@ -230,13 +229,13 @@ def parse_restriction(text, s, d, orders):
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise RestrictionParseError(f"bad value in restriction {text!r}")
+        raise DataError(f"bad value in restriction {text!r}")
     if not 1 <= season <= s:
-        raise RestrictionParseError(f"season {season} outside 1..{s} in {text!r}")
+        raise DataError(f"season {season} outside 1..{s} in {text!r}")
     if not (1 <= row <= d and 1 <= col <= d):
-        raise RestrictionParseError(f"indices outside 1..{d} in {text!r}")
+        raise DataError(f"indices outside 1..{d} in {text!r}")
     if not 1 <= lag <= orders[season - 1]:
-        raise RestrictionParseError(
+        raise DataError(
             f"lag {lag} outside 1..{orders[season - 1]} in {text!r}")
     index = (lag - 1) * d * d + (col - 1) * d + (row - 1)
     return season, index, value
@@ -297,7 +296,7 @@ def _season_orders(orders, s):
     if len(orders) == 1:
         return orders * s
     if len(orders) != s:
-        raise ParseError(f"--order needs 1 or {s} comma-separated integers")
+        raise DataError(f"--order needs 1 or {s} comma-separated integers")
     return orders
 
 
@@ -309,10 +308,10 @@ def _bandwidth_value(arg, n):
     try:
         b = float(arg)
     except ValueError:
-        raise ParseError(f"--bandwidth must be a rule name "
-                         f"({', '.join(sorted(BANDWIDTH_RULES))}) or a number") from None
+        raise DataError(f"--bandwidth must be a rule name "
+                        f"({', '.join(sorted(BANDWIDTH_RULES))}) or a number") from None
     if not 0 < b < math.inf:
-        raise ParseError("--bandwidth must be a positive finite number")
+        raise DataError("--bandwidth must be a positive finite number")
     return b
 
 
@@ -347,7 +346,7 @@ def cmd_fit(args):
     fit = _fit_from_args(args)
     methods, thetas = _covariances_from_args(args, fit)
     headers = ["season", "lag", "row", "col", "estimate"]
-    for prefix in ("se", "pval", "pval_wald"):
+    for prefix in ("se", "pval"):
         headers += [f"{prefix}_{m}" for m in methods]
     rows, payload = [], {"command": "fit", "n_cycles": fit.n_used,
                          "orders": fit.orders, "seasons": []}
@@ -361,14 +360,12 @@ def cmd_fit(args):
             row = [entry.season, entry.lag, entry.row, entry.col, _f(entry.estimate)]
             row += [_f(entry.std_errors[m]) for m in methods]
             row += [_f(entry.p_values[m]) for m in methods]
-            row += [_f(entry.p_values_wald[m]) for m in methods]
             rows.append(row)
             season_payload["coefficients"].append({
                 "lag": entry.lag, "row": entry.row, "col": entry.col,
                 "estimate": entry.estimate,
                 "std_errors": entry.std_errors,
                 "p_values": entry.p_values,
-                "p_values_wald": entry.p_values_wald,
             })
         payload["seasons"].append(season_payload)
     _emit(_render(headers, rows, args.format, payload), args.out)
@@ -382,7 +379,7 @@ def cmd_wald(args):
         season, index, value = parse_restriction(text, fit.s, fit.d, fit.orders)
         targets = per_season.setdefault(season, {})
         if index in targets:
-            raise RestrictionParseError(
+            raise DataError(
                 f"restriction {text!r} repeats an earlier one's coefficient")
         targets[index] = value
     methods, thetas = _covariances_from_args(args, fit, sorted(per_season))
@@ -585,15 +582,14 @@ def main(argv=None):
         # an overflow or invalid operation is a numeric failure, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ParseError, InsufficientData, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (DataError, OSError) as exc:
+        code, error = EXIT_DATA, exc
     except (PvarError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_NUMERIC, exc
+    except ValueError as exc:  # such as numpy's "Maximum allowed dimension exceeded"
+        code, error = EXIT_USAGE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

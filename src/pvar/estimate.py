@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, SingularDesign
+from .errors import DataError
 from .linalg import mT, solve_guarded, vec
 from .model import PeriodicSeries
 
@@ -64,7 +64,7 @@ def _normalize_orders(series, orders):
         orders = [int(orders)] * series.s
     orders = [int(p) for p in orders]
     if len(orders) != series.s:
-        raise DimensionMismatch("need one order per season")
+        raise ValueError("need one order per season")
     if any(p < 0 for p in orders):
         raise ValueError("orders must be nonnegative")
     return orders
@@ -83,7 +83,7 @@ def build_design(series, orders):
     n0 = math.ceil(max(needed - L, 0) / s)
     n_used = N - n0
     if n_used < 1:
-        raise InsufficientData("not enough cycles for the requested orders")
+        raise DataError("not enough cycles for the requested orders")
     full = np.concatenate([series.presample, series.data], axis=-2)
     Zs, Xs = [], []
     for v in range(1, s + 1):
@@ -114,9 +114,8 @@ def fit_ols(series, orders, demean=True):
         Z, X = Zs[v - 1], Xs[v - 1]
         dof = n_used - series.d * p
         if dof < 1:
-            raise InsufficientData(f"season {v}: {n_used} cycles cannot support order {p}")
-        B = mT(solve_guarded(X @ mT(X), X @ mT(Z), err=SingularDesign,
-                             what=f"season {v} design"))
+            raise DataError(f"season {v}: {n_used} cycles cannot support order {p}")
+        B = mT(solve_guarded(X @ mT(X), X @ mT(Z), what=f"season {v} design"))
         E = Z - B @ X
         B_hat.append(B)
         resid.append(E)

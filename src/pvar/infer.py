@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularRestriction
+from .errors import NumericError
 from .linalg import solve_guarded
 
 
@@ -63,9 +63,9 @@ class Restriction:
         self.R0 = np.atleast_2d(np.asarray(self.R0, dtype=float))
         self.r0 = np.asarray(self.r0, dtype=float).reshape(-1)
         if self.R0.shape[0] != self.r0.size:
-            raise DimensionMismatch("R0 and r0 disagree on the restriction count")
+            raise ValueError("R0 and r0 disagree on the restriction count")
         if np.linalg.matrix_rank(self.R0) < self.R0.shape[0]:
-            raise SingularRestriction("restriction rows must be independent")
+            raise NumericError("restriction rows must be independent")
 
     @classmethod
     def coordinates(cls, indices, n_coef, values=None):
@@ -90,19 +90,18 @@ def wald(beta_hat, theta, n, restriction):
 
     theta may be a stack of covariances, with beta_hat one coefficient
     vector per slice; statistic and p_value are then arrays with one
-    entry per slice, and SingularRestriction is raised if any slice's
+    entry per slice, and NumericError is raised if any slice's
     restriction covariance is singular.
     """
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta_hat, dtype=float).reshape(theta.shape[:-2] + (-1,))
     R0, r0 = restriction.R0, restriction.r0
     if R0.shape[1] != beta.shape[-1]:
-        raise DimensionMismatch("restriction width does not match the parameter count")
+        raise ValueError("restriction width does not match the parameter count")
     # column-vector products, so that one slice multiplies as R0 @ beta does
     gap = (R0 @ beta[..., None])[..., 0] - r0
     mid = R0 @ theta @ R0.T
-    sol = solve_guarded(mid, gap[..., None], err=SingularRestriction,
-                        what="restriction covariance")
+    sol = solve_guarded(mid, gap[..., None], what="restriction covariance")
     stat = ((n * gap)[..., None, :] @ sol)[..., 0, 0]
     df = R0.shape[0]
     if stat.ndim == 0:
@@ -123,15 +122,14 @@ class CoefficientRow:
     estimate: float
     std_errors: dict
     p_values: dict
-    p_values_wald: dict
 
 
 def t_report(season, d, p, beta, thetas, n):
     """Coefficient table for one season.
 
     thetas maps a method name to its d^2 p x d^2 p covariance.  Each
-    coefficient gets a standard error sqrt(Theta_ii / N), a two-sided
-    normal p-value, and the equivalent single-restriction Wald p-value.
+    coefficient gets a standard error sqrt(Theta_ii / N) and a two-sided
+    normal p-value, which is the single-restriction Wald p-value.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     rows = []
@@ -140,7 +138,7 @@ def t_report(season, d, p, beta, thetas, n):
         within = idx % (d * d)
         col = within // d + 1
         row = within % d + 1
-        ses, pvals, pvals_w = {}, {}, {}
+        ses, pvals = {}, {}
         for name, theta in thetas.items():
             var = float(theta[idx, idx])
             se = (var / n) ** 0.5 if var > 0 else float("nan")
@@ -148,13 +146,9 @@ def t_report(season, d, p, beta, thetas, n):
             if se > 0:
                 z = abs(beta[idx]) / se
                 pvals[name] = 2.0 * normal_sf(z)
-                # wald() on the single restriction beta[idx] = 0
-                b = beta[idx]
-                pvals_w[name] = chisq_sf(n * b * (b / var), 1)
             else:
                 pvals[name] = float("nan")
-                pvals_w[name] = float("nan")
         rows.append(CoefficientRow(season=season, lag=lag, row=row, col=col,
                                    estimate=float(beta[idx]), std_errors=ses,
-                                   p_values=pvals, p_values_wald=pvals_w))
+                                   p_values=pvals))
     return rows

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularDesign
+from .errors import NumericError
 
 #: 2-norm condition number above which a matrix is numerically singular.
 #: Of a symmetric matrix it is max |eig| / min |eig|, so no SVD is needed.
@@ -25,8 +25,8 @@ def vec(a):
     return mT(a).reshape(a.shape[:-2] + (-1,))
 
 
-def require_conditioned(a, err=SingularDesign, what="matrix", inv_factor=None):
-    """Raise ``err`` unless min |eig| > max |eig| / COND_LIMIT for each
+def require_conditioned(a, what="matrix", inv_factor=None):
+    """Raise NumericError unless min |eig| > max |eig| / COND_LIMIT for each
     symmetric matrix of a stack; a zero or non-finite matrix raises.  Given
     inv_factor = L^-1 for Cholesky factors L L' = a, the stack passes with
     no eigenvalues if every trace(a) ||L^-1||_F^2, a bound on cond_2(a), is
@@ -40,18 +40,18 @@ def require_conditioned(a, err=SingularDesign, what="matrix", inv_factor=None):
         lam = np.abs(np.linalg.eigvalsh(a))
         if (lam.min(axis=-1) > lam.max(axis=-1) / COND_LIMIT).all():
             return
-    raise err(f"{what} is numerically singular")
+    raise NumericError(f"{what} is numerically singular")
 
 
-def solve_guarded(a, b, err=SingularDesign, what="matrix"):
-    """Solve a x = b for symmetric a, raising ``err`` if a is ill-conditioned.
+def solve_guarded(a, b, what="matrix"):
+    """Solve a x = b for symmetric a, raising NumericError if a is ill-conditioned.
 
     a may be a stack of matrices, solved slice by slice as np.linalg.solve
-    does; ``err`` is raised if any slice is ill-conditioned.
+    does; NumericError is raised if any slice is ill-conditioned.
     """
     a = np.asarray(a, dtype=float)
     if a.size:
-        require_conditioned(a, err, what)
+        require_conditioned(a, what)
     return np.linalg.solve(a, b)
 
 
@@ -59,16 +59,16 @@ def cholesky_upper(sigma):
     """Upper-triangular factor M with M.T @ M == sigma.
 
     For a stack of matrices, one factor per matrix.  Raises
-    NotPositiveDefinite when a matrix is not symmetric positive definite.
+    NumericError when a matrix is not symmetric positive definite.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-2] != sigma.shape[-1]:
         raise ValueError("covariance must be square")
     # np.allclose's test written out, a quarter of its cost on a 2 x 2 matrix
     if not (np.abs(sigma - mT(sigma)) <= 1e-12 + 1e-10 * np.abs(mT(sigma))).all():
-        raise NotPositiveDefinite("covariance is not symmetric")
+        raise NumericError("covariance is not symmetric")
     try:
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("covariance is not positive definite") from None
+        raise NumericError("covariance is not positive definite") from None
     return mT(lower)

@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InsufficientData, LagOutOfRange,
-                     NearSingularUnit, SingularDesign)
+from .errors import DataError, NumericError
 from .linalg import mT, require_conditioned, solve_guarded
 
 #: Largest q * r_max whose AIC lag Gram is guarded by its Cholesky bound;
@@ -118,7 +117,7 @@ def score_series(X, residuals):
     X = np.asarray(X, dtype=float)
     E = np.asarray(residuals, dtype=float)
     if X.shape[-1] != E.shape[-1]:
-        raise DimensionMismatch("regressors and residuals disagree on N")
+        raise ValueError("regressors and residuals disagree on N")
     # row n of the result is kron(X[:, n], E[:, n])
     prod = mT(X)[..., :, :, None] * mT(E)[..., :, None, :]
     return prod.reshape(prod.shape[:-2] + (-1,))
@@ -129,7 +128,7 @@ def lambda_hat(W, h):
     W = np.asarray(W, dtype=float)
     N = W.shape[-2]
     if not 0 <= h < N:
-        raise LagOutOfRange(f"lag {h} outside 0..{N - 1}")
+        raise ValueError(f"lag {h} outside 0..{N - 1}")
     return mT(W[..., h:, :]) @ W[..., :N - h, :] / N
 
 
@@ -184,8 +183,7 @@ def _var_fit(W, r, start):
     """
     Y = W[..., start:, :]
     Xl = _lag_design(W, r, start)
-    coef = mT(solve_guarded(mT(Xl) @ Xl, mT(Xl) @ Y, err=SingularDesign,
-                            what="score lag regression"))
+    coef = mT(solve_guarded(mT(Xl) @ Xl, mT(Xl) @ Y, what="score lag regression"))
     resid = Y - Xl @ mT(coef)
     return coef, mT(resid) @ resid / Y.shape[-2]
 
@@ -227,8 +225,9 @@ def select_ar_order_aic(W, r_max, S=None):
     submatrix of G and so no worse conditioned, hence one guard on G
     raises exactly when some order's regression would be singular.  Up
     to q*r_max = CERTIFY_MAX_COLUMNS it tries the Cholesky bound first.
-    Orders whose residual covariance is not positive definite are
-    skipped; ties go to the lowest order.
+    Orders whose residual covariance is not positive definite, or whose
+    fit of the common sample is exact (q*r >= N - r_max), are skipped;
+    ties go to the lowest order.
 
     No design is built: the moments come from the autocovariance sums
     S = autocovariances(W, H), H >= r_max (computed if None), through
@@ -252,11 +251,11 @@ def select_ar_order_aic(W, r_max, S=None):
     if r_max and q:
         certify = q * r_max <= CERTIFY_MAX_COLUMNS and np.isfinite(gram).all()
         if not certify:
-            require_conditioned(gram, SingularDesign, "score lag regression")
+            require_conditioned(gram, "score lag regression")
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            raise SingularDesign("score lag regression is numerically singular") from None
+            raise NumericError("score lag regression is numerically singular") from None
         eye = [np.broadcast_to(np.eye(q * r_max), gram.shape)] if certify else []
         C = np.linalg.solve(L, np.concatenate([mT(cross)] + eye, axis=-1))
         if certify:  # C's last q * r_max columns are L^-1
@@ -264,9 +263,11 @@ def select_ar_order_aic(W, r_max, S=None):
         C = C[..., :q].reshape(stack + (r_max, q, q))
         resid[..., 1:, :, :] = (resid[..., :1, :, :]
                                 - np.cumsum(mT(C) @ C, axis=-3))
+    orders = np.arange(r_max + 1)
     sign, logdet = np.linalg.slogdet(resid / n_eff)
-    aic = logdet + 2.0 * np.arange(r_max + 1) * q * q / n_eff
-    best = np.argmin(np.where(sign > 0, aic, np.inf), axis=-1)
+    aic = logdet + 2.0 * orders * q * q / n_eff
+    best = np.argmin(np.where((sign > 0) & (q * orders < n_eff), aic, np.inf),
+                     axis=-1)
     return int(best) if best.ndim == 0 else best
 
 
@@ -291,7 +292,7 @@ def psi_spectral(W, r="aic", S=None):
     flat = W.reshape((-1, N, q))
     if r == "aic":
         if not default_r_max(N) < N / 2:  # N <= 2
-            raise InsufficientData(f"{N} score observations are too few "
+            raise DataError(f"{N} score observations are too few "
                                    "for the AIC order search")
         orders = np.reshape(select_ar_order_aic(W, default_r_max(N), S), -1)
     else:
@@ -309,20 +310,20 @@ def _psi_of_order(W, r):
     """psi_spectral of a stack of score series at one fixed order r."""
     N, q = W.shape[-2:]
     if N - r < q * r + 1:
-        raise InsufficientData("too few score observations for the requested order")
+        raise DataError("too few score observations for the requested order")
     coef, cov = _var_fit(W, r, r)
     P = np.eye(q)
     for k in range(r):
         P = P - coef[..., k * q:(k + 1) * q]
     if (np.linalg.cond(P) > 1e10).any():
-        raise NearSingularUnit("score autoregression is nearly noninvertible at z=1")
+        raise NumericError("score autoregression is nearly noninvertible at z=1")
     Pinv = np.linalg.inv(P)
     return Pinv @ cov @ mT(Pinv)
 
 
 def omega_inverse(omega):
-    """Omega^-1 by a guarded solve; SingularDesign if Omega is near singular."""
-    return solve_guarded(omega, np.eye(omega.shape[-1]), err=SingularDesign,
+    """Omega^-1 by a guarded solve; NumericError if Omega is near singular."""
+    return solve_guarded(omega, np.eye(omega.shape[-1]),
                          what="regressor second-moment matrix")
 
 

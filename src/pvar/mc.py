@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from .errors import PvarError
+from .errors import DataError, NumericError, PvarError
 from .estimate import fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
@@ -108,7 +108,7 @@ def _fit_and_test(scenario, series):
 
 
 def _replications(scenario):
-    """Rows of replication r = 0, 1, ..., or None where it failed."""
+    """Rows of replication r = 0, 1, ..., or the PvarError where it failed."""
     for first in range(0, scenario.reps, CHUNK):
         yield from _chunk(scenario, range(first, min(first + CHUNK, scenario.reps)))
 
@@ -116,14 +116,14 @@ def _replications(scenario):
 def _chunk(scenario, rs):
     """Rows of replications rs, whose series one simulate call draws.
 
-    If that simulation fails, every replication of the chunk fails;
-    otherwise a replication fails where its series fails on its own.
+    A failed replication gives its error: every one of the chunk if that
+    simulation fails, else one whose series fails on its own.
     """
     try:
         chunk = simulate(scenario.model, scenario.n_cycles, scenario.noise,
                          seed=[scenario.base_seed ^ r for r in rs])
-    except PvarError:
-        return [None] * len(rs)
+    except PvarError as exc:
+        return [exc] * len(rs)
     try:
         return _fit_and_test(scenario, chunk)
     except PvarError:
@@ -133,13 +133,14 @@ def _chunk(scenario, rs):
         one = PeriodicSeries(chunk.s, chunk.data[i:i + 1], chunk.presample[i:i + 1])
         try:
             rows += _fit_and_test(scenario, one)
-        except PvarError:
-            rows.append(None)
+        except PvarError as exc:
+            rows.append(exc)
     return rows
 
 
 def run_scenario(scenario):
-    """Run all replications in seed order and aggregate a report."""
+    """Run all replications in seed order and aggregate a report; if all
+    fail, raise the first failure's class, DataError or NumericError."""
     t0 = time.perf_counter()
     model = scenario.model
     s = model.s
@@ -152,10 +153,10 @@ def run_scenario(scenario):
     theta_sums = {}
     reject = {}
     completed = 0
-    failures = 0
+    first_failure = None
     for rows in _replications(scenario):
-        if rows is None:
-            failures += 1
+        if isinstance(rows, PvarError):
+            first_failure = first_failure or rows
             continue
         completed += 1
         for v in range(1, s + 1):
@@ -176,13 +177,17 @@ def run_scenario(scenario):
                     key = (v, name, a)
                     reject[key] = reject.get(key, 0) + (1 if p < a else 0)
     if completed == 0:
-        raise PvarError(f"scenario {scenario.name!r}: every replication failed")
+        why = (f"scenario {scenario.name!r}: every replication failed, "
+               f"the first with: {first_failure}")
+        if isinstance(first_failure, DataError):
+            raise DataError(why)
+        raise NumericError(why)
     freq = {k: c / completed for k, c in reject.items()}
     return McReport(
         scenario=scenario.name,
         reps=scenario.reps,
         completed=completed,
-        failures=failures,
+        failures=scenario.reps - completed,
         rejection=freq,
         coef_mean={k: v / completed for k, v in sums.items()},
         coef_sse={k: v / completed for k, v in sums_sse.items()},

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, LagOutOfRange, NearSingularUnit, NotCausal
+from .errors import NumericError
 from .linalg import COND_LIMIT
 
 #: Margin below one required of the companion spectral radius.
@@ -35,18 +35,18 @@ class PvarModel:
 
     def __post_init__(self):
         if self.s < 1 or self.d < 1:
-            raise DimensionMismatch("period and dimension must be positive")
+            raise ValueError("period and dimension must be positive")
         if len(self.phi) != self.s or len(self.sigma) != self.s:
-            raise DimensionMismatch("need one coefficient list and one covariance per season")
+            raise ValueError("need one coefficient list and one covariance per season")
         self.phi = [[np.array(m, dtype=float) for m in lags] for lags in self.phi]
         self.sigma = [np.array(m, dtype=float) for m in self.sigma]
         for lags in self.phi:
             for m in lags:
                 if m.shape != (self.d, self.d):
-                    raise DimensionMismatch("coefficient matrices must be d x d")
+                    raise ValueError("coefficient matrices must be d x d")
         for m in self.sigma:
             if m.shape != (self.d, self.d):
-                raise DimensionMismatch("covariances must be d x d")
+                raise ValueError("covariances must be d x d")
 
     def p(self, season):
         """Autoregressive order of a season (1-based)."""
@@ -59,7 +59,7 @@ class PvarModel:
     def phi_at(self, season, lag):
         """Phi_lag(season), with zero for lags beyond p(season)."""
         if lag < 1:
-            raise LagOutOfRange("lag must be at least 1")
+            raise ValueError("lag must be at least 1")
         lags = self.phi[season - 1]
         if lag <= len(lags):
             return lags[lag - 1]
@@ -86,10 +86,10 @@ class PeriodicSeries:
             self.presample = np.zeros(self.data.shape[:-2] + (0, self.d))
         self.presample = np.atleast_2d(np.asarray(self.presample, dtype=float))
         if self.data.shape[-2] % self.s:
-            raise DimensionMismatch("data length must be a whole number of cycles")
+            raise ValueError("data length must be a whole number of cycles")
         pre = self.presample.shape
         if pre[:-2] != self.data.shape[:-2] or pre[-1] != self.d:
-            raise DimensionMismatch("presample dimension differs from data")
+            raise ValueError("presample dimension differs from data")
 
     @property
     def d(self):
@@ -136,7 +136,7 @@ def companion_spectral_radius(model):
         return 0.0
     ds = phi0.shape[0]
     if np.linalg.cond(phi0) > COND_LIMIT:
-        raise NearSingularUnit("stacked lag-zero block is numerically singular")
+        raise NumericError("stacked lag-zero block is numerically singular")
     reduced = [np.linalg.solve(phi0, blk) for blk in phis]
     p_star = len(reduced)
     comp = np.zeros((ds * p_star, ds * p_star))
@@ -149,7 +149,7 @@ def companion_spectral_radius(model):
 def require_causal(model):
     rho = companion_spectral_radius(model)
     if rho >= 1.0 - CAUSAL_TOL:
-        raise NotCausal(f"companion spectral radius {rho:.6g} is not below one")
+        raise NumericError(f"companion spectral radius {rho:.6g} is not below one")
 
 
 def ma_coefficients(model, n_terms):

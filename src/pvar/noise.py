@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .linalg import cholesky_upper
 from .model import PeriodicSeries, require_causal
 
@@ -59,7 +58,7 @@ def gen_noise(sigmas, n_cycles, spec, rng):
     """
     s = len(sigmas)
     if s == 0:
-        raise DimensionMismatch("need at least one season covariance")
+        raise ValueError("need at least one season covariance")
     d = np.asarray(sigmas[0]).shape[0]
     factors = cholesky_upper(np.stack(sigmas))  # one call for every season
     total = n_cycles * s

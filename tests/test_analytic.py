@@ -3,7 +3,7 @@ import pytest
 
 from pvar.analytic import (DiagExampleParams, example_model, omega_closed,
                            psi_closed, theta_closed, theta_s_closed)
-from pvar.errors import NotCausal, UnsupportedOrder
+from pvar.errors import NumericError
 from pvar.noise import simulate
 from pvar.oracle import exact_covariances
 
@@ -15,7 +15,8 @@ THETA_2 = {1: (3.23, 1.79, 0.56, 2.71), 2: (9.72, 1.79, 0.56, 8.13)}
 
 
 def test_parameter_validation():
-    with pytest.raises(NotCausal):
+    with pytest.raises(NumericError,
+                       match="channel coefficient product must be below one"):
         DiagExampleParams(phi1_s1=2.0, phi1_s2=0.6)
 
 
@@ -59,7 +60,7 @@ def test_psi_entry_22_is_m_free():
 
 
 def test_m_zero_rejected():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match="only valid for m >= 1"):
         psi_closed(DiagExampleParams(m=0))
 
 

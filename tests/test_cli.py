@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pvar.cli
 import pvar.lrv
 from pvar.cli import (main, parse_restriction, read_csv, read_model,
                       write_csv)
-from pvar.errors import (EmptyInput, ParseError, RestrictionParseError)
+from pvar.errors import DataError, NumericError, PvarError
 
 MODEL_TEXT = """\
 # bivariate two-season example
@@ -55,9 +56,9 @@ def test_read_model(model_file):
 def test_read_model_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("s = 2\nd = 2\n[season 1]\np = 1\nphi1 = 1 0; 0\nsigma = 1 0; 0 1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="bad.txt: season 1 phi1: ragged matrix literal"):
         read_model(str(bad))
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="missing.txt: .*No such file or directory"):
         read_model(str(tmp_path / "missing.txt"))
 
 
@@ -81,11 +82,11 @@ def test_read_csv_header_and_truncation(tmp_path, capsys):
 def test_read_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,x\n")
-    with pytest.raises(ParseError, match="row 2, column 2"):
+    with pytest.raises(DataError, match="row 2, column 2"):
         read_csv(str(path), s=1)
     empty = tmp_path / "empty.csv"
     empty.write_text("\n")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="empty.csv: no data rows$"):
         read_csv(str(empty), s=1)
 
 
@@ -93,7 +94,7 @@ def test_read_csv_errors(tmp_path):
 def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
     path = tmp_path / "d.csv"
     path.write_text(f"a,b\n1,2\n\n3,{cell}\n5,6\n")
-    with pytest.raises(ParseError, match=f"row 4, column 2: non-finite value '{cell}'"):
+    with pytest.raises(DataError, match=f"row 4, column 2: non-finite value '{cell}'"):
         read_csv(str(path), s=1)
 
 
@@ -101,9 +102,12 @@ def test_parse_restriction():
     assert parse_restriction("phi[1](2,2)=0", 5, 2, [1] * 5) == (1, 3, 0.0)
     assert parse_restriction("phi[3](1,2)=0.5", 5, 2, [1] * 5) == (3, 2, 0.5)
     assert parse_restriction("phi[2,2](1,1)=0", 5, 2, [2] * 5) == (2, 4, 0.0)
-    for bad in ("phi[0](1,1)=0", "phi[6](1,1)=0", "phi[1](3,1)=0",
-                "phi[1](1,1)", "phi[1,2](1,1)=0"):
-        with pytest.raises(RestrictionParseError):
+    for bad, message in (("phi[0](1,1)=0", "season 0 outside 1..5"),
+                         ("phi[6](1,1)=0", "season 6 outside 1..5"),
+                         ("phi[1](3,1)=0", "indices outside 1..2"),
+                         ("phi[1](1,1)", "cannot parse restriction"),
+                         ("phi[1,2](1,1)=0", "lag 2 outside 1..1")):
+        with pytest.raises(DataError, match=re.escape(message)):
             parse_restriction(bad, 5, 2, [1] * 5)
 
 
@@ -123,7 +127,7 @@ def test_simulate_fit_pipeline(tmp_path, model_file, capsys):
     coef = season["coefficients"][0]
     assert set(coef["std_errors"]) == {"strong", "sp", "hac"}
     assert set(coef["p_values"]) == {"strong", "sp", "hac"}
-    assert set(coef["p_values_wald"]) == {"strong", "sp", "hac"}
+    assert set(coef) == {"lag", "row", "col", "estimate", "std_errors", "p_values"}
 
 
 def test_simulate_warns_once_on_a_short_burnin(tmp_path, model_file, capsys):
@@ -346,6 +350,10 @@ def _write(path, content):
     ("model-header-key", 3, "header_model.txt: line 4: unknown header key 'peroid'"),
     ("model-header-repeated", 3, "dup_header_model.txt: line 3: repeated key 's'"),
     ("model-key-repeated", 3, "dup_key_model.txt: line 9: repeated key 'sigma'"),
+    ("mc-too-few-cycles", 3, "error: scenario 'model-I': every replication failed, "
+     "the first with: season 1: 1 cycles cannot support order 1"),
+    ("mc-singular-scores", 4, "error: scenario 'model-I': every replication failed, "
+     "the first with: score lag regression is numerically singular"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -407,6 +415,8 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
             tmp_path / "dup_key_model.txt",
             MODEL_TEXT.replace("sigma = 1.5 0; 0 2.5",
                                "sigma = 1.5 0; 0 2.5\nsigma = 2 0; 0 2").encode())],
+        "mc-too-few-cycles": ["mc", "--scenario", "model-I", "--reps", "3", "--n", "1"],
+        "mc-singular-scores": ["mc", "--scenario", "model-I", "--reps", "3", "--n", "3"],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)
@@ -519,7 +529,7 @@ def test_csv_either_fits_or_is_a_data_or_numeric_error(lines):
         with contextlib.redirect_stderr(err):
             try:
                 data = read_csv(path, 2).data
-            except ParseError:
+            except DataError:
                 data = None
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -611,6 +621,23 @@ def test_arguments_either_run_or_exit_with_a_documented_code(command, arguments,
     else:
         assert errors == [], (argv, err)
         assert out.getvalue() or written, argv
+
+
+@pytest.mark.parametrize("error,code", [
+    (DataError("bad cell"), 3), (NumericError("singular"), 4),
+    (PvarError("base class"), 4), (FileNotFoundError("no such file"), 3),
+    (OSError("disk full"), 3), (FloatingPointError("overflow encountered"), 4),
+    (np.linalg.LinAlgError("SVD did not converge"), 4),
+    (ValueError("Maximum allowed dimension exceeded"), 2),
+])
+def test_exception_class_decides_the_exit_code(monkeypatch, capsys, error, code):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(pvar.cli, "cmd_analytic", failing)
+    assert main(["analytic"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {error}\n"
 
 
 def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):

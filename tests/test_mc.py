@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pvar.mc
-from pvar.errors import NotCausal, PvarError, SingularDesign
+from pvar.errors import DataError, NumericError
 from pvar.estimate import fit_ols
 from pvar.infer import chisq_sf, wald
 from pvar.lrv import covariances, default_bandwidth
@@ -132,7 +132,7 @@ def test_chunked_run_equals_one_replication_at_a_time(monkeypatch):
 
     def failing_fit(series, *args, **kwargs):
         if np.any(series.data[..., 0, 0] > 1.0):
-            raise SingularDesign("injected")
+            raise NumericError("injected")
         return fit_ols(series, *args, **kwargs)
 
     monkeypatch.setattr(pvar.mc, "fit_ols", failing_fit)
@@ -149,15 +149,32 @@ def test_chunked_run_equals_one_replication_at_a_time(monkeypatch):
 def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatch):
     def simulate_first_chunk_fails(model, n_cycles, spec, seed):
         if seed[0] == sc.base_seed:
-            raise NotCausal("injected")
+            raise NumericError("injected")
         return simulate(model, n_cycles, spec, seed=seed)
 
     monkeypatch.setattr(pvar.mc, "simulate", simulate_first_chunk_fails)
     sc = small_scenario(reps=CHUNK + 3, n=150)
     rep = run_scenario(sc)
     assert rep.failures == CHUNK and rep.completed == 3
-    with pytest.raises(PvarError):
+    with pytest.raises(NumericError,
+                       match="every replication failed, the first with: injected$"):
         run_scenario(dataclasses.replace(sc, reps=CHUNK))
+
+
+@pytest.mark.parametrize("first,second", [(DataError, NumericError),
+                                          (NumericError, DataError)])
+def test_all_failed_raises_the_first_failure_in_seed_order(monkeypatch, first, second):
+    def simulate_fails(model, n_cycles, spec, seed):
+        if seed[0] == sc.base_seed:
+            raise first("first chunk")
+        raise second("second chunk")
+
+    monkeypatch.setattr(pvar.mc, "simulate", simulate_fails)
+    sc = small_scenario(reps=2 * CHUNK, n=150)
+    with pytest.raises(first) as info:
+        run_scenario(sc)
+    assert str(info.value) == ("scenario 'model-I': every replication failed, "
+                               "the first with: first chunk")
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -198,7 +215,7 @@ def test_stacked_stage_failure_fails_only_its_replication(monkeypatch):
 
     def failing_covariances(fit, *args, **kwargs):
         if np.any(fit.X[0][..., 0, 0] > 1.0):
-            raise SingularDesign("injected")
+            raise NumericError("injected")
         return covs(fit, *args, **kwargs)
 
     monkeypatch.setattr(pvar.mc, "covariances", failing_covariances)

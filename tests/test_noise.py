@@ -2,7 +2,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 
-from pvar.errors import NotCausal
+from pvar.errors import NumericError
 from pvar.linalg import cholesky_upper
 from pvar.model import (CAUSAL_TOL, PvarModel, build_lifted_var,
                         companion_spectral_radius)
@@ -216,5 +216,5 @@ def test_cycle_maps_match_the_lifted_var_and_the_step_recursion(d, orders):
 
 def test_batched_simulate_raises_for_a_noncausal_model():
     model = PvarModel(s=1, d=1, phi=[[np.array([[1.5]])]], sigma=[np.eye(1)])
-    with pytest.raises(NotCausal):
+    with pytest.raises(NumericError, match="radius 1.5 is not below one"):
         simulate(model, 10, seed=[1, 2])

@@ -1,4 +1,9 @@
+import ast
+import pathlib
+
 import pvar
+
+SOURCE = pathlib.Path(pvar.__file__).parent
 
 
 def test_all_names_resolve_and_star_import_succeeds():
@@ -7,3 +12,23 @@ def test_all_names_resolve_and_star_import_succeeds():
     namespace = {}
     exec("from pvar import *", namespace)
     assert set(pvar.__all__) <= set(namespace)
+
+
+def test_one_error_class_per_exit_code():
+    tree = ast.parse((SOURCE / "errors.py").read_text())
+    classes = {node.name: [base.id for base in node.bases]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"PvarError": ["Exception"], "DataError": ["PvarError"],
+                       "NumericError": ["PvarError"]}
+
+
+def test_every_raise_names_a_package_error_or_value_error():
+    allowed = {"DataError", "NumericError", "ValueError", "argparse.ArgumentTypeError"}
+    raised = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc:  # not a bare re-raise
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.setdefault(ast.unparse(exc), []).append(f"{path.name}:{node.lineno}")
+    assert set(raised) <= allowed, {k: v for k, v in raised.items() if k not in allowed}
+    assert {"DataError", "NumericError", "ValueError"} <= set(raised)
