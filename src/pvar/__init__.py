@@ -16,9 +16,8 @@ from .infer import (Restriction, WaldResult, chisq_sf, normal_sf, t_report,
                     wald)
 from .linalg import cholesky_upper, vec
 from .lrv import (BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth,
-                  kernel_weight, lambda_hat, omega_hat, psi_hac, psi_spectral,
-                  score_series, select_ar_order_aic, theta_sandwich,
-                  theta_strong)
+                  kernel_weight, omega_hat, psi_hac, psi_spectral, score_series,
+                  select_ar_order_aic, theta_sandwich, theta_strong)
 from .mc import McReport, Scenario, preset, run_scenario
 from .model import (PeriodicSeries, PvarModel, build_lifted_var,
                     companion_spectral_radius, ma_coefficients)
@@ -34,7 +33,7 @@ __all__ = [
     "cholesky_upper", "chisq_sf", "companion_spectral_radius",
     "covariances", "default_bandwidth", "demean_seasonal", "errors",
     "exact_covariances", "example_model", "fit_ols", "gen_noise",
-    "kernel_weight", "lambda_hat", "ma_coefficients",
+    "kernel_weight", "ma_coefficients",
     "normal_sf", "omega_closed", "omega_hat", "preset", "psi_closed",
     "psi_hac", "psi_spectral", "run_scenario", "score_series",
     "select_ar_order_aic", "simulate", "t_report", "theta_closed",

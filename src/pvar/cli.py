@@ -52,29 +52,25 @@ def read_csv(path, s):
             lines = [ln.rstrip("\n") for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    start = 0
-    body = [ln for ln in lines if ln.strip()]
-    if not body:
-        raise DataError(f"{path}: no data rows")
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     try:
-        [float(cell) for cell in body[0].split(",")]
-    except ValueError:
-        start = lines.index(body[0]) + 1  # header line
-        body = body[1:]
+        [float(cell) for cell in rows[0][1].split(",")]
+    except IndexError:  # blank lines only
+        pass
+    except ValueError:  # a header line
+        rows = rows[1:]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    body = [ln for _, ln in rows]
     try:
         # numpy accepts and rejects a cell exactly as float() does
         data = np.array(",".join(body).split(","), dtype=float).reshape(len(body), -1)
         parsed = len({ln.count(",") for ln in body}) == 1 and np.isfinite(data).all()
     except ValueError:
         parsed = False
-    if not parsed:  # name the first bad cell, or the widths of ragged rows
-        rows = []
-        for lineno, ln in enumerate(lines[start:], start=start + 1):
-            if not ln.strip():
-                continue
-            cells = ln.split(",")
-            row = []
-            for colno, cell in enumerate(cells, start=1):
+    if not parsed:  # name the first bad cell; with none, the rows are ragged
+        for lineno, ln in rows:
+            for colno, cell in enumerate(ln.split(","), start=1):
                 try:
                     value = float(cell)
                 except ValueError:
@@ -83,14 +79,8 @@ def read_csv(path, s):
                 if not math.isfinite(value):
                     raise DataError(f"{path}: row {lineno}, column {colno}: "
                                     f"non-finite value {cell.strip()!r}")
-                row.append(value)
-            rows.append(row)
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise DataError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
-        data = np.array(rows, dtype=float)
+        widths = sorted({ln.count(",") + 1 for ln in body})
+        raise DataError(f"{path}: rows have inconsistent column counts {widths}")
     extra = data.shape[0] % s
     if data.shape[0] == extra:
         raise DataError(f"{path}: fewer rows than one cycle of {s}")

@@ -8,7 +8,8 @@ covariance is the sandwich
 
 where Psi is the long-run variance of W_n, estimated either by a
 kernel-weighted sum of autocovariances (HAC) or through a vector
-autoregression fitted to the scores (spectral method).  Under
+autoregression fitted to the scores (spectral method).  Both read the
+scores only through their autocovariance sums S_h.  Under
 independent innovations Psi = Omega (x) Sigma and Theta reduces to
 Omega^-1 (x) Sigma.
 
@@ -123,20 +124,9 @@ def score_series(X, residuals):
     return prod.reshape(prod.shape[:-2] + (-1,))
 
 
-def lambda_hat(W, h):
-    """Autocovariance (1/N) sum_n W_n W_{n-h}' at lag 0 <= h < N."""
-    W = np.asarray(W, dtype=float)
-    N = W.shape[-2]
-    if not 0 <= h < N:
-        raise ValueError(f"lag {h} outside 0..{N - 1}")
-    return mT(W[..., h:, :]) @ W[..., :N - h, :] / N
-
-
 def autocovariances(W, H):
-    """S_h = sum_{n>=h} W_n W_{n-h}' for h = 0..H, shape (..., H+1, q, q).
-
-    S_h / N is lambda_hat(W, h) bit for bit.
-    """
+    """S_h = sum_{n>=h} W_n W_{n-h}' for h = 0..H, shape (..., H+1, q, q);
+    each S_h is computed on its own, so it does not depend on H."""
     W = np.asarray(W, dtype=float)
     N, q = W.shape[-2:]
     S = np.empty(W.shape[:-2] + (H + 1, q, q))
@@ -173,19 +163,6 @@ def _lag_design(W, r, start):
     if not cols:
         return np.zeros(W.shape[:-2] + (N - start, 0))
     return np.concatenate(cols, axis=-1)
-
-
-def _var_fit(W, r, start):
-    """Regress W_n on r lags over n = start..N-1.
-
-    Returns (coef, resid_cov) where coef stacks the lag matrices
-    horizontally, (q, q*r); for a stack of W, one pair per slice.
-    """
-    Y = W[..., start:, :]
-    Xl = _lag_design(W, r, start)
-    coef = mT(solve_guarded(mT(Xl) @ Xl, mT(Xl) @ Y, what="score lag regression"))
-    resid = Y - Xl @ mT(coef)
-    return coef, mT(resid) @ resid / Y.shape[-2]
 
 
 def _lag_moments(W, r, S):
@@ -280,38 +257,51 @@ def psi_spectral(W, r="aic", S=None):
 
     With fitted lag matrices A_1..A_r and residual covariance Sigma,
     Psi = P^-1 Sigma P^-T where P = I - sum_k A_k.  r may be a fixed
-    order or "aic".  Scores with no columns (a season of order 0) give
-    the 0x0 Psi.  For a stack of score series AIC picks an order per
-    series, and those that share an order > 0 are fitted together (order
-    0 is S_0 / N).  S is passed on to select_ar_order_aic.
+    order or "aic", searched up to min(default_r_max(N), N // (q + 1)):
+    past that the lag Gram has more columns than rows.  Scores with no
+    columns (a season of order 0) give the 0x0 Psi.  For a stack of
+    score series AIC picks an order per series, and those that share an
+    order > 0 are fitted together (order 0 is S_0 / N).  The search and
+    the fits read W only through S = autocovariances(W, H), computed if
+    None; an S passed in must reach the lag the search or order needs.
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape[-2:]
     if q == 0:
         return np.zeros(W.shape[:-2] + (0, 0))
-    flat = W.reshape((-1, N, q))
     if r == "aic":
         if not default_r_max(N) < N / 2:  # N <= 2
             raise DataError(f"{N} score observations are too few "
                                    "for the AIC order search")
-        orders = np.reshape(select_ar_order_aic(W, default_r_max(N), S), -1)
-    else:
-        orders = np.full(flat.shape[0], int(r))
-    psi = ((autocovariances(W, 0) if S is None else S)[..., 0, :, :]
-           .reshape((-1, q, q)) / N)  # what an order-0 fit gives, bit for bit
+        r_max = min(default_r_max(N), N // (q + 1))
+    # an order past N - 1 fails _psi_of_order's observation count
+    H = min(r_max if r == "aic" else int(r), N - 1)
+    if S is None:
+        S = autocovariances(W, H)
+    elif S.shape[-3] <= H:
+        raise ValueError(f"S reaches lag {S.shape[-3] - 1}, short of lag {H}")
+    flat, flat_S = W.reshape((-1, N, q)), S.reshape((-1,) + S.shape[-3:])
+    orders = np.reshape(select_ar_order_aic(W, r_max, S) if r == "aic"
+                        else np.full(W.shape[:-2], int(r)), -1)
+    psi = flat_S[:, 0] / N  # what an order-0 fit gives, bit for bit
     # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
     for order in sorted(set(orders.tolist()) - {0}):
         at = orders == order
-        psi[at] = _psi_of_order(flat if at.all() else flat[at], order)
+        psi[at] = (_psi_of_order(flat, order, flat_S) if at.all()
+                   else _psi_of_order(flat[at], order, flat_S[at]))
     return psi.reshape(W.shape[:-2] + (q, q))
 
 
-def _psi_of_order(W, r):
-    """psi_spectral of a stack of score series at one fixed order r."""
+def _psi_of_order(W, r, S):
+    """psi_spectral of a stack of score series at one fixed order r >= 1,
+    from the moments of the regression on n = r..N-1 (_lag_moments): lag
+    matrices C = Y'X (X'X)^-1 and Sigma = (Y'Y - C X'Y) / (N - r)."""
     N, q = W.shape[-2:]
     if N - r < q * r + 1:
         raise DataError("too few score observations for the requested order")
-    coef, cov = _var_fit(W, r, r)
+    yy, yx, xx = _lag_moments(W, r, S)
+    coef = mT(solve_guarded(xx, mT(yx), what="score lag regression"))
+    cov = (yy - coef @ mT(yx)) / (N - r)
     P = np.eye(q)
     for k in range(r):
         P = P - coef[..., k * q:(k + 1) * q]
@@ -344,8 +334,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
     Each season inverts its Omega and sums the autocovariances of W once
-    for all methods.  The fit of a stack of series (estimate.fit_ols)
-    gives stacked estimates, one slice per series.
+    for all methods, up to the larger of the HAC truncation lag and the
+    AIC r_max or fixed order.  The fit of a stack of series
+    (estimate.fit_ols) gives stacked estimates, one slice per series.
     """
     out = {}
     for v in seasons or range(1, fit.s + 1):
@@ -360,8 +351,8 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
             if W is None:
                 W = score_series(X, fit.residuals[v - 1])
                 N = W.shape[-2]
-                S = autocovariances(
-                    W, min(max(hac.truncation, default_r_max(N)), N - 1))
+                r = default_r_max(N) if ar_order == "aic" else int(ar_order)
+                S = autocovariances(W, min(max(hac.truncation, r), N - 1))
             if method == "sp":
                 psi = psi_spectral(W, ar_order, S)
             elif method == "hac":

@@ -18,8 +18,8 @@ import pvar.analytic as an
 from pvar.estimate import fit_ols
 from pvar.infer import Restriction, chisq_sf, normal_sf, wald
 from pvar.linalg import vec
-from pvar.lrv import (KernelSpec, lambda_hat, omega_hat, omega_inverse,
-                      psi_hac, psi_spectral, score_series, theta_sandwich)
+from pvar.lrv import (KernelSpec, omega_hat, omega_inverse, psi_hac,
+                      psi_spectral, score_series, theta_sandwich)
 from pvar.mc import Scenario, preset, run_scenario
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
@@ -223,6 +223,10 @@ def test_acceptance_5_property_suite(capsys):
     fit = fit_ols(series, [1, 1], demean=False)
     W = score_series(fit.X[0], fit.residuals[0])
     N = W.shape[0]
+
+    def lambda_hat(W, h):  # autocovariance (1/N) sum_n W_n W_{n-h}'
+        return W[h:].T @ W[:N - h] / N
+
     # the lags -h contribute the transposes of the lags h
     total = lambda_hat(W, 0) + sum(lambda_hat(W, h) + lambda_hat(W, h).T
                                    for h in range(1, N))

@@ -352,8 +352,6 @@ def _write(path, content):
     ("model-key-repeated", 3, "dup_key_model.txt: line 9: repeated key 'sigma'"),
     ("mc-too-few-cycles", 3, "error: scenario 'model-I': every replication failed, "
      "the first with: season 1: 1 cycles cannot support order 1"),
-    ("mc-singular-scores", 4, "error: scenario 'model-I': every replication failed, "
-     "the first with: score lag regression is numerically singular"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -416,7 +414,6 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
             MODEL_TEXT.replace("sigma = 1.5 0; 0 2.5",
                                "sigma = 1.5 0; 0 2.5\nsigma = 2 0; 0 2").encode())],
         "mc-too-few-cycles": ["mc", "--scenario", "model-I", "--reps", "3", "--n", "1"],
-        "mc-singular-scores": ["mc", "--scenario", "model-I", "--reps", "3", "--n", "3"],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)
@@ -679,7 +676,7 @@ def test_import_loads_no_scipy():
 def test_ar_order_accepts_aic_and_nonnegative_integers(tmp_path, model_file):
     data = str(tmp_path / "sim.csv")
     run_cli(["simulate", "--model", model_file, "--n", "200", "--out", data])
-    for order in ("aic", "0", "2"):
+    for order in ("aic", "0", "2", "12"):  # 12: past the HAC lag and r_max
         assert run_cli(["fit", "--data", data, "--s", "2", "--cov", "sp",
                         "--ar-order", order, "--format", "json",
                         "--out", str(tmp_path / f"{order}.json")]) == 0
@@ -705,6 +702,18 @@ def test_mc_command_small(tmp_path):
     payload = json.loads(open(out).read())
     assert payload["completed"] == 5
     assert payload["failures"] == 0
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_mc_completes_where_the_lag_gram_would_lose_rank(tmp_path, n):
+    # model-I's 4-entry scores give a default_r_max(n) lag Gram fewer rows
+    # than columns, so the AIC search stops at n // 5 and every replication
+    # completes
+    out = str(tmp_path / "mc.json")
+    assert run_cli(["mc", "--scenario", "model-I", "--reps", "3", "--n", str(n),
+                    "--format", "json", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert payload["completed"] == 3 and payload["failures"] == 0
 
 
 def test_analytic_command_json(tmp_path):

@@ -5,7 +5,7 @@ import pvar.lrv
 from pvar.errors import NumericError
 from pvar.estimate import build_design, fit_ols
 from pvar.lrv import (KernelSpec, autocovariances, covariances,
-                      default_bandwidth, default_r_max, kernel_weight, lambda_hat, omega_hat,
+                      default_bandwidth, default_r_max, kernel_weight, omega_hat,
                       omega_inverse, psi_hac, psi_spectral, score_series,
                       select_ar_order_aic, theta_sandwich, theta_strong)
 from pvar.linalg import mT, require_conditioned, solve_guarded
@@ -20,6 +20,11 @@ def example_model():
         phi=[[np.diag([0.3, -0.6])], [np.diag([-0.7, 0.15])]],
         sigma=[np.diag([1.5, 2.5]), np.diag([1.0, 0.5])],
     )
+
+
+def lambda_hat(W, h):
+    """Reference autocovariance (1/N) sum_n W_n W_{n-h}' at lag 0 <= h < N."""
+    return mT(W[..., h:, :]) @ W[..., :W.shape[-2] - h, :] / W.shape[-2]
 
 
 def fitted_scores(n_cycles=2000, seed=0, noise=None):
@@ -79,20 +84,6 @@ def test_score_ordering_matches_kron():
 def test_score_zero_residuals():
     X = np.random.default_rng(0).standard_normal((2, 10))
     assert np.array_equal(score_series(X, np.zeros((2, 10))), np.zeros((10, 4)))
-
-
-def test_lambda_hat_single_spike():
-    W = np.zeros((5, 3))
-    w = np.array([1.0, 2.0, 3.0])
-    W[0] = w
-    assert np.allclose(lambda_hat(W, 0), np.outer(w, w) / 5)
-
-
-def test_lambda_hat_lag_range():
-    _, W, _ = fitted_scores(200)
-    for h in (-3, W.shape[0]):
-        with pytest.raises(ValueError, match=rf"lag {h} outside 0\.\.{W.shape[0] - 1}$"):
-            lambda_hat(W, h)
 
 
 def test_full_lag_sum_vanishes_for_ols_scores():
@@ -166,12 +157,31 @@ def test_aic_rmax_zero():
     assert select_ar_order_aic(W, 0) == 0
 
 
+def design_fit(W, r, start):
+    """Reference regression of W_n on r lags over n = start..N-1, solved by
+    the normal equations of the built lag design: the lag matrices side by
+    side, (q, q*r), and the residual covariance; one pair per slice."""
+    Y, X = W[..., start:, :], pvar.lrv._lag_design(W, r, start)
+    coef = mT(solve_guarded(mT(X) @ X, mT(X) @ Y, what="score lag regression"))
+    resid = Y - X @ mT(coef)
+    return coef, mT(resid) @ resid / Y.shape[-2]
+
+
+def design_psi_of_order(W, r):
+    """Reference Psi of one order r >= 0 through design_fit on n = r..N-1."""
+    q = W.shape[-1]
+    coef, cov = design_fit(W, r, r)
+    Pinv = np.linalg.inv(np.eye(q) - sum(coef[..., k * q:(k + 1) * q]
+                                         for k in range(r)))
+    return Pinv @ cov @ mT(Pinv)
+
+
 def refit_aic_order(W, r_max):
     """Reference search: refit every order 0..r_max on n = r_max..N-1."""
     N, q = W.shape
     best_r, best_aic = 0, np.inf
     for r in range(r_max + 1):
-        _, cov = pvar.lrv._var_fit(W, r, r_max)
+        _, cov = design_fit(W, r, r_max)
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             continue
@@ -280,15 +290,19 @@ def test_default_r_max_of_a_cube_is_its_root():
     assert [default_r_max(k ** 3) for k in range(1, 13)] == list(range(1, 13))
 
 
-def test_stacked_psi_spectral_fits_each_order_group():
-    # white-noise scores pick order 0 and VAR(1) scores a higher one, so
-    # the stack holds two order groups
+def mixed_order_stack():
+    """White-noise scores, which pick order 0, and VAR(1) scores, which
+    pick a higher one: a stack of two AIC order groups."""
     rng = np.random.default_rng(6)
     white = rng.standard_normal((2000, 3))
     var1 = np.zeros((2000, 3))
     for t in range(1, 2000):
         var1[t] = 0.7 * var1[t - 1] + rng.standard_normal(3)
-    W = np.stack([white, var1, white[::-1].copy()])
+    return np.stack([white, var1, white[::-1].copy()])
+
+
+def test_stacked_psi_spectral_fits_each_order_group():
+    W = mixed_order_stack()
     r_max = default_r_max(2000)
     orders = select_ar_order_aic(W, r_max)
     assert orders.tolist() == [select_ar_order_aic(w, r_max) for w in W]
@@ -298,6 +312,25 @@ def test_stacked_psi_spectral_fits_each_order_group():
         assert all(np.array_equal(psi[i], psi_spectral(w, r))
                    for i, w in enumerate(W))
     assert psi_spectral(np.zeros((2, 50, 0))).shape == (2, 0, 0)
+
+
+@pytest.mark.parametrize("r", [1, 3, 9, 25, "aic"])
+def test_psi_spectral_fits_each_order_as_the_lag_design_does(r):
+    W = mixed_order_stack()
+    for scores in (W[1], W):
+        assert_close_to_reference(psi_spectral(scores, r),
+                                  reference_psi_spectral(scores, r))
+        # an S with more lags than the order needs gives the same Psi
+        assert np.array_equal(psi_spectral(scores, r, autocovariances(scores, 30)),
+                              psi_spectral(scores, r))
+
+
+@pytest.mark.parametrize("r,H", [(3, 2), ("aic", 11)])
+def test_psi_spectral_rejects_an_S_short_of_the_order(r, H):
+    # at N = 2000 and q = 3 the AIC searches up to default_r_max = 12
+    W = mixed_order_stack()[1]
+    with pytest.raises(ValueError, match=rf"S reaches lag {H}, short of lag {H + 1}$"):
+        psi_spectral(W, r, autocovariances(W, H))
 
 
 def test_stacked_covariances_equal_one_fit_at_a_time_on_wide_fits():
@@ -348,6 +381,23 @@ def test_aic_skips_an_order_that_fits_the_common_sample_exactly(n):
         assert np.isfinite(psi).all() and np.linalg.eigvalsh(psi).min() > 0
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 9])
+def test_aic_search_stops_where_the_lag_gram_loses_rank(n):
+    # model-I scores (q = 4) at N = 3, 4, 8 and 9: default_r_max(N) lags
+    # would give the r_max lag Gram fewer rows (N - r_max) than columns
+    # (q * r_max), so the search stops at N // (q + 1)
+    sc = preset("model-I", n_cycles=n)
+    fit = fit_ols(simulate(sc.model, n, sc.noise, seed=sc.base_seed), 1, demean=False)
+    assert n - default_r_max(n) < 4 * default_r_max(n)
+    thetas = covariances(fit, ["sp"], sc.hac_spec())
+    for v in range(5):
+        W = score_series(fit.X[v], fit.residuals[v])
+        psi = psi_spectral(W)
+        assert W.shape == (n, 4) and np.isfinite(psi).all()
+        assert np.linalg.eigvalsh(psi).min() >= -1e-12 * np.trace(psi)
+        assert np.isfinite(thetas[v + 1]["sp"]).all()
+
+
 def test_aic_duplicated_score_column_is_singular():
     _, W, _ = fitted_scores(500)
     W = np.hstack([W, W[:, :1]])
@@ -381,24 +431,30 @@ def parent_select_ar_order_aic(W, r_max, S):
     return int(best) if best.ndim == 0 else best
 
 
-def parent_psi_spectral(W, r="aic", S=None):
-    """psi_spectral as it was before order 0 took S_0 / N: every order
-    group, order 0 included, refitted by _psi_of_order."""
+def reference_psi_spectral(W, r="aic"):
+    """psi_spectral from built lag designs: the eigenvalue-guarded search
+    up to the same r_max, then every order group, order 0 included,
+    refitted by design_psi_of_order."""
     N, q = W.shape[-2:]
-    if q == 0:
-        return np.zeros(W.shape[:-2] + (0, 0))
     flat = W.reshape((-1, N, q))
     if r == "aic":
-        r_max = default_r_max(N)
+        r_max = min(default_r_max(N), N // (q + 1))
         orders = np.reshape(parent_select_ar_order_aic(
-            W, r_max, autocovariances(W, r_max) if S is None else S), -1)
+            W, r_max, autocovariances(W, r_max)), -1)
     else:
         orders = np.full(flat.shape[0], int(r))
     psi = np.empty((flat.shape[0], q, q))
     for order in sorted(set(orders.tolist())):
         at = orders == order
-        psi[at] = pvar.lrv._psi_of_order(flat if at.all() else flat[at], order)
+        psi[at] = design_psi_of_order(flat[at], order)
     return psi.reshape(W.shape[:-2] + (q, q))
+
+
+def assert_close_to_reference(got, want):
+    """Within 1e-12 of the largest entry: the moment fit and the design fit
+    sum the same products in another order."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name,seeds,ar_order", [
@@ -408,7 +464,8 @@ def test_covariances_equal_the_eigenvalue_guarded_refit_bit_for_bit(
         monkeypatch, name, seeds, ar_order):
     # a model-II chunk (q * r_max = 36, the Cholesky-bound guard) and a
     # wide one (270, the eigenvalue guard); both hold order-0 and higher
-    # order groups
+    # order groups.  "strong" and "hac" stay bit for bit; "sp" fits orders
+    # from moments, not from the design, so it agrees to 1e-12 relative
     if name == "wide":
         model, n, order, noise = wide_model(), 4000, 2, NoiseSpec("weak-product", m=2)
     else:
@@ -421,11 +478,13 @@ def test_covariances_equal_the_eigenvalue_guarded_refit_bit_for_bit(
         orders = np.concatenate([select_ar_order_aic(
             score_series(X, E), default_r_max(n)) for X, E in zip(fit.X, fit.residuals)])
         assert 0 in orders and orders.max() >= 1
-    monkeypatch.setattr(pvar.lrv, "psi_spectral", parent_psi_spectral)
+    monkeypatch.setattr(pvar.lrv, "psi_spectral",
+                        lambda W, r, S: reference_psi_spectral(W, r))
     want = covariances(fit, methods, hac, ar_order)
     for v in want:
-        for m in methods:
+        for m in ("strong", "hac"):
             assert got[v][m].tobytes() == want[v][m].tobytes()
+        assert_close_to_reference(got[v]["sp"], want[v]["sp"])
 
 
 def _outcome(search, W, r_max):
