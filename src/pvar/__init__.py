@@ -19,8 +19,8 @@ from .lrv import (BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth,
                   kernel_weight, omega_hat, psi_hac, psi_spectral, score_series,
                   select_ar_order_aic, theta_sandwich, theta_strong)
 from .mc import McReport, Scenario, preset, run_scenario
-from .model import (PeriodicSeries, PvarModel, build_lifted_var,
-                    companion_spectral_radius, ma_coefficients)
+from .model import (PeriodicSeries, PvarModel, companion_spectral_radius,
+                    ma_coefficients)
 from .noise import NoiseSpec, gen_noise, simulate
 from .oracle import ExactCovariances, exact_covariances
 
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BANDWIDTH_RULES", "DiagExampleParams", "ExactCovariances", "FitResult",
     "KernelSpec", "McReport", "PeriodicSeries", "PvarModel", "Restriction",
-    "Scenario", "WaldResult", "build_design", "build_lifted_var",
+    "Scenario", "WaldResult", "build_design",
     "cholesky_upper", "chisq_sf", "companion_spectral_radius",
     "covariances", "default_bandwidth", "demean_seasonal", "errors",
     "exact_covariances", "example_model", "fit_ols", "gen_noise",

@@ -291,10 +291,11 @@ def _season_orders(orders, s):
 
 
 def _bandwidth_value(arg, n):
-    if arg is None:
-        return default_bandwidth(n, "andrews")
-    if arg in BANDWIDTH_RULES:
-        return default_bandwidth(n, arg)
+    if arg is None or arg in BANDWIDTH_RULES:
+        try:
+            return default_bandwidth(n, arg or "andrews")
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
     try:
         b = float(arg)
     except ValueError:
@@ -574,7 +575,7 @@ def main(argv=None):
             return args.func(args)
     except (DataError, OSError) as exc:
         code, error = EXIT_DATA, exc
-    except (PvarError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (PvarError, np.linalg.LinAlgError, ArithmeticError) as exc:
         code, error = EXIT_NUMERIC, exc
     except ValueError as exc:  # such as numpy's "Maximum allowed dimension exceeded"
         code, error = EXIT_USAGE, exc

@@ -94,6 +94,8 @@ def default_bandwidth(n, rule="andrews"):
         return BANDWIDTH_RULES[rule](n)
     except KeyError:
         raise ValueError(f"unknown bandwidth rule {rule!r}") from None
+    except ZeroDivisionError:  # 1 / log(1)
+        raise ValueError(f"bandwidth rule {rule!r} is undefined at {n} cycles") from None
 
 
 def _kron(a, b):

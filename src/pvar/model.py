@@ -6,15 +6,17 @@ A PVAR with period s and dimension d evolves as
 
 with season-dependent orders p(v) and noise covariances Sigma(v).
 Seasons are 1-based everywhere in the public API.
+
+The values of one cycle are A x + B e (cycle_maps), where x holds the
+max_p values before the cycle and e its innovations.  The model is
+causal when the map from x to the next cycle's state contracts.
 """
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
 from .errors import NumericError
-from .linalg import COND_LIMIT
 
 #: Margin below one required of the companion spectral radius.
 CAUSAL_TOL = 1e-10
@@ -56,15 +58,6 @@ class PvarModel:
     def max_p(self):
         return max((len(l) for l in self.phi), default=0)
 
-    def phi_at(self, season, lag):
-        """Phi_lag(season), with zero for lags beyond p(season)."""
-        if lag < 1:
-            raise ValueError("lag must be at least 1")
-        lags = self.phi[season - 1]
-        if lag <= len(lags):
-            return lags[lag - 1]
-        return np.zeros((self.d, self.d))
-
 
 @dataclass
 class PeriodicSeries:
@@ -100,50 +93,35 @@ class PeriodicSeries:
         return self.data.shape[-2] // self.s
 
 
-def build_lifted_var(model):
-    """Rewrite a PVAR as a season-stacked VAR on cycle-level vectors.
+def cycle_maps(model):
+    """(A, B) such that the values of one cycle are A x + B e.
 
-    The stacked vector collects one cycle in reverse season order,
-    (Y[n*s + s], ..., Y[n*s + 1]).  Returns (phi0, [phi1, ..., phi_pstar])
-    where phi0 is block unit-upper-triangular and p* = ceil(max_p / s).
+    x stacks the max_p values before the cycle, e the cycle's s
+    innovations and A x + B e its s values, each oldest first.
     """
-    s, d = model.s, model.d
-    ds = s * d
-    p_star = math.ceil(model.max_p / s) if model.max_p else 0
-    phi0 = np.eye(ds)
-    for r in range(s):
-        season = s - r
-        for c in range(r + 1, s):
-            lag = c - r
-            phi0[r * d:(r + 1) * d, c * d:(c + 1) * d] = -model.phi_at(season, lag)
-    phis = []
-    for k in range(1, p_star + 1):
-        blk = np.zeros((ds, ds))
-        for r in range(s):
-            season = s - r
-            for c in range(s):
-                lag = k * s - r + c
-                if 1 <= lag <= model.p(season):
-                    blk[r * d:(r + 1) * d, c * d:(c + 1) * d] = model.phi_at(season, lag)
-        phis.append(blk)
-    return phi0, phis
+    s, d, max_p = model.s, model.d, model.max_p
+    # the step recursion run on the identity: z[i] maps (x, e) to value i
+    z = np.eye((max_p + s) * d).reshape(max_p + s, d, -1)
+    for i, lags in enumerate(model.phi, start=max_p):
+        for k, phi in enumerate(lags, start=1):
+            z[i] += phi @ z[i - k]
+    return np.split(z[max_p:].reshape(s * d, -1), [max_p * d], axis=1)
 
 
 def companion_spectral_radius(model):
-    """Spectral radius of the companion matrix of the stacked VAR."""
-    phi0, phis = build_lifted_var(model)
-    if not phis:
-        return 0.0
-    ds = phi0.shape[0]
-    if np.linalg.cond(phi0) > COND_LIMIT:
-        raise NumericError("stacked lag-zero block is numerically singular")
-    reduced = [np.linalg.solve(phi0, blk) for blk in phis]
-    p_star = len(reduced)
-    comp = np.zeros((ds * p_star, ds * p_star))
-    comp[:ds] = np.hstack(reduced)
-    if p_star > 1:
-        comp[ds:, :ds * (p_star - 1)] = np.eye(ds * (p_star - 1))
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
+    """Spectral radius of the cycle state map F; 0.0 when max_p is 0.
+
+    F maps the state x, the max_p values before a cycle, to the last
+    max_p values of (x, A x), (A, B) = cycle_maps(model).  It has the
+    nonzero eigenvalues of the companion matrix of the season-stacked
+    VAR on p* = ceil(max_p / s) cycles: with pi taking the newest max_p
+    values of a stack and K mapping x to the next stack (the cycle A x
+    and the (p* - 1) s values the companion shifts down, all in x), the
+    companion is K pi and F is pi K.
+    """
+    A = cycle_maps(model)[0]
+    F = np.vstack([np.eye(A.shape[1]), A])[len(A):]
+    return float(np.abs(np.linalg.eigvals(F)).max(initial=0.0))
 
 
 def require_causal(model):
@@ -166,10 +144,7 @@ def ma_coefficients(model, n_terms):
     for i in range(1, n_terms + 1):
         for v in range(1, s + 1):
             acc = np.zeros((d, d))
-            for k in range(1, model.p(v) + 1):
-                if i - k < 0:
-                    continue
-                prev_season = (v - k - 1) % s + 1
-                acc = acc + model.phi_at(v, k) @ coeffs[prev_season - 1][i - k]
+            for k, phi in enumerate(model.phi[v - 1][:i], start=1):
+                acc = acc + phi @ coeffs[(v - k - 1) % s][i - k]
             coeffs[v - 1].append(acc)
     return coeffs

@@ -9,12 +9,12 @@ uncorrelated in time but not independent, which is the regime the
 robust covariance estimators are designed for.
 
 simulate runs the recursion on its state x_c, the max_p values that
-end cycle c.  With (A, B) = cycle_maps(model) and u_c = B e_c, a cycle
-renews the last n = min(max_p, s) d values of the state, and over a
-block of K = block_cycles(model) cycles these are P x + T g: x is the
-state before the block and g stacks the last n entries of its u_c.
-One product per seed takes T g of every block, the loop carries x
-through P once per block, and a cycle's first values are u_c + A x_{c-1}.
+end cycle c.  With (A, B) = model.cycle_maps(model) and u_c = B e_c, a
+cycle renews the last n = min(max_p, s) d values of the state, and
+over a block of K = block_cycles(model) cycles these are P x + T g: x
+is the state before the block and g stacks the last n entries of its
+u_c.  One product per seed takes T g of every block, the loop carries
+x through P once per block, and a cycle's first values are u_c + A x_{c-1}.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import cholesky_upper
-from .model import PeriodicSeries, require_causal
+from .model import PeriodicSeries, cycle_maps, require_causal
 
 DEFAULT_BURNIN = 500
 
@@ -74,21 +74,6 @@ def gen_noise(sigmas, n_cycles, spec, rng):
     for v in range(s):
         eps[v::s] = raw[v::s] @ factors[v]
     return eps
-
-
-def cycle_maps(model):
-    """(A, B) such that the values of one cycle are A x + B e.
-
-    x stacks the max_p values before the cycle, e the cycle's s
-    innovations and A x + B e its s values, each oldest first.
-    """
-    s, d, max_p = model.s, model.d, model.max_p
-    # the step recursion run on the identity: z[i] maps (x, e) to value i
-    z = np.eye((max_p + s) * d).reshape(max_p + s, d, -1)
-    for i, lags in enumerate(model.phi, start=max_p):
-        for k, phi in enumerate(lags, start=1):
-            z[i] += phi @ z[i - k]
-    return np.split(z[max_p:].reshape(s * d, -1), [max_p * d], axis=1)
 
 
 def block_cycles(model):

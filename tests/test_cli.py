@@ -153,6 +153,18 @@ def test_simulate_warns_once_on_a_short_burnin(tmp_path, model_file, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_simulate_accepts_a_stiff_causal_model(tmp_path, capsys):
+    # phi0 of the stacked VAR has cond ~1e14, yet the cycle contracts by 0.1
+    stiff = tmp_path / "stiff.txt"
+    stiff.write_text("s = 2\nd = 1\n[season 1]\np = 1\nphi1 = 1e-8\nsigma = 1\n"
+                     "[season 2]\np = 1\nphi1 = 1e7\nsigma = 1\n")
+    data = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--model", str(stiff), "--n", "5", "--out",
+                    str(data)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(data.read_text().splitlines()) == 10
+
+
 def test_fit_deterministic_output(tmp_path, model_file):
     data = str(tmp_path / "sim.csv")
     run_cli(["simulate", "--model", model_file, "--n", "300", "--seed", "1",
@@ -329,6 +341,10 @@ def _write(path, content):
      "error: 2 score observations are too few for the AIC order search"),
     ("csv-too-short-for-ar-order", 3,
      "error: too few score observations for the requested order"),
+    ("csv-one-cycle-log-bandwidth", 3,
+     "error: bandwidth rule 'log' is undefined at 1 cycles"),
+    ("csv-one-cycle-log-bandwidth-strong", 3,
+     "error: bandwidth rule 'log' is undefined at 1 cycles"),
     ("model-not-utf8", 3, "not_utf8.txt: 'utf-8' codec can't decode byte 0xff"),
     ("model-nan-phi", 3, "nan_model.txt: season 1 phi1: non-finite matrix entry"),
     ("model-inf-sigma", 3, "inf_model.txt: season 2 sigma: non-finite matrix entry"),
@@ -337,6 +353,7 @@ def _write(path, content):
     ("simulate-out", 3, "No such file or directory"),
     ("analytic-m0", 2, "argument --m: must be at least 1, got 0"),
     ("analytic-m-2", 2, "argument --m: must be at least 1, got -2"),
+    ("analytic-m700", 4, "error: (34, 'Numerical result out of range')"),
     ("restrict-inf", 3, "bad value in restriction 'phi[1](1,1)=1e999'"),
     ("restrict-repeated", 3,
      "restriction 'phi[1](1,1)=0.5' repeats an earlier one's coefficient"),
@@ -356,6 +373,8 @@ def _write(path, content):
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
     unwritable = ["--out", str(tmp_path / "missing-dir" / "out.txt")]
+    log_bandwidth = ["fit", "--s", "1", "--order", "0", "--bandwidth", "log",
+                     "--data", _write(tmp_path / "one.csv", b"0.5\n")]
     argv = {
         "nan-cell": ["fit", "--data", _with_cell(weak_data, 5, 1, "nan"), "--s", "2"],
         "inf-cell": ["fit", "--data", _with_cell(weak_data, 7, 2, "inf"), "--s", "2"],
@@ -369,6 +388,8 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "csv-too-short-for-ar-order": ["fit", "--s", "2", "--ar-order", "1",
                                        "--data", _write(tmp_path / "short.csv",
                                                         b"0.1\n0.3\n0.5\n-0.2\n0.7\n0.2\n")],
+        "csv-one-cycle-log-bandwidth": log_bandwidth,
+        "csv-one-cycle-log-bandwidth-strong": log_bandwidth + ["--cov", "strong"],
         "model-not-utf8": ["simulate", "--n", "5", "--model",
                            _write(tmp_path / "not_utf8.txt", b"\xff\xfes = 2\n")],
         "model-nan-phi": ["simulate", "--n", "5", "--model", _write(
@@ -382,6 +403,7 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "simulate-out": ["simulate", "--model", model_file, "--n", "5"] + unwritable,
         "analytic-m0": ["analytic", "--m", "0"],
         "analytic-m-2": ["analytic", "--m", "-2"],
+        "analytic-m700": ["analytic", "--m", "700"],
         "restrict-inf": ["wald", "--restrict", "phi[1](1,1)=1e999"] + data,
         "restrict-repeated": ["wald", "--restrict", "phi[1](1,1)=0",
                               "--restrict", "phi[1](1,1)=0.5"] + data,
@@ -557,7 +579,7 @@ def test_csv_either_fits_or_is_a_data_or_numeric_error(lines):
 # like stand for paths made in each example's directory.
 _FLAG_VALUES = {  # flag: (values of its kind, perturbed values)
     "--data": (["<data>"], ["<missing>", "<dir>", ""]),
-    "--s": (["1", "2", "3", "5", "7", "121"], ["0", "-1", "2.5", "x", ""]),
+    "--s": (["1", "2", "3", "5", "7", "120", "121"], ["0", "-1", "2.5", "x", ""]),
     "--order": (["1", "0", "2", "1,0", "0,2", "1,2,1", "9", "60"],
                 ["-1", "1,", "x", ""]),
     "--cov": (["strong", "sp", "hac", "strong,sp,hac", "hac,sp", " sp , hac"],
@@ -587,6 +609,8 @@ _ARGUMENT = st.one_of(_KIND, _KIND, _KIND, _PERTURBED)
 @given(st.sampled_from(["fit", "wald"]), st.lists(_ARGUMENT, max_size=5),
        st.sampled_from([None] * 6 + ["--data", "--s", "--restrict"]))
 @example("fit", [("--bandwidth", "5e-324")], None)  # its lag overflowed
+@example("fit", [("--s", "120"), ("--order", "0"), ("--bandwidth", "log")],
+         None)  # 1 / log(1) at one cycle
 def test_arguments_either_run_or_exit_with_a_documented_code(command, arguments,
                                                              dropped):
     # any argument vector runs (exit 0, with output) or exits 2, 3 or 4
@@ -626,6 +650,7 @@ def test_arguments_either_run_or_exit_with_a_documented_code(command, arguments,
     (OSError("disk full"), 3), (FloatingPointError("overflow encountered"), 4),
     (np.linalg.LinAlgError("SVD did not converge"), 4),
     (ValueError("Maximum allowed dimension exceeded"), 2),
+    (OverflowError("(34, 'Numerical result out of range')"), 4),
 ])
 def test_exception_class_decides_the_exit_code(monkeypatch, capsys, error, code):
     def failing(args):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from lifted import lifted_companion_radius, lifted_var
 from pvar.errors import NumericError
-from pvar.model import (PeriodicSeries, PvarModel, build_lifted_var,
-                        companion_spectral_radius, ma_coefficients,
-                        require_causal)
+from pvar.model import (PeriodicSeries, PvarModel, companion_spectral_radius,
+                        ma_coefficients, require_causal)
 from pvar.noise import NoiseSpec, gen_noise, simulate
 
 
@@ -25,7 +25,7 @@ def two_season_model():
 
 def test_lifted_var_two_season_order_one():
     model = two_season_model()
-    phi0, phis = build_lifted_var(model)
+    phi0, phis = lifted_var(model)
     d = 2
     # blocks in reverse season order: row 0 is season 2, row 1 is season 1
     assert np.allclose(phi0[:d, :d], np.eye(d))
@@ -47,7 +47,7 @@ def test_lifted_var_stacked_order():
              [np.array([[0.4]]), np.array([[0.5]]), np.array([[0.6]])]],
         sigma=[np.eye(1), np.eye(1)],
     )
-    phi0, phis = build_lifted_var(model)
+    phi0, phis = lifted_var(model)
     assert len(phis) == 2
     # season 2 row: lag k*s - 0 + c
     assert phis[0][0, 0] == pytest.approx(0.5)   # lag 2, season 2
@@ -69,12 +69,36 @@ def test_causality_scalar_product_rule():
     wide = scalar_model([-1.43, 0.46, 1.23, 0.30, 0.90])
     assert companion_spectral_radius(wide) < 1.0
     require_causal(wide)
+    # so are stiff ones: the stacked VAR's phi0 has cond ~1e14 here
+    stiff = scalar_model([1e-8, 1e7])
+    assert companion_spectral_radius(stiff) == pytest.approx(0.1, rel=1e-12)
+    require_causal(stiff)
+    assert np.isfinite(simulate(stiff, 20, seed=3).data).all()
 
 
 def test_causality_boundary():
     assert companion_spectral_radius(scalar_model([1.0, 1.0])) == pytest.approx(1.0)
     with pytest.raises(NumericError, match="is not below one"):
         require_causal(scalar_model([1.0, 1.0]))
+
+
+def _random_model(rng):
+    s, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    orders = rng.integers(0, 6, size=s)
+    phi = [[rng.standard_normal((d, d)) / np.sqrt(d * max(p, 1)) for _ in range(p)]
+           for p in orders]
+    return PvarModel(s=s, d=d, phi=phi, sigma=[np.eye(d)] * s)
+
+
+def test_radius_equals_the_lifted_companion_radius():
+    rng = np.random.default_rng(2024)
+    models = [_random_model(rng) for _ in range(1200)]
+    # the draws reach past one cycle and include order-0 seasons
+    assert any(m.max_p > m.s for m in models)
+    assert any(m.max_p > 0 and min(map(len, m.phi)) == 0 for m in models)
+    for model in models:
+        rho, ref = companion_spectral_radius(model), lifted_companion_radius(model)
+        assert abs(rho - ref) <= 1e-12 * ref, (model, rho, ref)
 
 
 def test_ma_coefficients_reproduce_simulation():
@@ -91,7 +115,7 @@ def test_ma_coefficients_reproduce_simulation():
         acc = eps[t].copy()
         for k in range(1, model.p(v) + 1):
             if t - k >= 0:
-                acc += model.phi_at(v, k) @ y_rec[t - k]
+                acc += model.phi[v - 1][k - 1] @ y_rec[t - k]
         y_rec[t] = acc
     t = total - 1          # a season-2 time (total even)
     v = (t % model.s) + 1

@@ -4,10 +4,10 @@ import pytest
 
 from pvar.errors import NumericError
 from pvar.linalg import cholesky_upper
-from pvar.model import (CAUSAL_TOL, PvarModel, build_lifted_var,
-                        companion_spectral_radius)
-from pvar.noise import (BLOCK, NoiseSpec, block_cycles, cycle_maps, gen_noise,
-                        simulate)
+from lifted import lifted_var
+from pvar.model import (CAUSAL_TOL, PvarModel, companion_spectral_radius,
+                        cycle_maps)
+from pvar.noise import BLOCK, NoiseSpec, block_cycles, gen_noise, simulate
 
 
 def test_noise_spec_validation():
@@ -89,7 +89,7 @@ def test_simulated_covariance_matches_lifted_var_solution():
         phi=[[np.diag([0.3, -0.6])], [np.diag([-0.7, 0.15])]],
         sigma=[np.diag([1.5, 2.5]), np.diag([1.0, 0.5])],
     )
-    phi0, phis = build_lifted_var(model)
+    phi0, phis = lifted_var(model)
     A = np.linalg.solve(phi0, phis[0])
     # stacked noise covariance in reverse season order (season 2 on top)
     ecov = np.zeros((4, 4))
@@ -129,7 +129,7 @@ def _simulate_by_steps(model, n_cycles, spec, seed, burnin):
         v = t % s + 1
         acc = eps[t]
         for k in range(1, model.p(v) + 1):
-            acc = acc + model.phi_at(v, k) @ y[max_p + t - k]
+            acc = acc + model.phi[v - 1][k - 1] @ y[max_p + t - k]
         y[max_p + t] = acc
     start = max_p + burnin * s
     return y[start - max_p:start], y[start:]
@@ -202,7 +202,7 @@ def test_cycle_maps_match_the_lifted_var_and_the_step_recursion(d, orders):
     A, B = cycle_maps(model)
     assert A.shape == (s * d, max_p * d) and B.shape == (s * d, s * d)
     # the lifted VAR stacks a cycle newest first; P reverses the season blocks
-    phi0, _ = build_lifted_var(model)
+    phi0, _ = lifted_var(model)
     P = np.kron(np.eye(s)[::-1], np.eye(d))
     assert np.allclose(B, P @ np.linalg.inv(phi0) @ P, rtol=0, atol=1e-12)
     # one cycle of A x + B e from the (nonzero) state after the burn-in
