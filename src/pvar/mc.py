@@ -10,10 +10,11 @@ CHUNK consecutive replications go through the pipeline together: one
 batched noise.simulate call draws their series as one stack, one
 fit_ols call fits it, and one lrv.covariances call and one infer.wald
 call per season and method test it.  Each slice of a stacked estimate
-equals the estimate of its series alone bit for bit, so the report
-does not depend on the chunk size.  If the stacked pipeline fails,
-each series of the chunk goes through it again on its own, so only
-the replications that fail on their own count as failures.
+equals the estimate of its series alone bit for bit, and the results
+stay stacked up to the report, which sums them row by row in seed
+order, so it does not depend on the chunk size.  If the stacked
+pipeline fails, each series of the chunk goes through it again on its
+own, so only the replications that fail on their own count as failures.
 """
 
 from dataclasses import dataclass, field
@@ -83,119 +84,91 @@ class McReport:
 
 
 def _fit_and_test(scenario, series):
-    """Rows of each series of a stack: its fit, covariances and Wald tests."""
+    """Fit and test a stack of R series: per season the tuple (beta_hat
+    (R, k), {test: Theta-hat diagonal (R, k)}, {test: p-values (R,)}, the
+    last {} where the season has no restriction), and fit.n_used."""
     model = scenario.model
     fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
                   demean=False)
     n = fit.n_used
     thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
                          scenario.hac_spec())
-    rows = [[] for _ in series.data]  # one list per series
+    seasons = []
     for v in range(1, fit.s + 1):
         beta = fit.beta_hat[v - 1]
         season = {name: thetas[v][METHODS[name]] for name in scenario.methods}
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
-        pvals = {}
-        if rest is not None:
-            for name, theta in season.items():
-                pvals[name] = wald(beta, theta, n, rest).p_value
-        for i, row in enumerate(rows):
-            row.append({"beta": beta[i],
-                        "thetas": {name: t[i] for name, t in season.items()},
-                        "pvals": {name: p[i] for name, p in pvals.items()},
-                        "n": n})
-    return rows
-
-
-def _replications(scenario):
-    """Rows of replication r = 0, 1, ..., or the PvarError where it failed."""
-    for first in range(0, scenario.reps, CHUNK):
-        yield from _chunk(scenario, range(first, min(first + CHUNK, scenario.reps)))
+        pvals = {} if rest is None else {
+            name: wald(beta, theta, n, rest).p_value for name, theta in season.items()}
+        seasons.append((beta, {name: np.diagonal(theta, axis1=-2, axis2=-1)
+                               for name, theta in season.items()}, pvals))
+    return seasons, n
 
 
 def _chunk(scenario, rs):
-    """Rows of replications rs, whose series one simulate call draws.
-
-    A failed replication gives its error: every one of the chunk if that
-    simulation fails, else one whose series fails on its own.
-    """
+    """_fit_and_test results of replications rs, whose series one simulate
+    call draws: the chunk's stacked one or, if that fails, one per series
+    that passes alone; and the failures' errors, in seed order."""
     try:
         chunk = simulate(scenario.model, scenario.n_cycles, scenario.noise,
                          seed=[scenario.base_seed ^ r for r in rs])
     except PvarError as exc:
-        return [exc] * len(rs)
+        return [], [exc] * len(rs)
     try:
-        return _fit_and_test(scenario, chunk)
+        return [_fit_and_test(scenario, chunk)], []
     except PvarError:
         pass
-    rows = []
+    results, errors = [], []
     for i in range(len(rs)):
         one = PeriodicSeries(chunk.s, chunk.data[i:i + 1], chunk.presample[i:i + 1])
         try:
-            rows += _fit_and_test(scenario, one)
+            results.append(_fit_and_test(scenario, one))
         except PvarError as exc:
-            rows.append(exc)
-    return rows
+            errors.append(exc)
+    return results, errors
 
 
 def run_scenario(scenario):
     """Run all replications in seed order and aggregate a report; if all
     fail, raise the first failure's class, DataError or NumericError."""
     t0 = time.perf_counter()
-    model = scenario.model
-    s = model.s
-    n_coef = [model.d * model.d * model.p(v) for v in range(1, s + 1)]
-    true_beta = [vec(np.hstack(model.phi[v - 1])) if model.p(v) else
-                 np.zeros(0) for v in range(1, s + 1)]
-    sums = {(v, i): 0.0 for v in range(1, s + 1) for i in range(n_coef[v - 1])}
-    sums_sq = dict(sums)
-    sums_sse = dict(sums)
-    theta_sums = {}
-    reject = {}
-    completed = 0
-    first_failure = None
-    for rows in _replications(scenario):
-        if isinstance(rows, PvarError):
-            first_failure = first_failure or rows
-            continue
-        completed += 1
-        for v in range(1, s + 1):
-            row = rows[v - 1]
-            beta = row["beta"]
-            n = row["n"]
-            for i in range(n_coef[v - 1]):
-                sums[(v, i)] += beta[i]
-                sums_sq[(v, i)] += beta[i] ** 2
-                gap = beta[i] - true_beta[v - 1][i]
-                sums_sse[(v, i)] += n * gap * gap
-            for name, theta in row["thetas"].items():
-                for i in range(n_coef[v - 1]):
-                    key = (v, name, i)
-                    theta_sums[key] = theta_sums.get(key, 0.0) + float(theta[i, i])
-            for name, p in row["pvals"].items():
-                for a in scenario.levels:
-                    key = (v, name, a)
-                    reject[key] = reject.get(key, 0) + (1 if p < a else 0)
-    if completed == 0:
+    results, errors = [], []
+    for first in range(0, scenario.reps, CHUNK):
+        done, failed = _chunk(scenario, range(first, min(first + CHUNK, scenario.reps)))
+        results += done
+        errors += failed
+    if not results:
         why = (f"scenario {scenario.name!r}: every replication failed, "
-               f"the first with: {first_failure}")
-        if isinstance(first_failure, DataError):
+               f"the first with: {errors[0]}")
+        if isinstance(errors[0], DataError):
             raise DataError(why)
         raise NumericError(why)
-    freq = {k: c / completed for k, c in reject.items()}
-    return McReport(
-        scenario=scenario.name,
-        reps=scenario.reps,
-        completed=completed,
-        failures=scenario.reps - completed,
-        rejection=freq,
-        coef_mean={k: v / completed for k, v in sums.items()},
-        coef_sse={k: v / completed for k, v in sums_sse.items()},
-        coef_var={k: sums_sq[k] / completed - (sums[k] / completed) ** 2
-                  for k in sums},
-        theta_mean={k: v / completed for k, v in theta_sums.items()},
-        wall_time=time.perf_counter() - t0,
-    )
+    completed = scenario.reps - len(errors)
+    n = results[0][1]  # the same in every fit: it depends on n_cycles and the orders
+    model = scenario.model
+    coef_mean, coef_sse, coef_var, theta_mean, rejection = {}, {}, {}, {}, {}
+    for v in range(1, model.s + 1):
+        # sum adds the rows one at a time in seed order, whatever CHUNK is
+        parts = [seasons[v - 1] for seasons, _ in results]
+        beta = np.concatenate([b for b, _, _ in parts])
+        gap = beta - (vec(np.hstack(model.phi[v - 1])) if model.p(v) else 0.0)
+        mean = sum(beta) / completed
+        sse = sum(n * gap * gap) / completed
+        var = sum(beta * beta) / completed - mean * mean
+        coef_mean.update(((v, i), x) for i, x in enumerate(mean))
+        coef_sse.update(((v, i), x) for i, x in enumerate(sse))
+        coef_var.update(((v, i), x) for i, x in enumerate(var))
+        for name in parts[0][1]:
+            diag = sum(np.concatenate([t[name] for _, t, _ in parts])) / completed
+            theta_mean.update(((v, name, i), x) for i, x in enumerate(diag.tolist()))
+        for name in parts[0][2]:
+            p = np.concatenate([pvals[name] for _, _, pvals in parts])
+            rejection.update(((v, name, a), int((p < a).sum()) / completed)
+                             for a in scenario.levels)
+    return McReport(scenario.name, scenario.reps, completed, len(errors),
+                    rejection=rejection, coef_mean=coef_mean, coef_sse=coef_sse,
+                    coef_var=coef_var, theta_mean=theta_mean,
+                    wall_time=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pvar.infer import chisq_sf, wald
 from pvar.lrv import covariances, default_bandwidth
 from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
                      run_scenario, _fit_and_test)
+from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
 
 
@@ -98,15 +99,53 @@ def test_method_subset_matches_full_run():
 
 def test_wald_pvalue_matches_t_identity_inside_replication():
     sc = small_scenario(reps=1, n=400)
-    (rows,) = _fit_and_test(sc, simulate(sc.model, sc.n_cycles, sc.noise,
-                                         seed=[sc.base_seed]))
-    for v in range(5):
-        row = rows[v]
-        beta = row["beta"]
-        for name, theta in row["thetas"].items():
-            se2 = theta[3, 3] / row["n"]
-            z2 = beta[3] ** 2 / se2
-            assert row["pvals"][name] == pytest.approx(chisq_sf(z2, 1), abs=1e-10)
+    seasons, n = _fit_and_test(sc, simulate(sc.model, sc.n_cycles, sc.noise,
+                                            seed=[sc.base_seed]))
+    assert len(seasons) == 5
+    for beta, diagonals, pvals in seasons:
+        for name, diag in diagonals.items():
+            se2 = diag[0, 3] / n
+            z2 = beta[0, 3] ** 2 / se2
+            assert pvals[name][0] == pytest.approx(chisq_sf(z2, 1), abs=1e-10)
+
+
+def test_order_zero_season_without_restrictions_equals_one_seed_at_a_time():
+    model = PvarModel(s=2, d=2, phi=[[[[0.5, 0.1], [0.0, -0.3]]], []],
+                      sigma=[np.eye(2), [[2.0, 0.3], [0.3, 1.0]]])
+    sc = Scenario(name="order-0", model=model, noise=NoiseSpec(kind="weak-product"),
+                  n_cycles=60, reps=CHUNK + 3, bandwidth=0.2)
+    assert sc.reps % CHUNK and sc.restrictions is None
+    rep = run_scenario(sc)
+    # the reference: one series per seed, summed in seed order
+    fits = [fit_ols(simulate(model, sc.n_cycles, sc.noise, seed=sc.base_seed ^ r),
+                    [1, 0], demean=False) for r in range(sc.reps)]
+    thetas = [covariances(fit, list(METHODS.values()), sc.hac_spec()) for fit in fits]
+    n, R = fits[0].n_used, sc.reps
+    true = np.array(model.phi[0][0]).T.ravel()
+    mean, sse, var, theta = {}, {}, {}, {}
+    for i in range(4):
+        total = squares = errors = 0.0
+        for fit in fits:
+            b = fit.beta_hat[0][i]
+            total += b
+            squares += b * b
+            errors += n * (b - true[i]) * (b - true[i])
+        mean[(1, i)] = total / R
+        sse[(1, i)] = errors / R
+        var[(1, i)] = squares / R - (total / R) * (total / R)
+    for v, k in ((1, 4), (2, 0)):
+        for name, method in METHODS.items():
+            for i in range(k):
+                total = 0.0
+                for one in thetas:
+                    total += one[v][method][i, i]
+                theta[(v, name, i)] = total / R
+    assert fits[1].beta_hat[1].shape == (0,)
+    assert rep.completed == R and rep.failures == 0
+    assert rep.rejection == {}
+    for got, want in ((rep.coef_mean, mean), (rep.coef_sse, sse),
+                      (rep.coef_var, var), (rep.theta_mean, theta)):
+        assert list(got.items()) == list(want.items())
 
 
 def test_sse_matches_reference_strong():
