@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import analytic as an
-from .errors import DataError, PvarError
+from .errors import DataError, NumericError, PvarError
 from .estimate import fit_ols
 from .infer import Restriction, t_report, wald
 from .linalg import vec
@@ -434,10 +434,14 @@ def _diag_entries(model, i):
 
 def cmd_analytic(args):
     params = an.DiagExampleParams(m=args.m)
-    omega = an.omega_closed(params)
-    theta_s = an.theta_s_closed(params)
-    theta = an.theta_closed(params)
-    psi = an.psi_closed(params)
+    try:  # 3.0 ** m overflows from m = 647, the sandwich products from m = 645
+        omega = an.omega_closed(params)
+        theta_s = an.theta_s_closed(params)
+        theta = an.theta_closed(params)
+        psi = an.psi_closed(params)
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericError(f"--m {args.m} is too large: the closed forms "
+                           "overflow double precision") from exc
     headers = ["quantity", "season", "diagonal"]
     rows, payload = [], {"command": "analytic", "m": args.m}
     for name, pair in (("omega", omega), ("psi", psi),

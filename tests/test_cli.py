@@ -353,7 +353,10 @@ def _write(path, content):
     ("simulate-out", 3, "No such file or directory"),
     ("analytic-m0", 2, "argument --m: must be at least 1, got 0"),
     ("analytic-m-2", 2, "argument --m: must be at least 1, got -2"),
-    ("analytic-m700", 4, "error: (34, 'Numerical result out of range')"),
+    ("analytic-m700", 4,
+     "error: --m 700 is too large: the closed forms overflow double precision"),
+    ("analytic-m646", 4,
+     "error: --m 646 is too large: the closed forms overflow double precision"),
     ("restrict-inf", 3, "bad value in restriction 'phi[1](1,1)=1e999'"),
     ("restrict-repeated", 3,
      "restriction 'phi[1](1,1)=0.5' repeats an earlier one's coefficient"),
@@ -404,6 +407,7 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "analytic-m0": ["analytic", "--m", "0"],
         "analytic-m-2": ["analytic", "--m", "-2"],
         "analytic-m700": ["analytic", "--m", "700"],
+        "analytic-m646": ["analytic", "--m", "646"],
         "restrict-inf": ["wald", "--restrict", "phi[1](1,1)=1e999"] + data,
         "restrict-repeated": ["wald", "--restrict", "phi[1](1,1)=0",
                               "--restrict", "phi[1](1,1)=0.5"] + data,
