@@ -289,8 +289,7 @@ def psi_spectral(W, r="aic", S=None):
     # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
     for order in sorted(set(orders.tolist()) - {0}):
         at = orders == order
-        psi[at] = (_psi_of_order(flat, order, flat_S) if at.all()
-                   else _psi_of_order(flat[at], order, flat_S[at]))
+        psi[at] = _psi_of_order(flat[at], order, flat_S[at])
     return psi.reshape(W.shape[:-2] + (q, q))
 
 
