@@ -32,7 +32,6 @@ against pvar.oracle.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 

@@ -235,13 +235,12 @@ def parse_restriction(text, s, d, orders):
 # output helpers
 
 def _emit(text, out_path):
+    text = text if text.endswith("\n") else text + "\n"
     if out_path in (None, "-"):
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _json(payload):
@@ -260,10 +259,7 @@ def _table(headers, rows):
 
 
 def _csv_text(headers, rows):
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return "\n".join(lines)
+    return "\n".join(",".join(str(c) for c in row) for row in [headers] + rows)
 
 
 def _render(headers, rows, fmt, payload=None):
