@@ -251,7 +251,9 @@ def select_ar_order_aic(W, r_max, S=None):
 
 
 def default_r_max(n):
-    return int(math.floor(n ** (1 / 3)))
+    """The integer cube root of n: the k with k ** 3 <= n < (k + 1) ** 3."""
+    k = round(n ** (1 / 3))  # 1000 ** (1 / 3) is 9.999999999999998
+    return k if k ** 3 <= n else k - 1
 
 
 def psi_spectral(W, r="aic", S=None):

@@ -141,7 +141,7 @@ def test_acceptance_3_empirical_size(capsys):
 
     model-I and the model-II standard-test blow-up pass.  The misses
     are the model-II modified tests, driven by seasons 1 and 5:
-    modified-sp rejects [7.4, 5.6, 5.5, 5.8, 7.9]% at 5%.  With the
+    modified-sp rejects [7.4, 5.5, 5.5, 5.9, 7.9]% at 5%.  With the
     same seeds (N = 1000, 1000 replications):
 
     - the lag-0 White sandwich, the exact form of Psi here because the

@@ -284,8 +284,6 @@ def test_autocovariances_are_lambda_hat_times_n():
     assert np.array_equal(psi_hac(W, spec, S), want)
 
 
-@pytest.mark.xfail(strict=True, reason="n ** (1 / 3) rounds below the cube "
-                   "root, e.g. 1000 ** (1 / 3) == 9.999999999999998")
 def test_default_r_max_of_a_cube_is_its_root():
     assert [default_r_max(k ** 3) for k in range(1, 13)] == list(range(1, 13))
 
