@@ -87,9 +87,7 @@ def _fit_and_test(scenario, series):
     """Fit and test a stack of R series: per season the tuple (beta_hat
     (R, k), {test: Theta-hat diagonal (R, k)}, {test: p-values (R,)}, the
     last {} where the season has no restriction), and fit.n_used."""
-    model = scenario.model
-    fit = fit_ols(series, [model.p(v) for v in range(1, model.s + 1)],
-                  demean=False)
+    fit = fit_ols(series, [len(lags) for lags in scenario.model.phi], demean=False)
     n = fit.n_used
     thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
                          scenario.hac_spec())
