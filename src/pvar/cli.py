@@ -430,9 +430,9 @@ def _diag_entries(model, i):
 
 def cmd_analytic(args):
     params = an.DiagExampleParams(m=args.m)
+    omega = an.omega_closed(params)
+    theta_s = an.theta_s_closed(params)
     try:  # 3.0 ** m overflows from m = 647, the sandwich products from m = 645
-        omega = an.omega_closed(params)
-        theta_s = an.theta_s_closed(params)
         theta = an.theta_closed(params)
         psi = an.psi_closed(params)
     except (OverflowError, FloatingPointError) as exc:
