@@ -8,6 +8,8 @@ from .errors import NumericError
 #: Of a symmetric matrix it is max |eig| / min |eig|, so no SVD is needed.
 COND_LIMIT = 1e12
 
+_TRI_BLOCK = 16  # tri_inv's largest block handed to np.linalg.inv
+
 
 def mT(a):
     """Transpose of each matrix of a stack (or of one matrix)."""
@@ -41,6 +43,23 @@ def require_conditioned(a, what="matrix", inv_factor=None):
         if (lam.min(axis=-1) > lam.max(axis=-1) / COND_LIMIT).all():
             return
     raise NumericError(f"{what} is numerically singular")
+
+
+def tri_inv(lower):
+    """Inverse of each lower-triangular matrix of a stack, by 2 x 2 blocks:
+    the inverse of [[A, 0], [B, C]] is [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+    Blocks of at most _TRI_BLOCK rows go to np.linalg.inv, which raises
+    LinAlgError on an exactly singular one."""
+    n = lower.shape[-1]
+    if n <= _TRI_BLOCK:
+        return np.linalg.inv(lower)
+    h = n // 2
+    a_inv, c_inv = tri_inv(lower[..., :h, :h]), tri_inv(lower[..., h:, h:])
+    out = np.zeros(lower.shape)
+    out[..., :h, :h] = a_inv
+    out[..., h:, h:] = c_inv
+    out[..., h:, :h] = -(c_inv @ lower[..., h:, :h] @ a_inv)
+    return out
 
 
 def solve_guarded(a, b, what="matrix"):

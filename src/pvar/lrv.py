@@ -25,11 +25,7 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericError
-from .linalg import mT, require_conditioned, solve_guarded
-
-#: Largest q * r_max whose AIC lag Gram is guarded by its Cholesky bound;
-#: past it, solving for L^-1 took longer than the eigenvalues it saves.
-CERTIFY_MAX_COLUMNS = 144
+from .linalg import mT, require_conditioned, solve_guarded, tri_inv
 
 KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
 
@@ -148,14 +144,14 @@ def psi_hac(W, spec, S=None):
     T = min(spec.truncation, N - 1)
     if S is None:
         S = autocovariances(W, T)
-    psi = S[..., 0, :, :] / N * kernel_weight(spec, 0.0)
-    for h in range(1, T + 1):
-        w = kernel_weight(spec, h * spec.bandwidth)
-        if w == 0.0:
-            continue
-        lam = S[..., h, :, :] / N
-        psi = psi + w * (lam + mT(lam))
-    return psi
+    w = np.array([kernel_weight(spec, h * spec.bandwidth) for h in range(T + 1)])
+    lags = np.flatnonzero(w[1:]) + 1
+    lam = S[..., lags, :, :] / N
+    # S_0 / N f(0), then w_h (Lambda_h + Lambda_h') of each lag with a
+    # nonzero weight; cumsum adds them left to right, as a loop would
+    terms = np.concatenate([S[..., :1, :, :] / N * w[0],
+                            w[lags, None, None] * (lam + mT(lam))], axis=-3)
+    return np.cumsum(terms, axis=-3)[..., -1, :, :]
 
 
 def _lag_design(W, r, start):
@@ -202,8 +198,9 @@ def select_ar_order_aic(W, r_max, S=None):
     residual cross-product is Y'Y - sum_{k<r} C_k'C_k, where C_k is the
     k-th q-row block of C.  Every order's Gram is a leading principal
     submatrix of G and so no worse conditioned, hence one guard on G
-    raises exactly when some order's regression would be singular.  Up
-    to q*r_max = CERTIFY_MAX_COLUMNS it tries the Cholesky bound first.
+    raises exactly when some order's regression would be singular.  L^-1
+    comes by blocks (linalg.tri_inv) and gives both C and the guard's
+    Cholesky bound; eigenvalues are taken only where the bound declines.
     Orders whose residual covariance is not positive definite, or whose
     fit of the common sample is exact (q*r >= N - r_max), are skipped;
     ties go to the lowest order.
@@ -228,18 +225,15 @@ def select_ar_order_aic(W, r_max, S=None):
     resid = np.empty(stack + (r_max + 1, q, q))
     resid[..., 0, :, :] = yy
     if r_max and q:
-        certify = q * r_max <= CERTIFY_MAX_COLUMNS and np.isfinite(gram).all()
-        if not certify:
-            require_conditioned(gram, "score lag regression")
+        what = "score lag regression"
+        if not np.isfinite(gram).all():  # cholesky need not raise on nan
+            raise NumericError(f"{what} is numerically singular")
         try:
-            L = np.linalg.cholesky(gram)
+            inv_factor = tri_inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
-            raise NumericError("score lag regression is numerically singular") from None
-        eye = [np.broadcast_to(np.eye(q * r_max), gram.shape)] if certify else []
-        C = np.linalg.solve(L, np.concatenate([mT(cross)] + eye, axis=-1))
-        if certify:  # C's last q * r_max columns are L^-1
-            require_conditioned(gram, what="score lag regression", inv_factor=C[..., q:])
-        C = C[..., :q].reshape(stack + (r_max, q, q))
+            raise NumericError(f"{what} is numerically singular") from None
+        require_conditioned(gram, what, inv_factor)
+        C = (inv_factor @ mT(cross)).reshape(stack + (r_max, q, q))
         resid[..., 1:, :, :] = (resid[..., :1, :, :]
                                 - np.cumsum(mT(C) @ C, axis=-3))
     orders = np.arange(r_max + 1)

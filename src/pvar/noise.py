@@ -6,7 +6,9 @@ each innovation coordinate as a moving product of m + 1 consecutive
 standard normals from a channel-specific stream, then colors the
 vector with the season's covariance factor.  The product noise is
 uncorrelated in time but not independent, which is the regime the
-robust covariance estimators are designed for.
+robust covariance estimators are designed for.  Both kinds colour
+every season in one product: each cycle's s d raw draws times the
+block-diagonal matrix of the seasons' factors.
 
 simulate runs the recursion on its state x_c, the max_p values that
 end cycle c.  With (A, B) = model.cycle_maps(model) and u_c = B e_c, a
@@ -70,10 +72,11 @@ def gen_noise(sigmas, n_cycles, spec, rng):
         raw = eta[:total].copy()
         for j in range(1, spec.m + 1):
             raw *= eta[j:j + total]
-    eps = np.empty((total, d))
-    for v in range(s):
-        eps[v::s] = raw[v::s] @ factors[v]
-    return eps
+    # row c of the product holds raw[v] @ factors[v] of cycle c, v = 0..s-1
+    colour = np.zeros((s, d, s, d))
+    colour[range(s), :, range(s)] = factors
+    return (raw.reshape(n_cycles, s * d) @ colour.reshape(s * d, s * d)
+            ).reshape(total, d)
 
 
 def block_cycles(model):

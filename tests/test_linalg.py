@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pvar.errors import NumericError
-from pvar.linalg import (COND_LIMIT, cholesky_upper, require_conditioned,
-                         solve_guarded, vec)
+from pvar.linalg import (_TRI_BLOCK, COND_LIMIT, cholesky_upper,
+                         require_conditioned, solve_guarded, tri_inv, vec)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -171,3 +171,22 @@ def test_cholesky_bound_decides_as_the_eigenvalues(n, monkeypatch):
 @pytest.mark.parametrize("a", [np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf])])
 def test_cholesky_bound_never_passes_a_nonfinite_matrix(a):
     assert _guard_raises(a, np.eye(3) * 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, _TRI_BLOCK, _TRI_BLOCK + 1, 270])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_tri_inv_inverts_cholesky_factors(n, stack):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal(stack + (3 * n, n))
+    L = np.linalg.cholesky(np.swapaxes(X, -1, -2) @ X)
+    got, want = tri_inv(L), np.linalg.inv(L)
+    assert got.shape == L.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.triu(got, 1).any()  # the upper triangle is exactly zero
+
+
+def test_tri_inv_raises_on_an_exactly_singular_block():
+    L = np.tril(np.ones((40, 40)))
+    L[30, 30] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        tri_inv(L)

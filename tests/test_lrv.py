@@ -110,6 +110,38 @@ def test_psi_hac_truncation_zero_gives_lambda0():
     assert np.array_equal(psi_hac(W, spec), lambda_hat(W, 0))
 
 
+def loop_psi_hac(W, spec, S):
+    """psi_hac as a loop over the lags, skipping zero weights."""
+    N = W.shape[-2]
+    T = min(spec.truncation, N - 1)
+    psi = S[..., 0, :, :] / N * kernel_weight(spec, 0.0)
+    for h in range(1, T + 1):
+        w = kernel_weight(spec, h * spec.bandwidth)
+        if w != 0.0:
+            lam = S[..., h, :, :] / N
+            psi = psi + w * (lam + mT(lam))
+    return psi
+
+
+@pytest.mark.parametrize("kind", ["rect", "bartlett", "parzen", "qs"])
+@pytest.mark.parametrize("bandwidth", [2.0, 0.2, 1 / 21, 0.45])
+def test_psi_hac_adds_the_lags_as_a_loop_does(kind, bandwidth):
+    # bandwidth 0.2 puts the Bartlett and Parzen zero weights on lag 5,
+    # the support edge; 2.0 truncates all but "qs" at lag 0
+    spec = KernelSpec(kind, bandwidth)
+    _, W, _ = fitted_scores(300, seed=4, noise=NoiseSpec("weak-product", m=2))
+    stack = np.stack([W, W[::-1], 2.0 * W])
+    T = min(spec.truncation, W.shape[0] - 1)
+    if kind in ("bartlett", "parzen") and bandwidth == 0.2:
+        assert T == 5 and kernel_weight(spec, T * bandwidth) == 0.0
+    for series in (W, stack):
+        for H in (T, T + 7):  # S just long enough, and longer than needed
+            S = autocovariances(series, H)
+            want = loop_psi_hac(series, spec, S)
+            assert psi_hac(series, spec, S).tobytes() == want.tobytes()
+        assert psi_hac(series, spec).tobytes() == want.tobytes()
+
+
 def test_psi_spectral_order_zero_gives_lambda0():
     _, W, _ = fitted_scores(200)
     assert np.array_equal(psi_spectral(W, 0), lambda_hat(W, 0))
@@ -460,8 +492,8 @@ def assert_close_to_reference(got, want):
     ("wide", [41, 42, 43], "aic"), ("wide", [41, 42, 43], 1)])
 def test_covariances_equal_the_eigenvalue_guarded_refit_bit_for_bit(
         monkeypatch, name, seeds, ar_order):
-    # a model-II chunk (q * r_max = 36, the Cholesky-bound guard) and a
-    # wide one (270, the eigenvalue guard); both hold order-0 and higher
+    # a model-II chunk (q * r_max = 36) and a wide one (270), each
+    # searched under the Cholesky-bound guard; both hold order-0 and higher
     # order groups.  "strong" and "hac" stay bit for bit; "sp" fits orders
     # from moments, not from the design, so it agrees to 1e-12 relative
     if name == "wide":
@@ -501,9 +533,8 @@ def _outcome(search, W, r_max):
 
 @pytest.mark.parametrize("q,r_max", [(4, 9), (18, 15)])
 def test_aic_guard_raises_as_the_eigenvalue_guard(q, r_max):
-    # q * r_max = 36 takes the Cholesky-bound guard, 270 the eigenvalue
-    # guard; each raises exactly where the eigenvalue guard first did
-    assert (q * r_max <= pvar.lrv.CERTIFY_MAX_COLUMNS) == (q == 4)
+    # at q * r_max = 36 and 270 the Cholesky-bound guard raises exactly
+    # where the eigenvalue guard first did
     rng = np.random.default_rng(q)
     base = rng.standard_normal((1000, q))
     cases = [np.zeros((1000, q)), np.hstack([base[:, 1:], base[:, :1]])]

@@ -64,6 +64,30 @@ def test_product_noise_equals_sliding_window_product(m):
         assert np.array_equal(eps[v::3], raw[v::3] @ cholesky_upper(sig))
 
 
+@pytest.mark.parametrize("kind", ["strong", "weak-product"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("s", [1, 2, 5])
+def test_gen_noise_colours_each_season_as_its_own_product(s, d, kind):
+    # reference: the raw draws coloured season by season, bit for bit
+    rng = np.random.default_rng(10 * s + d)
+    a = rng.standard_normal((s, d, d))
+    sigmas = list(a @ np.swapaxes(a, -1, -2) + np.eye(d))
+    spec = NoiseSpec(kind, m=2)
+    n_cycles, total = 97, 97 * s
+    eps = gen_noise(sigmas, n_cycles, spec, np.random.default_rng(5))
+    draws = np.random.default_rng(5)
+    if kind == "strong":
+        raw = draws.standard_normal((total, d))
+    else:
+        eta = draws.standard_normal((total + 2, d))
+        raw = eta[:total] * eta[1:total + 1] * eta[2:]
+    want = np.empty((total, d))
+    for v in range(s):
+        want[v::s] = raw[v::s] @ cholesky_upper(sigmas[v])
+    assert eps.shape == (total, d)
+    assert eps.tobytes() == want.tobytes()
+
+
 def test_gen_noise_deterministic_given_rng_seed():
     sigmas = [np.eye(2)]
     a = gen_noise(sigmas, 100, NoiseSpec("strong"), np.random.default_rng(7))
