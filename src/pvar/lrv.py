@@ -76,7 +76,8 @@ def kernel_weight(spec, x):
 
 
 BANDWIDTH_RULES = {
-    "andrews": lambda n: 1.0 / (math.floor(0.75 * n ** (1 / 3)) + 1),
+    # floor(0.75 n^(1/3)) = floor(cbrt(27 n)) // 4, exact where 64 n is a cube
+    "andrews": lambda n: 1.0 / (default_r_max(27 * n) // 4 + 1),
     "log": lambda n: 1.0 / math.log(n),
     "nw-2/9": lambda n: 1.0 / (math.floor(4.0 * (n / 100.0) ** (2 / 9)) + 1),
     "nw-1/4": lambda n: 1.0 / (math.floor(n ** 0.25) + 1),

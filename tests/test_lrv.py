@@ -70,6 +70,20 @@ def test_bandwidth_rules():
         default_bandwidth(1000, "cv")
 
 
+@pytest.mark.parametrize("n,lags", [(64, 3), (512, 6), (1728, 9), (4096, 12)])
+def test_andrews_rule_is_exact_where_its_root_is_an_integer(n, lags):
+    # 0.75 n^(1/3) = 3, 6, 9, 12: the float root rounded these down by one
+    assert default_bandwidth(n, "andrews") == 1.0 / (lags + 1)
+
+
+def test_andrews_rule_agrees_with_its_integer_definition():
+    # k = floor(0.75 n^(1/3)) is the k with 64 k^3 <= 27 n < 64 (k + 1)^3
+    for n in [*range(1, 30_000), *(64 * k ** 3 + j for k in range(1, 400)
+                                   for j in (-1, 0, 1))]:
+        k = round(1.0 / default_bandwidth(n, "andrews")) - 1
+        assert 64 * k ** 3 <= 27 * n < 64 * (k + 1) ** 3, n
+
+
 # scores and autocovariances ------------------------------------------------
 
 def test_score_ordering_matches_kron():
