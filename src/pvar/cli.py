@@ -414,10 +414,14 @@ def cmd_mc(args):
         freq = report.rejection[(v, method, level)]
         rows.append([v, method, _f(level, 3), _f(freq, 6)])
         tests.append({"season": v, "method": method, "level": level,
-                      "rejection": freq})
+                      "rejection": freq,
+                      "mc_se": math.sqrt(freq * (1 - freq) / report.completed)})
     payload = {"command": "mc", "scenario": report.scenario,
                "reps": report.reps, "completed": report.completed,
                "failures": report.failures, "rejection": tests,
+               "failure_reasons": [
+                   {"class": cls, "message": msg, "count": count}
+                   for (cls, msg), count in report.failure_reasons.items()],
                "sse": {f"{v}:{i}": report.coef_sse[(v, i)]
                        for (v, i) in sorted(report.coef_sse)}}
     _emit(_render(headers, rows, args.format, payload), args.out)

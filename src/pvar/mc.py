@@ -17,6 +17,7 @@ pipeline fails, each series of the chunk goes through it again on its
 own, so only the replications that fail on their own count as failures.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 import time
 
@@ -75,6 +76,7 @@ class McReport:
     reps: int
     completed: int
     failures: int
+    failure_reasons: dict    # (error class, message) -> count, first seen first
     rejection: dict          # (season, method, level) -> frequency
     coef_mean: dict          # (season, index) -> mean estimate
     coef_sse: dict           # (season, index) -> mean N (est - true)^2
@@ -163,10 +165,11 @@ def run_scenario(scenario):
             p = np.concatenate([pvals[name] for _, _, pvals in parts])
             rejection.update(((v, name, a), int((p < a).sum()) / completed)
                              for a in scenario.levels)
+    reasons = Counter((type(exc).__name__, str(exc)) for exc in errors)
     return McReport(scenario.name, scenario.reps, completed, len(errors),
-                    rejection=rejection, coef_mean=coef_mean, coef_sse=coef_sse,
-                    coef_var=coef_var, theta_mean=theta_mean,
-                    wall_time=time.perf_counter() - t0)
+                    failure_reasons=dict(reasons), rejection=rejection,
+                    coef_mean=coef_mean, coef_sse=coef_sse, coef_var=coef_var,
+                    theta_mean=theta_mean, wall_time=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

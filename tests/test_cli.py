@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,9 +15,13 @@ import pytest
 
 import pvar.cli
 import pvar.lrv
+import pvar.mc
 from pvar.cli import (main, parse_restriction, read_csv, read_model,
                       write_csv)
 from pvar.errors import DataError, NumericError, PvarError
+from pvar.infer import Restriction
+from pvar.model import PvarModel
+from pvar.noise import NoiseSpec
 
 MODEL_TEXT = """\
 # bivariate two-season example
@@ -731,6 +736,41 @@ def test_mc_command_small(tmp_path):
     payload = json.loads(open(out).read())
     assert payload["completed"] == 5
     assert payload["failures"] == 0
+
+
+def test_mc_json_reports_standard_errors_and_failure_reasons(tmp_path, monkeypatch):
+    # product noise of 301 normals underflows the score moments on some seeds
+    model = PvarModel(s=1, d=1, phi=[[np.array([[0.3]])]], sigma=[np.eye(1)])
+    scenario = pvar.mc.Scenario(
+        "heavy-tailed", model, NoiseSpec("weak-product", m=300), 40, 30,
+        restrictions=[Restriction.coordinates([0], 1)], bandwidth=0.2)
+    monkeypatch.setattr(pvar.cli, "preset", lambda *args, **kwargs: scenario)
+    out = str(tmp_path / "mc.json")
+    assert run_cli(["mc", "--format", "json", "--out", out]) == 0
+    report = pvar.mc.run_scenario(scenario)
+    payload = json.loads(open(out).read())
+    completed = payload["completed"]
+    assert 0 < payload["failures"] < 30 and completed + payload["failures"] == 30
+    assert payload["failure_reasons"] == [
+        {"class": cls, "message": msg, "count": count}
+        for (cls, msg), count in report.failure_reasons.items()]
+    assert sum(r["count"] for r in payload["failure_reasons"]) == payload["failures"]
+    assert {r["class"] for r in payload["failure_reasons"]} == {"NumericError"}
+    for row in payload["rejection"]:
+        p = row["rejection"]
+        assert row["mc_se"] == math.sqrt(p * (1 - p) / completed)
+
+
+def test_mc_json_without_failures_has_no_reasons(tmp_path):
+    out = str(tmp_path / "mc.json")
+    assert run_cli(["mc", "--scenario", "model-II", "--reps", "12", "--n", "200",
+                    "--format", "json", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert payload["failure_reasons"] == []
+    ses = [row["mc_se"] for row in payload["rejection"]]
+    assert all(se == math.sqrt(row["rejection"] * (1 - row["rejection"]) / 12)
+               for se, row in zip(ses, payload["rejection"]))
+    assert max(ses) > 0
 
 
 @pytest.mark.parametrize("n", [3, 8])

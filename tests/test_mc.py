@@ -6,7 +6,7 @@ import pytest
 import pvar.mc
 from pvar.errors import DataError, NumericError
 from pvar.estimate import fit_ols
-from pvar.infer import chisq_sf, wald
+from pvar.infer import Restriction, chisq_sf, wald
 from pvar.lrv import covariances, default_bandwidth
 from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
                      run_scenario, _fit_and_test)
@@ -185,6 +185,29 @@ def test_chunked_run_equals_one_replication_at_a_time(monkeypatch):
     assert list(chunked.rejection) == list(serial.rejection)
 
 
+def heavy_tailed_scenario(reps=30):
+    """Product noise of 301 normals: on some seeds the score moments
+    underflow, so those replications fail and the others complete."""
+    model = PvarModel(s=1, d=1, phi=[[np.array([[0.3]])]], sigma=[np.eye(1)])
+    return Scenario("heavy-tailed", model, NoiseSpec("weak-product", m=300), 40,
+                    reps, restrictions=[Restriction.coordinates([0], 1)],
+                    bandwidth=0.2)
+
+
+def test_failure_reasons_count_each_class_and_message_in_seed_order():
+    sc = heavy_tailed_scenario()
+    rep = run_scenario(sc)
+    errors = [exc for r in range(sc.reps) for exc in pvar.mc._chunk(sc, [r])[1]]
+    want = {}
+    for exc in errors:
+        key = (type(exc).__name__, str(exc))
+        want[key] = want.get(key, 0) + 1
+    assert 0 < rep.failures < sc.reps and len(want) >= 2
+    assert list(rep.failure_reasons.items()) == list(want.items())
+    assert sum(rep.failure_reasons.values()) == rep.failures
+    assert run_scenario(small_scenario(reps=3, n=100)).failure_reasons == {}
+
+
 def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatch):
     def simulate_first_chunk_fails(model, n_cycles, spec, seed):
         if seed[0] == sc.base_seed:
@@ -195,6 +218,7 @@ def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatc
     sc = small_scenario(reps=CHUNK + 3, n=150)
     rep = run_scenario(sc)
     assert rep.failures == CHUNK and rep.completed == 3
+    assert rep.failure_reasons == {("NumericError", "injected"): CHUNK}
     with pytest.raises(NumericError,
                        match="every replication failed, the first with: injected$"):
         run_scenario(dataclasses.replace(sc, reps=CHUNK))
