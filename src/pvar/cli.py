@@ -250,11 +250,8 @@ def _json(payload):
 def _table(headers, rows):
     cells = [headers] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
@@ -408,8 +405,7 @@ def cmd_mc(args):
                 base_seed=args.seed)
     report = run_scenario(sc)
     headers = ["season", "method", "level", "rejection"]
-    rows = []
-    tests = []
+    rows, tests = [], []
     for (v, method, level) in sorted(report.rejection):
         freq = report.rejection[(v, method, level)]
         rows.append([v, method, _f(level, 3), _f(freq, 6)])
@@ -536,16 +532,12 @@ def build_parser():
 
     p = sub.add_parser("fit", help="least squares fit with robust errors")
     _add_fit_flags(p)
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("wald", help="Wald tests of linear restrictions")
     _add_fit_flags(p)
     p.add_argument("--restrict", action="append", required=True,
                    help='e.g. "phi[1](2,2)=0"; repeatable')
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_wald)
 
     p = sub.add_parser("mc", help="run a built-in Monte Carlo scenario")
@@ -554,16 +546,16 @@ def build_parser():
     p.add_argument("--n", type=_int_from(1), default=None)
     p.add_argument("--seed", type=_int_from(0), default=None)
     p.add_argument("--dump-scenarios", action="store_true")
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("analytic", help="closed-form example tables")
     p.add_argument("--m", type=_int_from(1), default=1)
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_analytic)
 
+    for name in ("fit", "wald", "mc", "analytic"):
+        sub.choices[name].add_argument(
+            "--format", choices=["table", "csv", "json"], default="table")
+        sub.choices[name].add_argument("--out", default="-")
     return parser
 
 

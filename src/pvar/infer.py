@@ -105,8 +105,7 @@ def wald(beta_hat, theta, n, restriction):
     stat = ((n * gap)[..., None, :] @ sol)[..., 0, 0]
     df = R0.shape[0]
     if stat.ndim == 0:
-        stat = float(stat)
-        return WaldResult(statistic=stat, df=df, p_value=chisq_sf(stat, df))
+        return WaldResult(float(stat), df, chisq_sf(float(stat), df))
     p_value = np.array([chisq_sf(float(x), df) for x in stat])
     return WaldResult(statistic=stat, df=df, p_value=p_value)
 
@@ -134,21 +133,15 @@ def t_report(season, d, p, beta, thetas, n):
     beta = np.asarray(beta, dtype=float).reshape(-1)
     rows = []
     for idx in range(beta.size):
-        lag = idx // (d * d) + 1
-        within = idx % (d * d)
-        col = within // d + 1
-        row = within % d + 1
+        lag, within = divmod(idx, d * d)
+        col, row = divmod(within, d)
         ses, pvals = {}, {}
         for name, theta in thetas.items():
             var = float(theta[idx, idx])
-            se = (var / n) ** 0.5 if var > 0 else float("nan")
-            ses[name] = se
-            if se > 0:
-                z = abs(beta[idx]) / se
-                pvals[name] = 2.0 * normal_sf(z)
-            else:
-                pvals[name] = float("nan")
-        rows.append(CoefficientRow(season=season, lag=lag, row=row, col=col,
-                                   estimate=float(beta[idx]), std_errors=ses,
-                                   p_values=pvals))
+            ses[name] = se = (var / n) ** 0.5 if var > 0 else float("nan")
+            pvals[name] = (2.0 * normal_sf(abs(beta[idx]) / se) if se > 0
+                           else float("nan"))
+        rows.append(CoefficientRow(season=season, lag=lag + 1, row=row + 1,
+                                   col=col + 1, estimate=float(beta[idx]),
+                                   std_errors=ses, p_values=pvals))
     return rows

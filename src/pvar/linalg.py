@@ -47,17 +47,16 @@ def require_conditioned(a, what="matrix", inv_factor=None):
 
 def tri_inv(lower):
     """Inverse of each lower-triangular matrix of a stack, by 2 x 2 blocks:
-    the inverse of [[A, 0], [B, C]] is [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
-    Blocks of at most _TRI_BLOCK rows go to np.linalg.inv, which raises
-    LinAlgError on an exactly singular one."""
+    inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to
+    blocks of _TRI_BLOCK rows, where np.linalg.inv raises LinAlgError on
+    an exactly singular one."""
     n = lower.shape[-1]
     if n <= _TRI_BLOCK:
         return np.linalg.inv(lower)
     h = n // 2
-    a_inv, c_inv = tri_inv(lower[..., :h, :h]), tri_inv(lower[..., h:, h:])
     out = np.zeros(lower.shape)
-    out[..., :h, :h] = a_inv
-    out[..., h:, h:] = c_inv
+    out[..., :h, :h] = a_inv = tri_inv(lower[..., :h, :h])
+    out[..., h:, h:] = c_inv = tri_inv(lower[..., h:, h:])
     out[..., h:, :h] = -(c_inv @ lower[..., h:, :h] @ a_inv)
     return out
 

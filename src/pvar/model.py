@@ -42,13 +42,11 @@ class PvarModel:
             raise ValueError("need one coefficient list and one covariance per season")
         self.phi = [[np.array(m, dtype=float) for m in lags] for lags in self.phi]
         self.sigma = [np.array(m, dtype=float) for m in self.sigma]
-        for lags in self.phi:
-            for m in lags:
-                if m.shape != (self.d, self.d):
-                    raise ValueError("coefficient matrices must be d x d")
-        for m in self.sigma:
-            if m.shape != (self.d, self.d):
-                raise ValueError("covariances must be d x d")
+        square = (self.d, self.d)
+        if any(m.shape != square for lags in self.phi for m in lags):
+            raise ValueError("coefficient matrices must be d x d")
+        if any(m.shape != square for m in self.sigma):
+            raise ValueError("covariances must be d x d")
 
     def p(self, season):
         """Autoregressive order of a season (1-based)."""
