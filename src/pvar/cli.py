@@ -24,10 +24,11 @@ from .errors import DataError, NumericError, PvarError
 from .estimate import fit_ols
 from .infer import Restriction, t_report, wald
 from .linalg import vec
-from .lrv import BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth
+from .lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
+                  covariances, default_bandwidth)
 from .model import PeriodicSeries, PvarModel, companion_spectral_radius
-from .noise import DEFAULT_BURNIN, NoiseSpec, simulate
-from .mc import PRESET_NAMES, preset, run_scenario
+from .noise import DEFAULT_BURNIN, NOISE_KINDS, NoiseSpec, simulate
+from .mc import PRESETS, preset, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -255,15 +256,11 @@ def _table(headers, rows):
     return "\n".join(lines)
 
 
-def _csv_text(headers, rows):
-    return "\n".join(",".join(str(c) for c in row) for row in [headers] + rows)
-
-
 def _render(headers, rows, fmt, payload=None):
     if fmt == "json":
         return _json(payload)
     if fmt == "csv":
-        return _csv_text(headers, rows)
+        return "\n".join(",".join(str(c) for c in row) for row in [headers] + rows)
     return _table(headers, rows)
 
 
@@ -300,9 +297,9 @@ def _bandwidth_value(arg, n):
 
 
 def _covariances_from_args(args, fit, seasons=None):
-    """The --cov methods and their per-season Theta estimates."""
+    """The per-season Theta estimates of the --cov methods."""
     hac = KernelSpec(args.kernel, _bandwidth_value(args.bandwidth, fit.n_used))
-    return args.cov, covariances(fit, args.cov, hac, args.ar_order, seasons)
+    return covariances(fit, args.cov, hac, args.ar_order, seasons)
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +325,20 @@ def _fit_from_args(args):
 
 def cmd_fit(args):
     fit = _fit_from_args(args)
-    methods, thetas = _covariances_from_args(args, fit)
-    headers = ["season", "lag", "row", "col", "estimate"]
-    for prefix in ("se", "pval"):
-        headers += [f"{prefix}_{m}" for m in methods]
+    thetas = _covariances_from_args(args, fit)
+    headers = (["season", "lag", "row", "col", "estimate"]
+               + [f"{prefix}_{m}" for prefix in ("se", "pval") for m in args.cov])
     rows, payload = [], {"command": "fit", "n_cycles": fit.n_used,
                          "orders": fit.orders, "seasons": []}
     for v in range(1, fit.s + 1):
-        report = t_report(v, fit.d, fit.orders[v - 1], fit.beta_hat[v - 1],
-                          thetas[v], fit.n_used)
-        season_payload = {"season": v, "coefficients": [],
-                          "sigma_tilde_vec": [float(x) for x in
-                                              vec(fit.sigma_tilde[v - 1])]}
-        for entry in report:
-            row = [entry.season, entry.lag, entry.row, entry.col, _f(entry.estimate)]
-            row += [_f(entry.std_errors[m]) for m in methods]
-            row += [_f(entry.p_values[m]) for m in methods]
-            rows.append(row)
-            season_payload["coefficients"].append({
-                "lag": entry.lag, "row": entry.row, "col": entry.col,
-                "estimate": entry.estimate,
-                "std_errors": entry.std_errors,
-                "p_values": entry.p_values,
-            })
-        payload["seasons"].append(season_payload)
+        records = t_report(fit.d, fit.beta_hat[v - 1], thetas[v], fit.n_used)
+        payload["seasons"].append({
+            "season": v, "coefficients": records,
+            "sigma_tilde_vec": vec(fit.sigma_tilde[v - 1]).tolist()})
+        for r in records:
+            rows.append([v, r["lag"], r["row"], r["col"], _f(r["estimate"])]
+                        + [_f(r["std_errors"][m]) for m in args.cov]
+                        + [_f(r["p_values"][m]) for m in args.cov])
     _emit(_render(headers, rows, args.format, payload), args.out)
     return EXIT_OK
 
@@ -366,7 +353,7 @@ def cmd_wald(args):
             raise DataError(
                 f"restriction {text!r} repeats an earlier one's coefficient")
         targets[index] = value
-    methods, thetas = _covariances_from_args(args, fit, sorted(per_season))
+    thetas = _covariances_from_args(args, fit, sorted(per_season))
     headers = ["season", "method", "statistic", "df", "p_value"]
     rows, payload = [], {"command": "wald", "n_cycles": fit.n_used, "tests": []}
     for season in sorted(per_season):
@@ -374,7 +361,7 @@ def cmd_wald(args):
         n_coef = fit.d * fit.d * fit.orders[season - 1]
         rest = Restriction.coordinates(list(targets), n_coef,
                                        values=list(targets.values()))
-        for m in methods:
+        for m in args.cov:
             res = wald(fit.beta_hat[season - 1], thetas[season][m],
                        fit.n_used, rest)
             rows.append([season, m, _f(res.statistic, 10), res.df, _f(res.p_value, 10)])
@@ -388,7 +375,7 @@ def cmd_wald(args):
 def cmd_mc(args):
     if args.dump_scenarios:
         payload = {}
-        for name in PRESET_NAMES:
+        for name in PRESETS:
             sc = preset(name)
             payload[name] = {
                 "noise": sc.noise.kind, "m": sc.noise.m,
@@ -486,15 +473,15 @@ def _ar_order(text):
 
 
 def _cov_methods(text):
-    """argparse type: a nonempty list of distinct strong, sp, hac."""
+    """argparse type: a nonempty list of distinct COV_METHODS keys."""
     methods = [m.strip() for m in text.split(",") if m.strip()]
+    names = ", ".join(COV_METHODS)
     if not methods:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of "
-                                         "strong, sp, hac")
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of {names}")
     for i, m in enumerate(methods):
-        if m not in ("strong", "sp", "hac"):
+        if m not in COV_METHODS:
             raise argparse.ArgumentTypeError(
-                f"unknown covariance method {m!r}; use strong, sp, hac")
+                f"unknown covariance method {m!r}; use {names}")
         if m in methods[:i]:
             raise argparse.ArgumentTypeError(f"covariance method {m!r} repeated")
     return methods
@@ -505,9 +492,8 @@ def _add_fit_flags(p):
     p.add_argument("--s", type=_int_from(1), required=True)
     p.add_argument("--order", type=_orders, default="1")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--cov", type=_cov_methods, default="strong,sp,hac")
-    p.add_argument("--kernel", choices=["bartlett", "rect", "parzen", "qs"],
-                   default="bartlett")
+    p.add_argument("--cov", type=_cov_methods, default=",".join(COV_METHODS))
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="bartlett")
     p.add_argument("--bandwidth", default=None,
                    help="rule name or explicit positive value")
     p.add_argument("--ar-order", type=_ar_order, default="aic",
@@ -523,7 +509,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="simulate a model file to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=_int_from(1), required=True, help="number of cycles")
-    p.add_argument("--noise", choices=["strong", "weak-product"], default="strong")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="strong")
     p.add_argument("--m", type=_int_from(1), default=1, help="product window exponent")
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--burnin", type=_int_from(0), default=DEFAULT_BURNIN)
@@ -541,7 +527,7 @@ def build_parser():
     p.set_defaults(func=cmd_wald)
 
     p = sub.add_parser("mc", help="run a built-in Monte Carlo scenario")
-    p.add_argument("--scenario", choices=list(PRESET_NAMES), default="model-I")
+    p.add_argument("--scenario", choices=list(PRESETS), default="model-I")
     p.add_argument("--reps", type=_int_from(1), default=None)
     p.add_argument("--n", type=_int_from(1), default=None)
     p.add_argument("--seed", type=_int_from(0), default=None)

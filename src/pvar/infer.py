@@ -110,28 +110,16 @@ def wald(beta_hat, theta, n, restriction):
     return WaldResult(statistic=stat, df=df, p_value=p_value)
 
 
-@dataclass
-class CoefficientRow:
-    """One line of a per-coefficient significance report."""
+def t_report(d, beta, thetas, n):
+    """Per-coefficient records of one season, as pvar fit's JSON lists them.
 
-    season: int
-    lag: int
-    row: int
-    col: int
-    estimate: float
-    std_errors: dict
-    p_values: dict
-
-
-def t_report(season, d, p, beta, thetas, n):
-    """Coefficient table for one season.
-
-    thetas maps a method name to its d^2 p x d^2 p covariance.  Each
-    coefficient gets a standard error sqrt(Theta_ii / N) and a two-sided
-    normal p-value, which is the single-restriction Wald p-value.
+    thetas maps a method name to its covariance of beta.  Each coefficient,
+    in vec order, gets a dict {lag, row, col, estimate, std_errors,
+    p_values}, with per method a standard error sqrt(Theta_ii / N) and a
+    two-sided normal p-value, the single-restriction Wald p-value.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    rows = []
+    records = []
     for idx in range(beta.size):
         lag, within = divmod(idx, d * d)
         col, row = divmod(within, d)
@@ -141,7 +129,7 @@ def t_report(season, d, p, beta, thetas, n):
             ses[name] = se = (var / n) ** 0.5 if var > 0 else float("nan")
             pvals[name] = (2.0 * normal_sf(abs(beta[idx]) / se) if se > 0
                            else float("nan"))
-        rows.append(CoefficientRow(season=season, lag=lag + 1, row=row + 1,
-                                   col=col + 1, estimate=float(beta[idx]),
-                                   std_errors=ses, p_values=pvals))
-    return rows
+        records.append({"lag": lag + 1, "row": row + 1, "col": col + 1,
+                        "estimate": float(beta[idx]), "std_errors": ses,
+                        "p_values": pvals})
+    return records

@@ -27,7 +27,10 @@ import numpy as np
 from .errors import DataError, NumericError
 from .linalg import mT, require_conditioned, solve_guarded, tri_inv
 
-KERNEL_KINDS = ("rect", "bartlett", "parzen", "qs")
+KERNEL_KINDS = ("bartlett", "rect", "parzen", "qs")
+
+#: Each covariance method -> the name of its Wald test in mc reports.
+COV_METHODS = {"strong": "standard", "sp": "modified-sp", "hac": "modified-hac"}
 
 #: Effective support of the quadratic-spectral window; its weights past
 #: this point are below 3e-4, so the truncated sum loses little.
@@ -329,6 +332,7 @@ def theta_sandwich(omega_inv, psi, d):
 def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     """Theta estimates {season: {method: Theta}}; seasons defaults to all.
 
+    methods are keys of COV_METHODS, checked before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
     Each season inverts its Omega and sums the autocovariances of W once
@@ -336,6 +340,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     AIC r_max or fixed order.  The fit of a stack of series
     (estimate.fit_ols) gives stacked estimates, one slice per series.
     """
+    for method in methods:
+        if method not in COV_METHODS:
+            raise ValueError(f"unknown covariance method {method!r}")
     out = {}
     for v in seasons or range(1, fit.s + 1):
         X = fit.X[v - 1]
@@ -351,11 +358,7 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
                 N = W.shape[-2]
                 r = default_r_max(N) if ar_order == "aic" else int(ar_order)
                 S = autocovariances(W, min(max(hac.truncation, r), N - 1))
-            if method == "sp":
-                psi = psi_spectral(W, ar_order, S)
-            elif method == "hac":
-                psi = psi_hac(W, hac, S)
-            else:
-                raise ValueError(f"unknown covariance method {method!r}")
+            psi = (psi_spectral(W, ar_order, S) if method == "sp"
+                   else psi_hac(W, hac, S))
             out[v][method] = theta_sandwich(omega_inv, psi, fit.d)
     return out

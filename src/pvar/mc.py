@@ -4,7 +4,8 @@ Each scenario simulates a known PVAR, fits it by least squares, builds
 the standard and robust covariance estimates, and runs Wald tests of
 linear restrictions, aggregating rejection frequencies over many
 replications.  Replication r draws its seed as base_seed XOR r, so a
-report is a pure function of the scenario.
+report is a pure function of the scenario.  A scenario names its Wald
+tests by the values of lrv.COV_METHODS; PRESETS holds the built-in ones.
 
 CHUNK consecutive replications go through the pipeline together: one
 batched noise.simulate call draws their series as one stack, one
@@ -27,13 +28,12 @@ from .errors import DataError, NumericError, PvarError
 from .estimate import fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
+from .lrv import COV_METHODS, KernelSpec, covariances, default_bandwidth
 # psi_hac stays importable from here: bench/test_bench.py traces it in mc
-from .lrv import KernelSpec, covariances, default_bandwidth, psi_hac  # noqa: F401
+from .lrv import psi_hac  # noqa: F401
 from .model import PeriodicSeries, PvarModel
 from .noise import NoiseSpec, simulate
 
-#: Report name of each test -> name of its covariance in lrv.covariances.
-METHODS = {"standard": "strong", "modified-sp": "sp", "modified-hac": "hac"}
 #: Replications whose series one noise.simulate call draws together.
 CHUNK = 10
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
@@ -46,8 +46,8 @@ class Scenario:
     noise: NoiseSpec
     n_cycles: int
     reps: int
-    restrictions: list = field(default=None)  # per season, or None
-    methods: tuple = tuple(METHODS)
+    restrictions: list = field(default=None)  # one per season, or None
+    methods: tuple = tuple(COV_METHODS.values())  # the tests' report names
     levels: tuple = DEFAULT_LEVELS
     base_seed: int = 424243
     bandwidth: float = None  # of the Bartlett HAC; None -> Andrews at n_cycles
@@ -60,8 +60,10 @@ class Scenario:
         if any(not 0 < a < 1 for a in self.levels):
             raise ValueError("levels must lie strictly inside (0, 1)")
         for m in self.methods:
-            if m not in METHODS:
+            if m not in COV_METHODS.values():
                 raise ValueError(f"unknown method {m!r}")
+        if self.restrictions is not None and len(self.restrictions) != self.model.s:
+            raise ValueError(f"restrictions needs one entry per season, {self.model.s}")
 
     def hac_spec(self):
         b = self.bandwidth
@@ -91,12 +93,13 @@ def _fit_and_test(scenario, series):
     last {} where the season has no restriction), and fit.n_used."""
     fit = fit_ols(series, [len(lags) for lags in scenario.model.phi], demean=False)
     n = fit.n_used
-    thetas = covariances(fit, [METHODS[name] for name in scenario.methods],
+    method = {test: m for m, test in COV_METHODS.items()}
+    thetas = covariances(fit, [method[name] for name in scenario.methods],
                          scenario.hac_spec())
     seasons = []
     for v in range(1, fit.s + 1):
         beta = fit.beta_hat[v - 1]
-        season = {name: thetas[v][METHODS[name]] for name in scenario.methods}
+        season = {name: thetas[v][method[name]] for name in scenario.methods}
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
         pvals = {} if rest is None else {
             name: wald(beta, theta, n, rest).p_value for name, theta in season.items()}
@@ -198,26 +201,28 @@ def _phi22_restrictions(model):
     return [Restriction.coordinates([3], n_coef) for _ in range(model.s)]
 
 
-def preset(name, n_cycles=None, reps=None, base_seed=None):
-    """Built-in scenarios.
+#: Built-in scenarios: name -> (Phi22 diagonal, noise kind, default
+#: n_cycles, HAC bandwidth).  model-I/II: size study (Phi22 = 0 under the
+#: null), strong vs weak product noise (m=2); model-III/IV: power study
+#: (Phi22 = 0.05).  dgp-strong/dgp-weak: the base process with both
+#: diagonals nonzero, used for estimator-accuracy summaries.  Each preset
+#: fixes its HAC bandwidth, so n_cycles changes only the sample size.
+PRESETS = {
+    "model-I": ((0.0,) * 5, "strong", 1000, 1.0 / 21.0),
+    "model-II": ((0.0,) * 5, "weak-product", 1000, 1.0 / 21.0),
+    "model-III": ((0.05,) * 5, "strong", 4000, 1.0 / 12.0),
+    "model-IV": ((0.05,) * 5, "weak-product", 4000, 1.0 / 12.0),
+    "dgp-strong": (_PHI22_BASE, "strong", 1000, 1.0 / 21.0),
+    "dgp-weak": (_PHI22_BASE, "weak-product", 1000, 1.0 / 21.0),
+}
 
-    model-I/II: size study (Phi22 = 0 under the null), strong vs weak
-    product noise (m=2); model-III/IV: power study (Phi22 = 0.05).
-    dgp-strong/dgp-weak: the base process with both diagonals nonzero,
-    used for estimator-accuracy summaries.  Each preset fixes its HAC
-    bandwidth, so n_cycles changes only the sample size.
-    """
-    presets = {
-        "model-I": ((0.0,) * 5, "strong", 1000, 1.0 / 21.0),
-        "model-II": ((0.0,) * 5, "weak-product", 1000, 1.0 / 21.0),
-        "model-III": ((0.05,) * 5, "strong", 4000, 1.0 / 12.0),
-        "model-IV": ((0.05,) * 5, "weak-product", 4000, 1.0 / 12.0),
-        "dgp-strong": (_PHI22_BASE, "strong", 1000, 1.0 / 21.0),
-        "dgp-weak": (_PHI22_BASE, "weak-product", 1000, 1.0 / 21.0),
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    phi22, kind, default_n, bandwidth = presets[name]
+
+def preset(name, n_cycles=None, reps=None, base_seed=None):
+    """The Scenario of PRESETS[name], with any argument given replacing
+    its default."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    phi22, kind, default_n, bandwidth = PRESETS[name]
     model = _five_season_model(phi22)
     return Scenario(
         name=name,
@@ -229,7 +234,3 @@ def preset(name, n_cycles=None, reps=None, base_seed=None):
         base_seed=base_seed if base_seed is not None else 424243,
         bandwidth=bandwidth,
     )
-
-
-PRESET_NAMES = ("model-I", "model-II", "model-III", "model-IV",
-                "dgp-strong", "dgp-weak")

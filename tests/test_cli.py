@@ -309,6 +309,29 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, model_file, argv, flag,
     assert len(err.splitlines()) == 1 and flag in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["fit", "--cov", "white"], "pvar fit: error: argument --cov: unknown "
+     "covariance method 'white'; use strong, sp, hac"),
+    (["fit", "--cov", "hac,hac"],
+     "pvar fit: error: argument --cov: covariance method 'hac' repeated"),
+    (["fit", "--cov", ","], "pvar fit: error: argument --cov: expected a "
+     "comma-separated list of strong, sp, hac"),
+    (["fit", "--kernel", "gauss"], "pvar fit: error: argument --kernel: invalid "
+     "choice: 'gauss' (choose from 'bartlett', 'rect', 'parzen', 'qs')"),
+    (["simulate", "--model", "m.txt", "--n", "5", "--noise", "gauss"],
+     "pvar simulate: error: argument --noise: invalid choice: 'gauss' "
+     "(choose from 'strong', 'weak-product')"),
+    (["mc", "--scenario", "model-V"], "pvar mc: error: argument --scenario: "
+     "invalid choice: 'model-V' (choose from 'model-I', 'model-II', "
+     "'model-III', 'model-IV', 'dgp-strong', 'dgp-weak')"),
+])
+def test_unknown_vocabulary_names_are_one_line_usage_errors(argv, line, capsys):
+    if argv[0] == "fit":
+        argv = argv + ["--data", "sim.csv", "--s", "2"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 @pytest.fixture
 def weak_data(tmp_path, model_file):
     """The acceptance-6 series: MODEL_TEXT, 60 cycles of m=2 product noise."""

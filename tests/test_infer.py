@@ -122,21 +122,23 @@ def test_t_report_layout_and_identity():
     beta = rng.standard_normal(4)
     a = rng.standard_normal((4, 4))
     theta = a @ a.T + 4 * np.eye(4)
-    rows = t_report(2, 2, 1, beta, {"strong": theta}, 250)
+    rows = t_report(2, beta, {"strong": theta}, 250)
     assert len(rows) == 4
     # vec ordering: (1,1), (2,1), (1,2), (2,2)
-    assert [(r.row, r.col) for r in rows] == [(1, 1), (2, 1), (1, 2), (2, 2)]
+    assert [(r["row"], r["col"]) for r in rows] == [(1, 1), (2, 1), (1, 2), (2, 2)]
     for i, row in enumerate(rows):
-        assert row.season == 2 and row.lag == 1
-        assert row.std_errors["strong"] == pytest.approx(
+        # the record pvar fit's JSON lists
+        assert set(row) == {"lag", "row", "col", "estimate", "std_errors", "p_values"}
+        assert row["lag"] == 1
+        assert row["std_errors"]["strong"] == pytest.approx(
             np.sqrt(theta[i, i] / 250))
         # the normal p-value is the single-restriction Wald p-value
-        assert row.p_values["strong"] == pytest.approx(
+        assert row["p_values"]["strong"] == pytest.approx(
             wald(beta, theta, 250, Restriction.coordinates([i], 4)).p_value,
             rel=0, abs=1e-10)
 
 
 def test_zero_estimate_has_p_one():
     theta = np.eye(1)
-    rows = t_report(1, 1, 1, np.zeros(1), {"strong": theta}, 100)
-    assert rows[0].p_values["strong"] == pytest.approx(1.0)
+    rows = t_report(1, np.zeros(1), {"strong": theta}, 100)
+    assert rows[0]["p_values"]["strong"] == pytest.approx(1.0)

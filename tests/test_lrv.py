@@ -642,6 +642,18 @@ def test_covariances_builder_matches_parts():
         covariances(fit, ["white"], spec)
 
 
+def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):
+    fit = fit_ols(simulate(example_model(), 100, NoiseSpec(), seed=2), 1)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    monkeypatch.setattr(pvar.lrv, "omega_hat", fail)
+    monkeypatch.setattr(pvar.lrv, "psi_spectral", fail)
+    with pytest.raises(ValueError, match="unknown covariance method 'white'"):
+        covariances(fit, ["sp", "white"], KernelSpec())
+
+
 def test_covariances_inverts_each_omega_once(monkeypatch):
     ser = simulate(example_model(), 300, NoiseSpec("weak-product", m=1), seed=4)
     fit = fit_ols(ser, 1, demean=False)

@@ -7,9 +7,9 @@ import pvar.mc
 from pvar.errors import DataError, NumericError
 from pvar.estimate import fit_ols
 from pvar.infer import Restriction, chisq_sf, wald
-from pvar.lrv import covariances, default_bandwidth
-from pvar.mc import (CHUNK, METHODS, PRESET_NAMES, Scenario, preset,
-                     run_scenario, _fit_and_test)
+from pvar.lrv import COV_METHODS, covariances, default_bandwidth
+from pvar.mc import (CHUNK, PRESETS, Scenario, preset, run_scenario,
+                     _fit_and_test)
 from pvar.model import PvarModel
 from pvar.noise import NoiseSpec, simulate
 
@@ -19,7 +19,7 @@ def small_scenario(name="model-I", reps=20, n=300, seed=99):
 
 
 def test_preset_names_and_validation():
-    for name in PRESET_NAMES:
+    for name in PRESETS:
         sc = preset(name)
         assert sc.model.s == 5 and sc.model.d == 2
     with pytest.raises(ValueError):
@@ -38,6 +38,18 @@ def test_preset_names_and_validation():
         preset("model-I", reps=0)
     with pytest.raises(ValueError):
         preset("model-I", n_cycles=0)
+    with pytest.raises(ValueError, match="unknown method 'white'"):
+        Scenario(name="x", model=preset("model-I").model,
+                 noise=NoiseSpec(), n_cycles=10, reps=1, methods=("white",))
+
+
+@pytest.mark.parametrize("count", [2, 6])
+def test_restrictions_of_the_wrong_length_are_rejected(count):
+    sc = preset("model-I")
+    with pytest.raises(ValueError, match="one entry per season, 5"):
+        dataclasses.replace(sc, restrictions=sc.restrictions[:1] * count)
+    # None still means no tests
+    assert dataclasses.replace(sc, restrictions=None).restrictions is None
 
 
 def test_preset_dgp_values():
@@ -81,7 +93,7 @@ def test_no_failures_and_counts():
     for key, freq in rep.rejection.items():
         assert 0.0 <= freq <= 1.0
     # all (season, method, level) combinations are present
-    assert len(rep.rejection) == 5 * len(METHODS) * 3
+    assert len(rep.rejection) == 5 * len(COV_METHODS) * 3
 
 
 def test_method_subset_matches_full_run():
@@ -119,7 +131,7 @@ def test_order_zero_season_without_restrictions_equals_one_seed_at_a_time():
     # the reference: one series per seed, summed in seed order
     fits = [fit_ols(simulate(model, sc.n_cycles, sc.noise, seed=sc.base_seed ^ r),
                     [1, 0], demean=False) for r in range(sc.reps)]
-    thetas = [covariances(fit, list(METHODS.values()), sc.hac_spec()) for fit in fits]
+    thetas = [covariances(fit, list(COV_METHODS), sc.hac_spec()) for fit in fits]
     n, R = fits[0].n_used, sc.reps
     true = np.array(model.phi[0][0]).T.ravel()
     mean, sse, var, theta = {}, {}, {}, {}
@@ -134,7 +146,7 @@ def test_order_zero_season_without_restrictions_equals_one_seed_at_a_time():
         sse[(1, i)] = errors / R
         var[(1, i)] = squares / R - (total / R) * (total / R)
     for v, k in ((1, 4), (2, 0)):
-        for name, method in METHODS.items():
+        for method, name in COV_METHODS.items():
             for i in range(k):
                 total = 0.0
                 for one in thetas:
@@ -240,14 +252,14 @@ def test_all_failed_raises_the_first_failure_in_seed_order(monkeypatch, first, s
                                "the first with: first chunk")
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", PRESETS)
 def test_stacked_covariances_and_wald_equal_one_fit_at_a_time(name):
     sc = small_scenario(name, n=250)
     stacked_fit = fit_ols(simulate(sc.model, sc.n_cycles, sc.noise,
                                    seed=range(5)), 1, demean=False)
     fits = [fit_ols(simulate(sc.model, sc.n_cycles, sc.noise, seed=sd), 1,
                     demean=False) for sd in range(5)]
-    methods = list(METHODS.values())
+    methods = list(COV_METHODS)
     stacked = covariances(stacked_fit, methods, sc.hac_spec())
     n = stacked_fit.n_used
     for i, fit in enumerate(fits):

@@ -2,6 +2,9 @@ import ast
 import pathlib
 
 import pvar
+from pvar.lrv import COV_METHODS, KERNEL_KINDS
+from pvar.mc import PRESETS
+from pvar.noise import NOISE_KINDS
 
 SOURCE = pathlib.Path(pvar.__file__).parent
 
@@ -32,3 +35,15 @@ def test_every_raise_names_a_package_error_or_value_error():
                 raised.setdefault(ast.unparse(exc), []).append(f"{path.name}:{node.lineno}")
     assert set(raised) <= allowed, {k: v for k, v in raised.items() if k not in allowed}
     assert {"DataError", "NumericError", "ValueError"} <= set(raised)
+
+
+def test_cli_spells_no_method_kernel_noise_or_preset_name():
+    # the CLI reads each vocabulary from the table of the module that owns it
+    names = {*COV_METHODS, *KERNEL_KINDS, *NOISE_KINDS, *PRESETS}
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    defaults = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.keyword) and node.arg == "default"}
+    spelled = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in names
+               and id(node) not in defaults]
+    assert spelled == []
