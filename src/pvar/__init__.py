@@ -5,37 +5,39 @@ estimation of the fitted coefficients when the innovations are
 uncorrelated but dependent, modified Wald tests, seeded simulators,
 exact asymptotic covariances of the simulated process, closed-form
 reference values for a tractable bivariate example, and a Monte Carlo
-harness.
+harness.  Each public name, and each submodule, is imported on first
+use, so that a command loads only the modules it calls.
 """
 
-from . import errors
-from .analytic import (DiagExampleParams, example_model, omega_closed,
-                       psi_closed, theta_closed, theta_s_closed)
-from .estimate import FitResult, build_design, demean_seasonal, fit_ols
-from .infer import (Restriction, WaldResult, chisq_sf, normal_sf, t_report,
-                    wald)
-from .linalg import cholesky_upper, vec
-from .lrv import (BANDWIDTH_RULES, KernelSpec, covariances, default_bandwidth,
-                  kernel_weight, omega_hat, psi_hac, psi_spectral, score_series,
-                  select_ar_order_aic, theta_sandwich, theta_strong)
-from .mc import McReport, Scenario, preset, run_scenario
-from .model import (PeriodicSeries, PvarModel, companion_spectral_radius,
-                    ma_coefficients)
-from .noise import NoiseSpec, gen_noise, simulate
-from .oracle import ExactCovariances, exact_covariances
+import importlib
+
+_PUBLIC = {  # submodule: the names the package re-exports from it
+    "analytic": ("DiagExampleParams", "example_model", "omega_closed", "psi_closed",
+                 "theta_closed", "theta_s_closed"),
+    "errors": (),
+    "estimate": ("FitResult", "build_design", "demean_seasonal", "fit_ols"),
+    "infer": ("Restriction", "WaldResult", "chisq_sf", "normal_sf", "t_report", "wald"),
+    "linalg": ("cholesky_upper", "vec"),
+    "lrv": ("BANDWIDTH_RULES", "KernelSpec", "covariances", "default_bandwidth",
+            "kernel_weight", "omega_hat", "psi_hac", "psi_spectral", "score_series",
+            "select_ar_order_aic", "theta_sandwich", "theta_strong"),
+    "mc": ("McReport", "Scenario", "preset", "run_scenario"),
+    "model": ("PeriodicSeries", "PvarModel", "companion_spectral_radius",
+              "ma_coefficients"),
+    "noise": ("NoiseSpec", "gen_noise", "simulate"),
+    "oracle": ("ExactCovariances", "exact_covariances"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BANDWIDTH_RULES", "DiagExampleParams", "ExactCovariances", "FitResult",
-    "KernelSpec", "McReport", "PeriodicSeries", "PvarModel", "Restriction",
-    "Scenario", "WaldResult", "build_design",
-    "cholesky_upper", "chisq_sf", "companion_spectral_radius",
-    "covariances", "default_bandwidth", "demean_seasonal", "errors",
-    "exact_covariances", "example_model", "fit_ols", "gen_noise",
-    "kernel_weight", "ma_coefficients",
-    "normal_sf", "omega_closed", "omega_hat", "preset", "psi_closed",
-    "psi_hac", "psi_spectral", "run_scenario", "score_series",
-    "select_ar_order_aic", "simulate", "t_report", "theta_closed",
-    "theta_s_closed", "theta_sandwich", "theta_strong", "vec", "wald",
-]
+__all__ = ["errors", *_HOME]
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_HOME[name]), name)
+    return value

@@ -16,10 +16,10 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
-from . import analytic as an
 from .errors import DataError, NumericError, PvarError
 from .estimate import fit_ols
 from .infer import Restriction, t_report, wald
@@ -27,8 +27,6 @@ from .linalg import vec
 from .lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
                   covariances, default_bandwidth)
 from .model import PeriodicSeries, PvarModel, companion_spectral_radius
-from .noise import DEFAULT_BURNIN, NOISE_KINDS, NoiseSpec, simulate
-from .mc import PRESETS, preset, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,44 +42,26 @@ _FLOAT_FMT = "%.17g"
 def read_csv(path, s):
     """Load a CSV of d numeric columns into a PeriodicSeries.
 
-    An optional single header line is skipped.  A cell that is not a
-    finite number is a DataError naming its row and column.  A
-    trailing incomplete cycle is dropped with a warning on stderr.
+    Blank lines are skipped, and so is a first line that is not all
+    numbers (a header).  A cell that is not a finite number is a
+    DataError naming its row and column.  A trailing incomplete cycle
+    is dropped with a warning on stderr.  numpy's C reader reads the
+    rows; where it fails, warns or reads a non-finite cell, the rows
+    are read again by _read_csv_exact, so they are float()'s throughout.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
-    rows = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
-    try:
-        [float(cell) for cell in rows[0][1].split(",")]
-    except IndexError:  # blank lines only
-        pass
-    except ValueError:  # a header line
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    body = [ln for _, ln in rows]
-    try:
-        # numpy accepts and rejects a cell exactly as float() does
-        data = np.array(",".join(body).split(","), dtype=float).reshape(len(body), -1)
-        parsed = len({ln.count(",") for ln in body}) == 1 and np.isfinite(data).all()
-    except ValueError:
-        parsed = False
-    if not parsed:  # name the first bad cell; with none, the rows are ragged
-        for lineno, ln in rows:
-            for colno, cell in enumerate(ln.split(","), start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: row {lineno}, column {colno}: "
-                                    f"non-numeric value {cell.strip()!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: row {lineno}, column {colno}: "
-                                    f"non-finite value {cell.strip()!r}")
-        widths = sorted({ln.count(",") + 1 for ln in body})
-        raise DataError(f"{path}: rows have inconsistent column counts {widths}")
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fh.seek(0)  # raises on a pipe, which must go to the exact path unread
+            skip, first = next((k, ln) for k, ln in enumerate(iter(fh.readline, ""), 1)
+                               if ln.strip())
+            fh.seek(0)
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              skiprows=skip if _is_header(first) else skip - 1)
+    except (OSError, ValueError, Warning, StopIteration):  # next(): no nonblank line
+        data = None
+    if data is None or not np.isfinite(data).all():
+        data = _read_csv_exact(path)
     extra = data.shape[0] % s
     if data.shape[0] == extra:
         raise DataError(f"{path}: fewer rows than one cycle of {s}")
@@ -92,14 +72,47 @@ def read_csv(path, s):
     return PeriodicSeries(s=s, data=data)
 
 
-def write_csv(path, data):
-    out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
+def _is_header(line):
     try:
-        for row in np.atleast_2d(data):
-            out.write(",".join(_FLOAT_FMT % x for x in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        [float(cell) for cell in line.split(",")]
+    except ValueError:
+        return True
+    return False
+
+
+def _read_csv_exact(path):
+    """The rows, each cell read by float(); DataError names the first bad one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if rows and _is_header(rows[0][1]):
+        rows = rows[1:]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    data = []
+    for lineno, ln in rows:
+        data.append([])
+        for colno, cell in enumerate(ln.split(","), start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: row {lineno}, column {colno}: "
+                                f"non-numeric value {cell.strip()!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: row {lineno}, column {colno}: "
+                                f"non-finite value {cell.strip()!r}")
+            data[-1].append(value)
+    widths = sorted({len(row) for row in data})
+    if len(widths) > 1:
+        raise DataError(f"{path}: rows have inconsistent column counts {widths}")
+    return np.array(data)
+
+
+def write_csv(path, data):
+    _emit("".join(",".join(_FLOAT_FMT % x for x in row) + "\n"
+                  for row in np.atleast_2d(data)), path)
 
 
 def _parse_matrix(text, what):
@@ -306,6 +319,7 @@ def _covariances_from_args(args, fit, seasons=None):
 # commands
 
 def cmd_simulate(args):
+    from .noise import NoiseSpec, simulate
     model = read_model(args.model)
     spec = NoiseSpec(kind=args.noise, m=args.m)
     series = simulate(model, args.n, spec, seed=args.seed, burnin=args.burnin)
@@ -319,8 +333,7 @@ def cmd_simulate(args):
 
 def _fit_from_args(args):
     series = read_csv(args.data, args.s)
-    orders = _season_orders(args.order, args.s)
-    return fit_ols(series, orders, demean=args.demean)
+    return fit_ols(series, _season_orders(args.order, args.s), demean=args.demean)
 
 
 def cmd_fit(args):
@@ -373,20 +386,17 @@ def cmd_wald(args):
 
 
 def cmd_mc(args):
+    from .mc import PRESETS, preset, run_scenario
     if args.dump_scenarios:
-        payload = {}
-        for name in PRESETS:
-            sc = preset(name)
-            payload[name] = {
-                "noise": sc.noise.kind, "m": sc.noise.m,
-                "n_cycles": sc.n_cycles, "reps": sc.reps,
-                "levels": list(sc.levels), "methods": list(sc.methods),
-                "base_seed": sc.base_seed, "bandwidth": sc.bandwidth,
-                "phi11": list(_diag_entries(sc.model, 0)),
-                "phi22": list(_diag_entries(sc.model, 1)),
-                "sigma": [[list(r) for r in m] for m in sc.model.sigma],
-            }
-        _emit(_json(payload), args.out)
+        scenarios = {name: preset(name) for name in PRESETS}
+        _emit(_json({name: {
+            "noise": sc.noise.kind, "m": sc.noise.m, "n_cycles": sc.n_cycles,
+            "reps": sc.reps, "levels": list(sc.levels), "methods": list(sc.methods),
+            "base_seed": sc.base_seed, "bandwidth": sc.bandwidth,
+            "phi11": [float(phi[0][0, 0]) for phi in sc.model.phi],
+            "phi22": [float(phi[0][1, 1]) for phi in sc.model.phi],
+            "sigma": [[list(r) for r in m] for m in sc.model.sigma],
+        } for name, sc in scenarios.items()}), args.out)
         return EXIT_OK
     sc = preset(args.scenario, n_cycles=args.n, reps=args.reps,
                 base_seed=args.seed)
@@ -411,11 +421,8 @@ def cmd_mc(args):
     return EXIT_OK
 
 
-def _diag_entries(model, i):
-    return [float(model.phi[v][0][i, i]) for v in range(model.s)]
-
-
 def cmd_analytic(args):
+    from . import analytic as an
     params = an.DiagExampleParams(m=args.m)
     omega = an.omega_closed(params)
     theta_s = an.theta_s_closed(params)
@@ -442,7 +449,21 @@ def cmd_analytic(args):
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exit code 2."""
+    """Reports a usage error as one stderr line and exit code 2.
+
+    The parser of a subcommand adds its flags (_add_flags) only when it
+    parses, so that a call imports only the tables its own flags name.
+    """
+
+    def __init__(self, *args, command=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.command = command  # a subcommand's name, until its flags are added
+
+    def parse_known_args(self, args=None, namespace=None):
+        command, self.command = self.command, None
+        if command:
+            _add_flags(self, command)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -487,17 +508,43 @@ def _cov_methods(text):
     return methods
 
 
-def _add_fit_flags(p):
-    p.add_argument("--data", required=True)
-    p.add_argument("--s", type=_int_from(1), required=True)
-    p.add_argument("--order", type=_orders, default="1")
-    p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--cov", type=_cov_methods, default=",".join(COV_METHODS))
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="bartlett")
-    p.add_argument("--bandwidth", default=None,
-                   help="rule name or explicit positive value")
-    p.add_argument("--ar-order", type=_ar_order, default="aic",
-                   help='"aic" or a fixed nonnegative integer')
+def _add_flags(p, command):
+    if command == "simulate":
+        from .noise import DEFAULT_BURNIN, NOISE_KINDS
+        p.add_argument("--model", required=True)
+        p.add_argument("--n", type=_int_from(1), required=True, help="number of cycles")
+        p.add_argument("--noise", choices=NOISE_KINDS, default="strong")
+        p.add_argument("--m", type=_int_from(1), default=1,
+                       help="product window exponent")
+        p.add_argument("--seed", type=_int_from(0), default=0)
+        p.add_argument("--burnin", type=_int_from(0), default=DEFAULT_BURNIN)
+        p.add_argument("--out", default="-")
+        return
+    if command in ("fit", "wald"):
+        p.add_argument("--data", required=True)
+        p.add_argument("--s", type=_int_from(1), required=True)
+        p.add_argument("--order", type=_orders, default="1")
+        p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--cov", type=_cov_methods, default=",".join(COV_METHODS))
+        p.add_argument("--kernel", choices=KERNEL_KINDS, default="bartlett")
+        p.add_argument("--bandwidth", default=None,
+                       help="rule name or explicit positive value")
+        p.add_argument("--ar-order", type=_ar_order, default="aic",
+                       help='"aic" or a fixed nonnegative integer')
+    if command == "wald":
+        p.add_argument("--restrict", action="append", required=True,
+                       help='e.g. "phi[1](2,2)=0"; repeatable')
+    if command == "mc":
+        from .mc import PRESETS
+        p.add_argument("--scenario", choices=list(PRESETS), default="model-I")
+        p.add_argument("--reps", type=_int_from(1), default=None)
+        p.add_argument("--n", type=_int_from(1), default=None)
+        p.add_argument("--seed", type=_int_from(0), default=None)
+        p.add_argument("--dump-scenarios", action="store_true")
+    if command == "analytic":
+        p.add_argument("--m", type=_int_from(1), default=1)
+    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+    p.add_argument("--out", default="-")
 
 
 def build_parser():
@@ -505,43 +552,13 @@ def build_parser():
         prog="pvar",
         description="Periodic vector autoregression estimation and inference")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate a model file to CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--n", type=_int_from(1), required=True, help="number of cycles")
-    p.add_argument("--noise", choices=NOISE_KINDS, default="strong")
-    p.add_argument("--m", type=_int_from(1), default=1, help="product window exponent")
-    p.add_argument("--seed", type=_int_from(0), default=0)
-    p.add_argument("--burnin", type=_int_from(0), default=DEFAULT_BURNIN)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="least squares fit with robust errors")
-    _add_fit_flags(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("wald", help="Wald tests of linear restrictions")
-    _add_fit_flags(p)
-    p.add_argument("--restrict", action="append", required=True,
-                   help='e.g. "phi[1](2,2)=0"; repeatable')
-    p.set_defaults(func=cmd_wald)
-
-    p = sub.add_parser("mc", help="run a built-in Monte Carlo scenario")
-    p.add_argument("--scenario", choices=list(PRESETS), default="model-I")
-    p.add_argument("--reps", type=_int_from(1), default=None)
-    p.add_argument("--n", type=_int_from(1), default=None)
-    p.add_argument("--seed", type=_int_from(0), default=None)
-    p.add_argument("--dump-scenarios", action="store_true")
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("analytic", help="closed-form example tables")
-    p.add_argument("--m", type=_int_from(1), default=1)
-    p.set_defaults(func=cmd_analytic)
-
-    for name in ("fit", "wald", "mc", "analytic"):
-        sub.choices[name].add_argument(
-            "--format", choices=["table", "csv", "json"], default="table")
-        sub.choices[name].add_argument("--out", default="-")
+    for name, text, func in (
+            ("simulate", "simulate a model file to CSV", cmd_simulate),
+            ("fit", "least squares fit with robust errors", cmd_fit),
+            ("wald", "Wald tests of linear restrictions", cmd_wald),
+            ("mc", "run a built-in Monte Carlo scenario", cmd_mc),
+            ("analytic", "closed-form example tables", cmd_analytic)):
+        sub.add_parser(name, help=text, command=name).set_defaults(func=func)
     return parser
 
 

@@ -332,7 +332,8 @@ def theta_sandwich(omega_inv, psi, d):
 def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     """Theta estimates {season: {method: Theta}}; seasons defaults to all.
 
-    methods are keys of COV_METHODS, checked before any work is done.
+    methods are keys of COV_METHODS and seasons a nonempty list from
+    1..s (None: all), both checked before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
     Each season inverts its Omega and sums the autocovariances of W once
@@ -343,8 +344,11 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     for method in methods:
         if method not in COV_METHODS:
             raise ValueError(f"unknown covariance method {method!r}")
+    seasons = range(1, fit.s + 1) if seasons is None else list(seasons)
+    if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
+        raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
     out = {}
-    for v in seasons or range(1, fit.s + 1):
+    for v in seasons:
         X = fit.X[v - 1]
         omega_inv = omega_inverse(omega_hat(X))
         W = None

@@ -195,12 +195,6 @@ def _five_season_model(phi22):
     return PvarModel(s=5, d=2, phi=phi, sigma=sigma)
 
 
-def _phi22_restrictions(model):
-    # vec(Phi(v)) ordering puts the (2,2) entry last for d=2, p=1
-    n_coef = model.d * model.d
-    return [Restriction.coordinates([3], n_coef) for _ in range(model.s)]
-
-
 #: Built-in scenarios: name -> (Phi22 diagonal, noise kind, default
 #: n_cycles, HAC bandwidth).  model-I/II: size study (Phi22 = 0 under the
 #: null), strong vs weak product noise (m=2); model-III/IV: power study
@@ -223,14 +217,10 @@ def preset(name, n_cycles=None, reps=None, base_seed=None):
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     phi22, kind, default_n, bandwidth = PRESETS[name]
-    model = _five_season_model(phi22)
-    return Scenario(
-        name=name,
-        model=model,
-        noise=NoiseSpec(kind=kind, m=2),
-        n_cycles=default_n if n_cycles is None else n_cycles,
-        reps=1000 if reps is None else reps,
-        restrictions=_phi22_restrictions(model),
-        base_seed=base_seed if base_seed is not None else 424243,
-        bandwidth=bandwidth,
-    )
+    # each season tests Phi22 = 0, the last entry of vec(Phi(v)) at d=2, p=1
+    restrictions = [Restriction.coordinates([3], 4) for _ in range(5)]
+    return Scenario(name, _five_season_model(phi22), NoiseSpec(kind=kind, m=2),
+                    default_n if n_cycles is None else n_cycles,
+                    1000 if reps is None else reps, restrictions=restrictions,
+                    base_seed=424243 if base_seed is None else base_seed,
+                    bandwidth=bandwidth)

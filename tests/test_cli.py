@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,8 @@ import pytest
 import pvar.cli
 import pvar.lrv
 import pvar.mc
-from pvar.cli import (main, parse_restriction, read_csv, read_model,
-                      write_csv)
+from pvar.cli import (_read_csv_exact, main, parse_restriction, read_csv,
+                      read_model, write_csv)
 from pvar.errors import DataError, NumericError, PvarError
 from pvar.infer import Restriction
 from pvar.model import PvarModel
@@ -332,6 +334,31 @@ def test_unknown_vocabulary_names_are_one_line_usage_errors(argv, line, capsys):
     assert capsys.readouterr() == ("", line + "\n")
 
 
+def _recorded_cli_text():
+    """(argv, exit code, stdout, stderr) of each entry of tests/cli_help.txt."""
+    text = (pathlib.Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+    entries = re.findall(
+        r"^\$ pvar ([^\n]*)\n# exit (\d+), stdout\n(.*?)# stderr\n(.*?)(?=^\$ |\Z)",
+        text, re.M | re.S)
+    return [(argv.split(" "), int(code), out, err) for argv, code, out, err in entries]
+
+
+@pytest.mark.parametrize("argv,code,out,err", _recorded_cli_text(),
+                         ids=[" ".join(entry[0]) for entry in _recorded_cli_text()])
+def test_help_and_usage_errors_match_the_recorded_text(argv, code, out, err,
+                                                       monkeypatch, capsys):
+    # every --help text and the vocabulary usage errors, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_recorded_text_covers_every_help():
+    helps = [argv for argv, _, _, _ in _recorded_cli_text() if argv[-1] == "--help"]
+    assert helps == [["--help"]] + [[c, "--help"] for c in
+                                    ("simulate", "fit", "wald", "mc", "analytic")]
+
+
 @pytest.fixture
 def weak_data(tmp_path, model_file):
     """The acceptance-6 series: MODEL_TEXT, 60 cycles of m=2 product noise."""
@@ -605,6 +632,111 @@ def test_csv_either_fits_or_is_a_data_or_numeric_error(lines):
         assert len(errors) == 1 and errors[0].startswith("error: ")
 
 
+# Adversarial CSV text: cells float() reads in spellings numpy's C reader
+# may not (underscores, non-ASCII digits and spaces), cells neither reads,
+# NUL, a BOM, CRLF line ends, whitespace-only lines and a header after
+# blank lines.
+_PARITY_CELL = st.one_of(
+    st.floats(-10, 10).map(repr),
+    st.sampled_from(["1_0", "\u0661\u0662", "\u00a01.5", "2\u00a0", "\t-3", " 4 ",
+                     "+.5", "1E+1", "1e-400", "5e-324", "-0"]))
+_PARITY_BAD_CELL = st.sampled_from(["", " ", "nan", "-inf", "Infinity", "1e400",
+                                    "1\x00", "\x00", "0x10", "1__0", "x",
+                                    "\ufeff1"])
+_PARITY_LINE = st.one_of(
+    st.sampled_from(["", "  ", "\t", "\u00a0", "\x00", "y1,y2", "a", "1,2,3,4"]),
+    st.lists(st.one_of(_PARITY_CELL, _PARITY_BAD_CELL), min_size=1,
+             max_size=3).map(",".join))
+
+
+@st.composite
+def _adversarial_csv(draw):
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.floats(-10, 10).map(repr), min_size=width,
+                                  max_size=width), max_size=12))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):  # respell or spoil a cell
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, width - 1))] = draw(st.one_of(_PARITY_CELL,
+                                                              _PARITY_BAD_CELL))
+    lines = [",".join(row) for row in rows]
+    for line in draw(st.lists(_PARITY_LINE, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    head = [""] * draw(st.integers(0, 2)) + draw(st.sampled_from([[], ["y1,y2"]]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(head + lines)
+    return (draw(st.sampled_from(["", "\ufeff"])) + text
+            + draw(st.sampled_from(["", "\n", "\r\n"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adversarial_csv())
+@example("y1,y2\n")  # header only: loadtxt warns of no data
+@example("\n\ny1,y2\r\n1,2\r\n3,4")
+@example("1,2\n  \n3,4\n")
+@example("1_0,2\n")
+def test_csv_reader_equals_its_exact_path(text):
+    # read_csv gives the exact path's array bit for bit, or its DataError
+    # message, with nothing on stderr and no warning
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        err = io.StringIO()
+        with (contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            try:
+                got = read_csv(path, 1).data
+            except DataError as exc:
+                got = str(exc)
+        try:
+            want = _read_csv_exact(path)
+        except DataError as exc:
+            want = str(exc)
+    assert err.getvalue() == "" and caught == []
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_csv_reader_rereads_only_what_numpy_may_read_differently(tmp_path,
+                                                                 monkeypatch):
+    # numpy's C reader gives plain files their rows; underscores,
+    # whitespace-only lines, non-finite cells and files without data rows
+    # go through the exact path
+    reread = []
+    monkeypatch.setattr(pvar.cli, "_read_csv_exact",
+                        lambda path: reread.append(path) or _read_csv_exact(path))
+    path = tmp_path / "d.csv"
+    for text, rows in (("a,b\n\n1,2\n3e-1,-4\n", [[1, 2], [0.3, -4]]),
+                       ("\n1,2\r\n3,4", [[1, 2], [3, 4]]), ("5\n", [[5]]),
+                       ("1_0,2\n", None), ("1,2\n \n", None), ("1,nan\n", None),
+                       ("a,b\n", None), ("\n \n", None)):
+        path.write_bytes(text.encode())
+        reread.clear()
+        try:
+            data = read_csv(str(path), 1).data.tolist()
+        except DataError:
+            data = None
+        assert reread == ([] if rows else [str(path)]), text
+        assert rows is None or data == rows, text
+
+
+def test_csv_reader_reads_a_pipe_once(tmp_path):
+    # a pipe cannot be read twice, so the C reader leaves it to the exact path
+    text = "y1,y2\n" + "".join(f"{i},{-i}\n" for i in range(10))
+    (tmp_path / "d.csv").write_text(text)
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        data = read_csv(f"/dev/fd/{read}", 2).data
+    finally:
+        os.close(read)
+    assert data.tobytes() == read_csv(str(tmp_path / "d.csv"), 2).data.tobytes()
+
+
 # Command-line arguments of fit and wald: every flag of the two commands
 # with values of its kind, perturbed values, a required flag dropped, a
 # flag without its value, and unknown flags.  "<data>", "<out>" and the
@@ -767,7 +899,7 @@ def test_mc_json_reports_standard_errors_and_failure_reasons(tmp_path, monkeypat
     scenario = pvar.mc.Scenario(
         "heavy-tailed", model, NoiseSpec("weak-product", m=300), 40, 30,
         restrictions=[Restriction.coordinates([0], 1)], bandwidth=0.2)
-    monkeypatch.setattr(pvar.cli, "preset", lambda *args, **kwargs: scenario)
+    monkeypatch.setattr(pvar.mc, "preset", lambda *args, **kwargs: scenario)
     out = str(tmp_path / "mc.json")
     assert run_cli(["mc", "--format", "json", "--out", out]) == 0
     report = pvar.mc.run_scenario(scenario)

@@ -654,6 +654,26 @@ def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):
         covariances(fit, ["sp", "white"], KernelSpec())
 
 
+@pytest.mark.parametrize("seasons", [[0], [6], [], [2, 6]])
+def test_covariances_rejects_seasons_outside_the_fit_before_any_work(
+        monkeypatch, seasons):
+    # [0] read season 5 through X[-1], [6] raised IndexError and [] gave
+    # every season
+    model = preset("model-I").model
+    fit = fit_ols(simulate(model, 100, NoiseSpec(), seed=2), 1)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    monkeypatch.setattr(pvar.lrv, "omega_hat", fail)
+    with pytest.raises(ValueError, match=r"seasons must be nonempty and in 1\.\.5, "
+                       r"got \[.*\]$"):
+        covariances(fit, ["strong"], KernelSpec(), seasons=seasons)
+    monkeypatch.undo()
+    assert list(covariances(fit, ["strong"], KernelSpec(), seasons=(5, 1))) == [5, 1]
+    assert list(covariances(fit, ["strong"], KernelSpec())) == [1, 2, 3, 4, 5]
+
+
 def test_covariances_inverts_each_omega_once(monkeypatch):
     ser = simulate(example_model(), 300, NoiseSpec("weak-product", m=1), seed=4)
     fit = fit_ols(ser, 1, demean=False)
