@@ -78,7 +78,7 @@ def build_design(series, orders):
     seasons.  A stack of series gives stacked blocks.
     """
     orders = _normalize_orders(series, orders)
-    s, N, L = series.s, series.n_cycles, series.presample.shape[-2]
+    s, d, N, L = series.s, series.d, series.n_cycles, series.presample.shape[-2]
     needed = max((orders[v - 1] - v + 1 for v in range(1, s + 1)), default=0)
     n0 = math.ceil(max(needed - L, 0) / s)
     n_used = N - n0
@@ -86,15 +86,17 @@ def build_design(series, orders):
         raise DataError("not enough cycles for the requested orders")
     full = np.concatenate([series.presample, series.data], axis=-2)
     Zs, Xs = [], []
-    for v in range(1, s + 1):
+    for v, p in enumerate(orders, start=1):
         # row first of full is Y[t] at t = n0 s + v; stepping by s walks
         # the cycles, and k rows earlier is the lag-k regressor
         first = L + n0 * s + v - 1
         lagged = [full[..., first - k:first - k + (n_used - 1) * s + 1:s, :]
-                  for k in range(orders[v - 1] + 1)]
+                  for k in range(p + 1)]
         Zs.append(mT(lagged[0]).copy())
-        X = np.concatenate(lagged[1:] or [lagged[0][..., :0]], axis=-1)
-        Xs.append(mT(X).copy())
+        X = np.empty(full.shape[:-2] + (d * p, n_used))  # C order, as fit_ols rounds
+        for k in range(1, p + 1):  # each block written once
+            X[..., (k - 1) * d:k * d, :] = mT(lagged[k])
+        Xs.append(X)
     return Zs, Xs, n_used
 
 
@@ -109,9 +111,7 @@ def fit_ols(series, orders, demean=True):
         series, _ = demean_seasonal(series)
     Zs, Xs, n_used = build_design(series, orders)
     B_hat, resid, sig = [], [], []
-    for v in range(1, series.s + 1):
-        p = orders[v - 1]
-        Z, X = Zs[v - 1], Xs[v - 1]
+    for v, (p, Z, X) in enumerate(zip(orders, Zs, Xs), start=1):
         dof = n_used - series.d * p
         if dof < 1:
             raise DataError(f"season {v}: {n_used} cycles cannot support order {p}")

@@ -88,10 +88,10 @@ class WaldResult:
 def wald(beta_hat, theta, n, restriction):
     """Wald test of R0 beta = r0 with a given covariance estimate.
 
-    theta may be a stack of covariances, with beta_hat one coefficient
-    vector per slice; statistic and p_value are then arrays with one
-    entry per slice, and NumericError is raised if any slice's
-    restriction covariance is singular.
+    theta may be a stack of covariances with any leading axes, and
+    beta_hat one coefficient vector per slice; statistic and p_value are
+    then arrays of the stack's shape, and NumericError is raised if any
+    slice's restriction covariance is singular.
     """
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta_hat, dtype=float).reshape(theta.shape[:-2] + (-1,))
@@ -106,8 +106,8 @@ def wald(beta_hat, theta, n, restriction):
     df = R0.shape[0]
     if stat.ndim == 0:
         return WaldResult(float(stat), df, chisq_sf(float(stat), df))
-    p_value = np.array([chisq_sf(float(x), df) for x in stat])
-    return WaldResult(statistic=stat, df=df, p_value=p_value)
+    p_value = np.array([chisq_sf(x, df) for x in stat.ravel().tolist()])
+    return WaldResult(statistic=stat, df=df, p_value=p_value.reshape(stat.shape))
 
 
 def t_report(d, beta, thetas, n):

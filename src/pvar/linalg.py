@@ -13,7 +13,7 @@ _TRI_BLOCK = 16  # tri_inv's largest block handed to np.linalg.inv
 
 def mT(a):
     """Transpose of each matrix of a stack (or of one matrix)."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def vec(a):

@@ -174,7 +174,7 @@ def _lag_moments(W, r, S):
     Toeplitz matrix of S_0..S_{r-1}; the rows n < r and n >= N are taken
     off as two r-row lag designs of the zero-padded ends.  Y'X and Y'Y
     are S_1..S_r and S_0 less the rows n < r: least squares, not
-    Yule-Walker.
+    Yule-Walker.  Only the first and the last r rows of W are read.
     """
     stack, (N, q) = W.shape[:-2], W.shape[-2:]
     head = W[..., :r, :]
@@ -289,18 +289,21 @@ def psi_spectral(W, r="aic", S=None):
     # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
     for order in sorted(set(orders.tolist()) - {0}):
         at = orders == order
-        psi[at] = _psi_of_order(flat[at], order, flat_S[at])
+        # _lag_moments reads only the first and the last `order` rows
+        ends = np.concatenate([flat[at, :order], flat[at, N - order:]], axis=1)
+        psi[at] = _psi_of_order(ends, N, order, flat_S[at])
     return psi.reshape(W.shape[:-2] + (q, q))
 
 
-def _psi_of_order(W, r, S):
-    """psi_spectral of a stack of score series at one fixed order r >= 1,
-    from the moments of the regression on n = r..N-1 (_lag_moments): lag
-    matrices C = Y'X (X'X)^-1 and Sigma = (Y'Y - C X'Y) / (N - r)."""
-    N, q = W.shape[-2:]
+def _psi_of_order(ends, N, r, S):
+    """psi_spectral of a stack of score series of length N at one fixed
+    order r >= 1, given their first r and last r rows (ends), from the
+    moments of the regression on n = r..N-1 (_lag_moments): lag matrices
+    C = Y'X (X'X)^-1 and Sigma = (Y'Y - C X'Y) / (N - r)."""
+    q = ends.shape[-1]
     if N - r < q * r + 1:
         raise DataError("too few score observations for the requested order")
-    yy, yx, xx = _lag_moments(W, r, S)
+    yy, yx, xx = _lag_moments(ends, r, S)
     coef = mT(solve_guarded(xx, mT(yx), what="score lag regression"))
     cov = (yy - coef @ mT(yx)) / (N - r)
     P = np.eye(q)
@@ -332,8 +335,8 @@ def theta_sandwich(omega_inv, psi, d):
 def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     """Theta estimates {season: {method: Theta}}; seasons defaults to all.
 
-    methods are keys of COV_METHODS and seasons a nonempty list from
-    1..s (None: all), both checked before any work is done.
+    methods are keys of COV_METHODS and seasons nonempty integers, not
+    bools, in 1..s (None: all), both checked before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
     Each season inverts its Omega and sums the autocovariances of W once
@@ -345,6 +348,8 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
         if method not in COV_METHODS:
             raise ValueError(f"unknown covariance method {method!r}")
     seasons = range(1, fit.s + 1) if seasons is None else list(seasons)
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in seasons):
+        raise ValueError(f"seasons must be integers, got {seasons}")
     if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
         raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
     out = {}

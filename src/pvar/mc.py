@@ -10,12 +10,12 @@ tests by the values of lrv.COV_METHODS; PRESETS holds the built-in ones.
 CHUNK consecutive replications go through the pipeline together: one
 batched noise.simulate call draws their series as one stack, one
 fit_ols call fits it, and one lrv.covariances call and one infer.wald
-call per season and method test it.  Each slice of a stacked estimate
-equals the estimate of its series alone bit for bit, and the results
-stay stacked up to the report, which sums them row by row in seed
-order, so it does not depend on the chunk size.  If the stacked
-pipeline fails, each series of the chunk goes through it again on its
-own, so only the replications that fail on their own count as failures.
+call per season, on all methods at once, test it.  Each slice of a
+stacked estimate equals the estimate of its series alone bit for bit,
+and the results stay stacked up to the report, which sums them row by
+row in seed order, so it does not depend on the chunk size.  If the
+stacked pipeline fails, each series of the chunk goes through it again
+on its own, and only those that fail alone count as failures.
 """
 
 from collections import Counter
@@ -92,19 +92,20 @@ def _fit_and_test(scenario, series):
     (R, k), {test: Theta-hat diagonal (R, k)}, {test: p-values (R,)}, the
     last {} where the season has no restriction), and fit.n_used."""
     fit = fit_ols(series, [len(lags) for lags in scenario.model.phi], demean=False)
-    n = fit.n_used
+    n, names = fit.n_used, scenario.methods
     method = {test: m for m, test in COV_METHODS.items()}
-    thetas = covariances(fit, [method[name] for name in scenario.methods],
-                         scenario.hac_spec())
+    thetas = covariances(fit, [method[name] for name in names], scenario.hac_spec())
     seasons = []
-    for v in range(1, fit.s + 1):
-        beta = fit.beta_hat[v - 1]
-        season = {name: thetas[v][method[name]] for name in scenario.methods}
+    for v, beta in enumerate(fit.beta_hat, start=1):
+        theta = [thetas[v][method[name]] for name in names]
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
-        pvals = {} if rest is None else {
-            name: wald(beta, theta, n, rest).p_value for name, theta in season.items()}
-        seasons.append((beta, {name: np.diagonal(theta, axis1=-2, axis2=-1)
-                               for name, theta in season.items()}, pvals))
+        pvals = {}
+        if rest is not None and names:  # one call tests a (methods, R) stack
+            stack = np.stack(theta)
+            pvals = dict(zip(names, wald(np.broadcast_to(beta, stack.shape[:-1]),
+                                         stack, n, rest).p_value))
+        seasons.append((beta, {name: np.diagonal(t, axis1=-2, axis2=-1)
+                               for name, t in zip(names, theta)}, pvals))
     return seasons, n
 
 
@@ -151,18 +152,20 @@ def run_scenario(scenario):
     model = scenario.model
     coef_mean, coef_sse, coef_var, theta_mean, rejection = {}, {}, {}, {}, {}
     for v in range(1, model.s + 1):
-        # sum adds the rows one at a time in seed order, whatever CHUNK is
+        # a cumsum adds the rows one at a time in seed order, whatever
+        # CHUNK is (np.add.reduce pairs the rows of a single column)
         parts = [seasons[v - 1] for seasons, _ in results]
         beta = np.concatenate([b for b, _, _ in parts])
         gap = beta - (vec(np.hstack(model.phi[v - 1])) if model.p(v) else 0.0)
-        mean = sum(beta) / completed
-        sse = sum(n * gap * gap) / completed
-        var = sum(beta * beta) / completed - mean * mean
+        mean = np.cumsum(beta, axis=0)[-1] / completed
+        sse = np.cumsum(n * gap * gap, axis=0)[-1] / completed
+        var = np.cumsum(beta * beta, axis=0)[-1] / completed - mean * mean
         coef_mean.update(((v, i), x) for i, x in enumerate(mean))
         coef_sse.update(((v, i), x) for i, x in enumerate(sse))
         coef_var.update(((v, i), x) for i, x in enumerate(var))
         for name in parts[0][1]:
-            diag = sum(np.concatenate([t[name] for _, t, _ in parts])) / completed
+            diag = np.concatenate([t[name] for _, t, _ in parts])
+            diag = np.cumsum(diag, axis=0)[-1] / completed
             theta_mean.update(((v, name, i), x) for i, x in enumerate(diag.tolist()))
         for name in parts[0][2]:
             p = np.concatenate([pvals[name] for _, _, pvals in parts])

@@ -69,8 +69,8 @@ def gen_noise(sigmas, n_cycles, spec, rng):
     else:
         # raw[t] = eta[t] * eta[t+1] * ... * eta[t+m], multiplied left to right
         eta = rng.standard_normal((total + spec.m, d))
-        raw = eta[:total].copy()
-        for j in range(1, spec.m + 1):
+        raw = eta[:total] * eta[1:1 + total]
+        for j in range(2, spec.m + 1):
             raw *= eta[j:j + total]
     # row c of the product holds raw[v] @ factors[v] of cycle c, v = 0..s-1
     colour = np.zeros((s, d, s, d))
@@ -111,14 +111,15 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     cycles = burnin + n_cycles
     A, B = cycle_maps(model)
     m, n, q, K = max_p * d, min(max_p, s) * d, s * d, block_cycles(model)
-    # z maps (x, g) of a block to the state after its cycle j, and
-    # [P | T] stacks the last n rows of each
-    z = np.eye(m, m + K * n)
+    # z = zA[:m] maps (x, g) of a block to the state after its cycle j
+    # (zA[q:] of zA = [z; A z]), and [P | T] stacks the last n rows of each
+    zA, eye = np.eye(m + q, m + K * n), np.eye(n)
     M = np.empty((K * n, m + K * n))
     for j in range(K):
-        z = np.vstack([z, A @ z])[q:]
-        z[m - n:, m + j * n:m + j * n + n] += np.eye(n)
-        M[j * n:j * n + n] = z[m - n:]
+        np.matmul(A, zA[:m], out=zA[m:])
+        zA[:m] = zA[q:]
+        zA[m - n:m, m + j * n:m + j * n + n] += eye
+        M[j * n:j * n + n] = zA[m - n:m]
     P, T = np.split(M, [m], axis=1)
     # y[r, max_p + t - 1] is Y[t] of seed r, cyc[r, c] the values of its
     # cycle c and x[r, c] the state before that cycle

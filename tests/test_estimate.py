@@ -96,6 +96,23 @@ def test_build_design_equals_cell_by_cell_reference(s, d, orders, presample,
         assert Z.flags.c_contiguous and X.flags.c_contiguous
 
 
+def test_build_design_gives_a_stack_c_ordered_blocks():
+    # fit_ols's products round by the layout of Z and X: a block in
+    # another layout (np.concatenate of transposed views keeps theirs)
+    # sends BLAS down another path and changes the bits of every fit
+    orders, rng = [5, 0, 1, 3], np.random.default_rng(11)
+    stack = PeriodicSeries(s=4, data=rng.standard_normal((3, 120, 2)),
+                           presample=rng.standard_normal((3, 2, 2)))
+    Zs, Xs, n_used = build_design(stack, orders)
+    for i in range(3):
+        one = build_design(PeriodicSeries(4, stack.data[i], stack.presample[i]), orders)
+        assert one[2] == n_used
+        for Z, X, p, Z_one, X_one in zip(Zs, Xs, orders, *one[:2]):
+            assert Z.shape == (3, 2, n_used) and X.shape == (3, 2 * p, n_used)
+            assert Z.flags.c_contiguous and X.flags.c_contiguous
+            assert np.array_equal(Z[i], Z_one) and np.array_equal(X[i], X_one)
+
+
 def test_fit_recovers_coefficients_on_long_sample():
     model = example_model()
     ser = simulate(model, 30_000, seed=1)

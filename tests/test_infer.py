@@ -112,6 +112,23 @@ def test_wald_singular_restriction_covariance():
         wald(xi + 1.0, theta, 100, Restriction(np.eye(2), np.zeros(2)))
 
 
+def test_wald_takes_any_leading_stack_axes():
+    # the p-value loop walked only the first axis: a (3, 2) stack raised
+    # TypeError converting a row to a float
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 2, 4, 4))
+    theta = a @ np.swapaxes(a, -1, -2) + np.eye(4)
+    beta = rng.standard_normal((3, 2, 4))
+    rest = Restriction.coordinates([3], 4)
+    res = wald(beta, theta, 100, rest)
+    assert res.statistic.shape == res.p_value.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            one = wald(beta[i, j], theta[i, j], 100, rest)
+            assert res.statistic[i, j] == one.statistic
+            assert res.p_value[i, j] == one.p_value
+
+
 def test_restriction_dependent_rows_rejected():
     with pytest.raises(NumericError, match="restriction rows must be independent"):
         Restriction(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))

@@ -674,6 +674,23 @@ def test_covariances_rejects_seasons_outside_the_fit_before_any_work(
     assert list(covariances(fit, ["strong"], KernelSpec())) == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("seasons", [[1.0], [True], [np.bool_(True)], [2, "3"],
+                                     [np.float64(2)]])
+def test_covariances_rejects_seasons_that_are_not_integers(monkeypatch, seasons):
+    # [1.0] passed the range check and then raised TypeError from
+    # fit.X[v - 1]; [True] returned season 1 under the key True
+    model = preset("model-I").model
+    fit = fit_ols(simulate(model, 100, NoiseSpec(), seed=2), 1)
+    monkeypatch.setattr(pvar.lrv, "omega_hat", lambda X: 1 / 0)
+    with pytest.raises(ValueError, match=r"seasons must be integers, got \[.*\]$"):
+        covariances(fit, ["strong"], KernelSpec(), seasons=seasons)
+    monkeypatch.undo()
+    got = covariances(fit, ["strong"], KernelSpec(), seasons=[np.int64(2), np.uint8(4)])
+    ref = covariances(fit, ["strong"], KernelSpec(), seasons=[2, 4])
+    assert list(got) == [2, 4]
+    assert all(np.array_equal(got[v]["strong"], ref[v]["strong"]) for v in (2, 4))
+
+
 def test_covariances_inverts_each_omega_once(monkeypatch):
     ser = simulate(example_model(), 300, NoiseSpec("weak-product", m=1), seed=4)
     fit = fit_ols(ser, 1, demean=False)

@@ -121,43 +121,58 @@ def test_wald_pvalue_matches_t_identity_inside_replication():
             assert pvals[name][0] == pytest.approx(chisq_sf(z2, 1), abs=1e-10)
 
 
-def test_order_zero_season_without_restrictions_equals_one_seed_at_a_time():
-    model = PvarModel(s=2, d=2, phi=[[[[0.5, 0.1], [0.0, -0.3]]], []],
-                      sigma=[np.eye(2), [[2.0, 0.3], [0.3, 1.0]]])
-    sc = Scenario(name="order-0", model=model, noise=NoiseSpec(kind="weak-product"),
+def assert_report_equals_one_seed_at_a_time(model):
+    """run_scenario of an unrestricted scenario against one series per
+    seed, summed in seed order; returns the reference fits."""
+    sc = Scenario(name="ref", model=model, noise=NoiseSpec(kind="weak-product"),
                   n_cycles=60, reps=CHUNK + 3, bandwidth=0.2)
     assert sc.reps % CHUNK and sc.restrictions is None
     rep = run_scenario(sc)
-    # the reference: one series per seed, summed in seed order
+    orders = [len(lags) for lags in model.phi]
     fits = [fit_ols(simulate(model, sc.n_cycles, sc.noise, seed=sc.base_seed ^ r),
-                    [1, 0], demean=False) for r in range(sc.reps)]
+                    orders, demean=False) for r in range(sc.reps)]
     thetas = [covariances(fit, list(COV_METHODS), sc.hac_spec()) for fit in fits]
     n, R = fits[0].n_used, sc.reps
-    true = np.array(model.phi[0][0]).T.ravel()
     mean, sse, var, theta = {}, {}, {}, {}
-    for i in range(4):
-        total = squares = errors = 0.0
-        for fit in fits:
-            b = fit.beta_hat[0][i]
-            total += b
-            squares += b * b
-            errors += n * (b - true[i]) * (b - true[i])
-        mean[(1, i)] = total / R
-        sse[(1, i)] = errors / R
-        var[(1, i)] = squares / R - (total / R) * (total / R)
-    for v, k in ((1, 4), (2, 0)):
+    for v in range(1, model.s + 1):
+        k = model.d * model.d * orders[v - 1]
+        true = np.hstack(model.phi[v - 1]).T.ravel() if k else None
+        for i in range(k):
+            total = squares = errors = 0.0
+            for fit in fits:
+                b = fit.beta_hat[v - 1][i]
+                total += b
+                squares += b * b
+                errors += n * (b - true[i]) * (b - true[i])
+            mean[(v, i)] = total / R
+            sse[(v, i)] = errors / R
+            var[(v, i)] = squares / R - (total / R) * (total / R)
         for method, name in COV_METHODS.items():
             for i in range(k):
                 total = 0.0
                 for one in thetas:
                     total += one[v][method][i, i]
                 theta[(v, name, i)] = total / R
-    assert fits[1].beta_hat[1].shape == (0,)
     assert rep.completed == R and rep.failures == 0
     assert rep.rejection == {}
     for got, want in ((rep.coef_mean, mean), (rep.coef_sse, sse),
                       (rep.coef_var, var), (rep.theta_mean, theta)):
         assert list(got.items()) == list(want.items())
+    return fits
+
+
+def test_order_zero_season_without_restrictions_equals_one_seed_at_a_time():
+    model = PvarModel(s=2, d=2, phi=[[[[0.5, 0.1], [0.0, -0.3]]], []],
+                      sigma=[np.eye(2), [[2.0, 0.3], [0.3, 1.0]]])
+    fits = assert_report_equals_one_seed_at_a_time(model)
+    assert fits[1].beta_hat[1].shape == (0,)
+
+
+def test_one_coefficient_seasons_add_replications_in_seed_order():
+    # each season's estimates form an (R, 1) column, which np.add.reduce
+    # would sum pairwise rather than row by row
+    model = PvarModel(s=2, d=1, phi=[[[[0.5]]], [[[-0.4]]]], sigma=[[[1.0]], [[2.0]]])
+    assert_report_equals_one_seed_at_a_time(model)
 
 
 def test_sse_matches_reference_strong():
@@ -275,8 +290,15 @@ def test_stacked_covariances_and_wald_equal_one_fit_at_a_time(name):
                 assert np.array_equal(stacked[v][m][i], one[v][m])
     for v in range(1, 6):
         rest = sc.restrictions[v - 1]
-        for m in methods:
-            got = wald(stacked_fit.beta_hat[v - 1], stacked[v][m], n, rest)
+        # a (methods, R) stack, as _fit_and_test tests it
+        beta = stacked_fit.beta_hat[v - 1]
+        both = wald(np.broadcast_to(beta, (len(methods),) + beta.shape),
+                    np.stack([stacked[v][m] for m in methods]), n, rest)
+        assert both.statistic.shape == both.p_value.shape == (len(methods), 5)
+        for j, m in enumerate(methods):
+            got = wald(beta, stacked[v][m], n, rest)
+            assert both.statistic[j].tobytes() == got.statistic.tobytes()
+            assert both.p_value[j].tobytes() == got.p_value.tobytes()
             for i, fit in enumerate(fits):
                 ref = wald(fit.beta_hat[v - 1],
                            covariances(fit, [m], sc.hac_spec())[v][m], n, rest)
