@@ -24,7 +24,7 @@ _PUBLIC = {  # submodule: the names the package re-exports from it
     "mc": ("McReport", "Scenario", "preset", "run_scenario"),
     "model": ("PeriodicSeries", "PvarModel", "companion_spectral_radius",
               "ma_coefficients"),
-    "noise": ("NoiseSpec", "gen_noise", "simulate"),
+    "noise": ("NoiseSpec", "colour_matrix", "gen_noise", "simulate"),
     "oracle": ("ExactCovariances", "exact_covariances"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -89,23 +89,20 @@ class McReport:
 
 def _fit_and_test(scenario, series):
     """Fit and test a stack of R series: per season the tuple (beta_hat
-    (R, k), {test: Theta-hat diagonal (R, k)}, {test: p-values (R,)}, the
-    last {} where the season has no restriction), and fit.n_used."""
+    (R, k), Theta-hat diagonals (methods, R, k), p-values (methods, R) or
+    None where the season has no restriction), and fit.n_used."""
     fit = fit_ols(series, [len(lags) for lags in scenario.model.phi], demean=False)
     n, names = fit.n_used, scenario.methods
     method = {test: m for m, test in COV_METHODS.items()}
     thetas = covariances(fit, [method[name] for name in names], scenario.hac_spec())
     seasons = []
     for v, beta in enumerate(fit.beta_hat, start=1):
-        theta = [thetas[v][method[name]] for name in names]
+        theta = (np.stack([thetas[v][method[name]] for name in names]) if names
+                 else np.zeros((0,) + beta.shape + beta.shape[-1:]))
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
-        pvals = {}
-        if rest is not None and names:  # one call tests a (methods, R) stack
-            stack = np.stack(theta)
-            pvals = dict(zip(names, wald(np.broadcast_to(beta, stack.shape[:-1]),
-                                         stack, n, rest).p_value))
-        seasons.append((beta, {name: np.diagonal(t, axis1=-2, axis2=-1)
-                               for name, t in zip(names, theta)}, pvals))
+        pvals = (wald(np.broadcast_to(beta, theta.shape[:-1]), theta, n, rest).p_value
+                 if rest is not None and names else None)  # all methods at once
+        seasons.append((beta, np.diagonal(theta, axis1=-2, axis2=-1), pvals))
     return seasons, n
 
 
@@ -151,26 +148,28 @@ def run_scenario(scenario):
     n = results[0][1]  # the same in every fit: it depends on n_cycles and the orders
     model = scenario.model
     coef_mean, coef_sse, coef_var, theta_mean, rejection = {}, {}, {}, {}, {}
+    names, levels = scenario.methods, np.array(scenario.levels)
     for v in range(1, model.s + 1):
         # a cumsum adds the rows one at a time in seed order, whatever
         # CHUNK is (np.add.reduce pairs the rows of a single column)
         parts = [seasons[v - 1] for seasons, _ in results]
         beta = np.concatenate([b for b, _, _ in parts])
         gap = beta - (vec(np.hstack(model.phi[v - 1])) if model.p(v) else 0.0)
-        mean = np.cumsum(beta, axis=0)[-1] / completed
-        sse = np.cumsum(n * gap * gap, axis=0)[-1] / completed
-        var = np.cumsum(beta * beta, axis=0)[-1] / completed - mean * mean
-        coef_mean.update(((v, i), x) for i, x in enumerate(mean))
-        coef_sse.update(((v, i), x) for i, x in enumerate(sse))
-        coef_var.update(((v, i), x) for i, x in enumerate(var))
-        for name in parts[0][1]:
-            diag = np.concatenate([t[name] for _, t, _ in parts])
-            diag = np.cumsum(diag, axis=0)[-1] / completed
-            theta_mean.update(((v, name, i), x) for i, x in enumerate(diag.tolist()))
-        for name in parts[0][2]:
-            p = np.concatenate([pvals[name] for _, _, pvals in parts])
-            rejection.update(((v, name, a), int((p < a).sum()) / completed)
-                             for a in scenario.levels)
+        mean, sse, square = (np.cumsum(np.stack([beta, n * gap * gap, beta * beta]),
+                                       axis=1)[:, -1] / completed)
+        diag = np.cumsum(np.concatenate([t for _, t, _ in parts], axis=1),
+                         axis=1)[:, -1] / completed
+        for table, row in ((coef_mean, mean), (coef_sse, sse),
+                           (coef_var, square - mean * mean)):
+            table.update(((v, i), x) for i, x in enumerate(row.tolist()))
+        theta_mean.update(((v, name, i), x) for name, row in zip(names, diag.tolist())
+                          for i, x in enumerate(row))
+        if parts[0][2] is not None:
+            p = np.concatenate([pvals for _, _, pvals in parts], axis=1)
+            freq = (p[..., None] < levels).sum(axis=1) / completed
+            rejection.update(((v, name, a), x)
+                             for name, row in zip(names, freq.tolist())
+                             for a, x in zip(scenario.levels, row))
     reasons = Counter((type(exc).__name__, str(exc)) for exc in errors)
     return McReport(scenario.name, scenario.reps, completed, len(errors),
                     failure_reasons=dict(reasons), rejection=rejection,

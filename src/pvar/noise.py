@@ -52,17 +52,22 @@ class NoiseSpec:
             raise ValueError("product window exponent m must be at least 1")
 
 
-def gen_noise(sigmas, n_cycles, spec, rng):
-    """Draw n_cycles full cycles of innovations.
-
-    sigmas is the per-season list of d x d covariances.  Returns an
-    array of shape (n_cycles * s, d) whose row t-1 is eps[t].
-    """
-    s = len(sigmas)
-    if s == 0:
+def colour_matrix(sigmas):
+    """The (s, d, s, d) block-diagonal colour of a cycle's s d raw draws:
+    block (v, v) is the upper Cholesky factor of sigmas[v], the rest 0."""
+    if not len(sigmas):
         raise ValueError("need at least one season covariance")
-    d = np.asarray(sigmas[0]).shape[0]
     factors = cholesky_upper(np.stack(sigmas))  # one call for every season
+    s, d = factors.shape[:2]
+    colour = np.zeros((s, d, s, d))
+    colour[range(s), :, range(s)] = factors
+    return colour
+
+
+def gen_noise(colour, n_cycles, spec, rng):
+    """Draw n_cycles full cycles of innovations, coloured by colour =
+    colour_matrix(sigmas): an (n_cycles * s, d) array, row t-1 eps[t]."""
+    s, d = colour.shape[:2]
     total = n_cycles * s
     if spec.kind == "strong":
         raw = rng.standard_normal((total, d))
@@ -73,8 +78,6 @@ def gen_noise(sigmas, n_cycles, spec, rng):
         for j in range(2, spec.m + 1):
             raw *= eta[j:j + total]
     # row c of the product holds raw[v] @ factors[v] of cycle c, v = 0..s-1
-    colour = np.zeros((s, d, s, d))
-    colour[range(s), :, range(s)] = factors
     return (raw.reshape(n_cycles, s * d) @ colour.reshape(s * d, s * d)
             ).reshape(total, d)
 
@@ -127,8 +130,9 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     flat = y.reshape(R, -1)
     cyc = flat[:, m:].reshape(R, cycles, q)
     x = np.lib.stride_tricks.sliding_window_view(flat, m, axis=1)[:, ::q]
+    colour = colour_matrix(model.sigma)
     for r, sd in enumerate(seeds):
-        eps = gen_noise(model.sigma, cycles, spec, np.random.default_rng(sd))
+        eps = gen_noise(colour, cycles, spec, np.random.default_rng(sd))
         np.matmul(eps.reshape(cycles, q), B.T, out=cyc[r])
     # every product is per seed, whatever R: a batch rounds as one seed
     g, full = cyc[:, :, q - n:], cycles - cycles % K

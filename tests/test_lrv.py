@@ -726,3 +726,84 @@ def test_s1_reduction_matches_plain_var():
         np.kron(np.linalg.inv(omega), np.eye(2))
     assert np.allclose(theta, theta_sandwich(omega_inverse(omega_hat(X)), psi_hac(W, KernelSpec("bartlett", 0.25)), 2),
                        atol=1e-12)
+
+
+def svd_guarded_psi_of_order(ends, N, r, S):
+    """_psi_of_order with the guard taken as one SVD per slice of P."""
+    q = ends.shape[-1]
+    yy, yx, xx = pvar.lrv._lag_moments(ends, r, S)
+    coef = mT(solve_guarded(xx, mT(yx), what="score lag regression"))
+    cov = (yy - coef @ mT(yx)) / (N - r)
+    P = np.eye(q)
+    for k in range(r):
+        P = P - coef[..., k * q:(k + 1) * q]
+    if (np.linalg.cond(P) > 1e10).any():
+        raise NumericError("score autoregression is nearly noninvertible at z=1")
+    Pinv = np.linalg.inv(P)
+    return Pinv @ cov @ mT(Pinv)
+
+
+def unit_root_scores(lag, N=8):
+    """Zero scores of length N with S_0 = I and S_1 = lag: their order-1
+    fit has the lag matrix `lag`, so P = I - lag."""
+    q = lag.shape[-1]
+    S = np.zeros(lag.shape[:-2] + (2, q, q))
+    S[..., 0, :, :] = np.eye(q)
+    S[..., 1, :, :] = lag
+    return np.zeros(lag.shape[:-2] + (N, q)), S
+
+
+def lag_of_p(smallest, angle=0.3):
+    """The lag matrix I - P for P = R diag(1, smallest) R', R a rotation."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return np.eye(2) - rot @ np.diag([1.0, smallest]) @ rot.T
+
+
+def z1_case(lags):
+    """psi_spectral of unit_root_scores at order 1, and the SVD-guarded
+    formula on the same end rows and S."""
+    W, S = unit_root_scores(lags)
+    ends = np.concatenate([W[..., :1, :], W[..., -1:, :]], axis=-2)
+    return (lambda: psi_spectral(W, 1, S),
+            lambda: svd_guarded_psi_of_order(ends, W.shape[-2], 1, S))
+
+
+def test_z1_guard_raises_and_passes_as_the_svd_guard():
+    lags = {"clear": lag_of_p(0.5), "below": lag_of_p(1 / 0.95e10),
+            "above": lag_of_p(1 / 1.05e10), "singular": np.diag([0.0, 1.0])}
+    P = {k: np.eye(2) - lag for k, lag in lags.items()}
+    assert 0.9e10 < np.linalg.cond(P["below"]) < 1e10
+    assert 1e10 < np.linalg.cond(P["above"]) < 1.1e10
+    # the Frobenius bound clears "clear" but not "below", which takes the SVD
+    frob = {k: np.linalg.norm(P[k]) * np.linalg.norm(np.linalg.inv(P[k]))
+            for k in ("clear", "below")}
+    assert frob["clear"] <= 5e9 < frob["below"]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(P["singular"])
+    stacks = [("clear", "below"), ("below", "clear", "below"), ("clear", "above"),
+              ("above", "below"), ("below", "singular", "clear"), tuple(lags)]
+    for names in [(k,) for k in lags] + stacks:
+        for alone in ([False, True] if len(names) == 1 else [False]):
+            stack = np.stack([lags[k] for k in names])
+            got, want = z1_case(stack[0] if alone else stack)
+            if set(names) <= {"clear", "below"}:
+                assert got().tobytes() == want().tobytes()
+                continue
+            for call in (got, want):
+                with pytest.raises(NumericError, match="^score autoregression "
+                                   "is nearly noninvertible at z=1$"):
+                    call()
+
+
+def test_z1_guard_decides_as_the_svd_guard_near_the_limit():
+    rng = np.random.default_rng(17)
+    for smallest in np.geomspace(2e-11, 5e-10, 40):
+        got, want = z1_case(lag_of_p(smallest, rng.uniform(0, np.pi)))
+        try:
+            expected = want()
+        except NumericError:
+            with pytest.raises(NumericError, match="noninvertible at z=1"):
+                got()
+        else:
+            assert got().tobytes() == expected.tobytes()

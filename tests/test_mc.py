@@ -115,10 +115,12 @@ def test_wald_pvalue_matches_t_identity_inside_replication():
                                             seed=[sc.base_seed]))
     assert len(seasons) == 5
     for beta, diagonals, pvals in seasons:
-        for name, diag in diagonals.items():
+        assert diagonals.shape == (len(sc.methods), 1, 4)
+        assert pvals.shape == (len(sc.methods), 1)
+        for diag, p in zip(diagonals, pvals):
             se2 = diag[0, 3] / n
             z2 = beta[0, 3] ** 2 / se2
-            assert pvals[name][0] == pytest.approx(chisq_sf(z2, 1), abs=1e-10)
+            assert p[0] == pytest.approx(chisq_sf(z2, 1), abs=1e-10)
 
 
 def assert_report_equals_one_seed_at_a_time(model):
@@ -324,3 +326,13 @@ def test_stacked_stage_failure_fails_only_its_replication(monkeypatch):
     assert chunked.completed + chunked.failures == 2 * CHUNK + 3
     assert _fields(chunked) == _fields(serial)
     assert list(chunked.rejection) == list(serial.rejection)
+
+
+@pytest.mark.parametrize("scenario", [
+    small_scenario(name="model-II", reps=CHUNK + 3, n=150), heavy_tailed_scenario()])
+def test_report_values_are_python_floats(scenario):
+    rep = run_scenario(scenario)
+    for name in ("rejection", "coef_mean", "coef_sse", "coef_var", "theta_mean"):
+        values = list(getattr(rep, name).values())
+        assert values and all(type(x) is float for x in values), name
+    assert all(type(count) is int for count in rep.failure_reasons.values())

@@ -5,7 +5,7 @@ from lifted import lifted_companion_radius, lifted_var
 from pvar.errors import NumericError
 from pvar.model import (PeriodicSeries, PvarModel, companion_spectral_radius,
                         ma_coefficients, require_causal)
-from pvar.noise import NoiseSpec, gen_noise, simulate
+from pvar.noise import NoiseSpec, colour_matrix, gen_noise, simulate
 
 
 def scalar_model(phis, sigmas=None):
@@ -105,7 +105,7 @@ def test_ma_coefficients_reproduce_simulation():
     model = two_season_model()
     coeffs = ma_coefficients(model, 60)
     n_cycles = 3
-    eps = gen_noise(model.sigma, n_cycles + 40, NoiseSpec("strong"),
+    eps = gen_noise(colour_matrix(model.sigma), n_cycles + 40, NoiseSpec("strong"),
                     np.random.default_rng(3))
     # build Y directly from the MA weights and compare with the recursion
     total = (n_cycles + 40) * model.s

@@ -2,12 +2,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 
+import pvar.noise
 from pvar.errors import NumericError
 from pvar.linalg import cholesky_upper
 from lifted import lifted_var
 from pvar.model import (CAUSAL_TOL, PvarModel, companion_spectral_radius,
                         cycle_maps)
-from pvar.noise import BLOCK, NoiseSpec, block_cycles, gen_noise, simulate
+from pvar.noise import (BLOCK, NoiseSpec, block_cycles, colour_matrix, gen_noise,
+                        simulate)
 
 
 def test_noise_spec_validation():
@@ -19,7 +21,8 @@ def test_noise_spec_validation():
 
 def test_strong_noise_matches_season_covariances():
     sigmas = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([1.0, 3.0])]
-    eps = gen_noise(sigmas, 200_000, NoiseSpec("strong"), np.random.default_rng(0))
+    eps = gen_noise(colour_matrix(sigmas), 200_000, NoiseSpec("strong"),
+                    np.random.default_rng(0))
     for v in range(2):
         sample = eps[v::2]
         cov = sample.T @ sample / sample.shape[0]
@@ -28,7 +31,7 @@ def test_strong_noise_matches_season_covariances():
 
 def test_product_noise_variance_and_uncorrelatedness():
     sigmas = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([1.0, 3.0])]
-    eps = gen_noise(sigmas, 400_000, NoiseSpec("weak-product", m=2),
+    eps = gen_noise(colour_matrix(sigmas), 400_000, NoiseSpec("weak-product", m=2),
                     np.random.default_rng(1))
     for v in range(2):
         sample = eps[v::2]
@@ -45,8 +48,8 @@ def test_product_noise_variance_and_uncorrelatedness():
 
 
 def test_product_noise_is_heavy_tailed():
-    eps = gen_noise([np.eye(1)], 200_000, NoiseSpec("weak-product", m=1),
-                    np.random.default_rng(2))
+    eps = gen_noise(colour_matrix([np.eye(1)]), 200_000,
+                    NoiseSpec("weak-product", m=1), np.random.default_rng(2))
     kurt = np.mean(eps**4) / np.mean(eps**2) ** 2
     assert kurt > 6.0  # products of two normals have kurtosis 9
 
@@ -56,7 +59,7 @@ def test_product_noise_equals_sliding_window_product(m):
     # reference: the product of each window of m + 1 draws taken by np.prod
     sigmas = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.diag([1.0, 3.0]),
               np.eye(2)]
-    eps = gen_noise(sigmas, 300, NoiseSpec("weak-product", m=m),
+    eps = gen_noise(colour_matrix(sigmas), 300, NoiseSpec("weak-product", m=m),
                     np.random.default_rng(40 + m))
     eta = np.random.default_rng(40 + m).standard_normal((900 + m, 2))
     raw = np.prod(sliding_window_view(eta, m + 1, axis=0), axis=2)
@@ -74,7 +77,7 @@ def test_gen_noise_colours_each_season_as_its_own_product(s, d, kind):
     sigmas = list(a @ np.swapaxes(a, -1, -2) + np.eye(d))
     spec = NoiseSpec(kind, m=2)
     n_cycles, total = 97, 97 * s
-    eps = gen_noise(sigmas, n_cycles, spec, np.random.default_rng(5))
+    eps = gen_noise(colour_matrix(sigmas), n_cycles, spec, np.random.default_rng(5))
     draws = np.random.default_rng(5)
     if kind == "strong":
         raw = draws.standard_normal((total, d))
@@ -89,9 +92,9 @@ def test_gen_noise_colours_each_season_as_its_own_product(s, d, kind):
 
 
 def test_gen_noise_deterministic_given_rng_seed():
-    sigmas = [np.eye(2)]
-    a = gen_noise(sigmas, 100, NoiseSpec("strong"), np.random.default_rng(7))
-    b = gen_noise(sigmas, 100, NoiseSpec("strong"), np.random.default_rng(7))
+    colour = colour_matrix([np.eye(2)])
+    a = gen_noise(colour, 100, NoiseSpec("strong"), np.random.default_rng(7))
+    b = gen_noise(colour, 100, NoiseSpec("strong"), np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -146,7 +149,7 @@ def _simulate_by_steps(model, n_cycles, spec, seed, burnin):
     """One seed's recursion, one time step and one lag at a time."""
     s, d, max_p = model.s, model.d, model.max_p
     total = (burnin + n_cycles) * s
-    eps = gen_noise(model.sigma, burnin + n_cycles, spec,
+    eps = gen_noise(colour_matrix(model.sigma), burnin + n_cycles, spec,
                     np.random.default_rng(seed))
     y = np.zeros((max_p + total, d))
     for t in range(total):
@@ -183,6 +186,25 @@ def test_batched_simulate_equals_per_seed(d, orders, spec):
         assert np.abs(batch.presample[i] - pre).max(initial=0.0) <= 1e-13 * scale
     alone = simulate(model, 25, spec, seed=[seeds[0]], burnin=15)
     assert np.array_equal(alone.data, batch.data[:1])
+
+
+@pytest.mark.parametrize("seed", [8, [3, 17, 17 ^ 5, 99]])
+def test_simulate_draws_each_seed_by_one_gen_noise_call(monkeypatch, seed):
+    # the benchmark's noise.gen_noise span and noise.steps counter wrap
+    # gen_noise, so a batch still calls it once per seed, on one colour
+    model = _random_causal_model(np.random.default_rng(6), [2, 1, 3], 2)
+    calls = []
+
+    def recording_gen_noise(colour, n_cycles, spec, rng):
+        eps = gen_noise(colour, n_cycles, spec, rng)
+        calls.append((colour, eps.shape))
+        return eps
+
+    monkeypatch.setattr(pvar.noise, "gen_noise", recording_gen_noise)
+    simulate(model, 25, NoiseSpec("weak-product", m=2), seed=seed, burnin=15)
+    assert [shape for _, shape in calls] == [(40 * 3, 2)] * len(np.atleast_1d(seed))
+    assert all(colour is calls[0][0] for colour, _ in calls)
+    assert calls[0][0].tobytes() == colour_matrix(model.sigma).tobytes()
 
 
 def _block_boundary_cases():
@@ -232,7 +254,7 @@ def test_cycle_maps_match_the_lifted_var_and_the_step_recursion(d, orders):
     # one cycle of A x + B e from the (nonzero) state after the burn-in
     spec = NoiseSpec("weak-product", m=2)
     pre, data = _simulate_by_steps(model, 2, spec, 5, 3)
-    eps = gen_noise(model.sigma, 5, spec, np.random.default_rng(5))
+    eps = gen_noise(colour_matrix(model.sigma), 5, spec, np.random.default_rng(5))
     cycle = A @ pre.ravel() + B @ eps[3 * s:4 * s].ravel()
     assert np.allclose(cycle, data[:s].ravel(), rtol=0,
                        atol=1e-13 * np.abs(data).max())
