@@ -97,8 +97,8 @@ def _fit_and_test(scenario, series):
     thetas = covariances(fit, [method[name] for name in names], scenario.hac_spec())
     seasons = []
     for v, beta in enumerate(fit.beta_hat, start=1):
-        theta = (np.stack([thetas[v][method[name]] for name in names]) if names
-                 else np.zeros((0,) + beta.shape + beta.shape[-1:]))
+        theta = np.array([thetas[v][method[name]] for name in names]).reshape(
+            (len(names),) + beta.shape + beta.shape[-1:])
         rest = scenario.restrictions[v - 1] if scenario.restrictions else None
         pvals = (wald(np.broadcast_to(beta, theta.shape[:-1]), theta, n, rest).p_value
                  if rest is not None and names else None)  # all methods at once

@@ -729,7 +729,7 @@ def test_s1_reduction_matches_plain_var():
 
 
 def svd_guarded_psi_of_order(ends, N, r, S):
-    """_psi_of_order with the guard taken as one SVD per slice of P."""
+    """_psi_of_order written out: the z=1 guard takes one SVD per slice of P."""
     q = ends.shape[-1]
     yy, yx, xx = pvar.lrv._lag_moments(ends, r, S)
     coef = mT(solve_guarded(xx, mT(yx), what="score lag regression"))
@@ -753,9 +753,9 @@ def unit_root_scores(lag, N=8):
     return np.zeros(lag.shape[:-2] + (N, q)), S
 
 
-def lag_of_p(smallest, angle=0.3):
+def lag_of_p(smallest):
     """The lag matrix I - P for P = R diag(1, smallest) R', R a rotation."""
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = np.cos(0.3), np.sin(0.3)
     rot = np.array([[c, -s], [s, c]])
     return np.eye(2) - rot @ np.diag([1.0, smallest]) @ rot.T
 
@@ -775,10 +775,6 @@ def test_z1_guard_raises_and_passes_as_the_svd_guard():
     P = {k: np.eye(2) - lag for k, lag in lags.items()}
     assert 0.9e10 < np.linalg.cond(P["below"]) < 1e10
     assert 1e10 < np.linalg.cond(P["above"]) < 1.1e10
-    # the Frobenius bound clears "clear" but not "below", which takes the SVD
-    frob = {k: np.linalg.norm(P[k]) * np.linalg.norm(np.linalg.inv(P[k]))
-            for k in ("clear", "below")}
-    assert frob["clear"] <= 5e9 < frob["below"]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(P["singular"])
     stacks = [("clear", "below"), ("below", "clear", "below"), ("clear", "above"),
@@ -794,16 +790,3 @@ def test_z1_guard_raises_and_passes_as_the_svd_guard():
                 with pytest.raises(NumericError, match="^score autoregression "
                                    "is nearly noninvertible at z=1$"):
                     call()
-
-
-def test_z1_guard_decides_as_the_svd_guard_near_the_limit():
-    rng = np.random.default_rng(17)
-    for smallest in np.geomspace(2e-11, 5e-10, 40):
-        got, want = z1_case(lag_of_p(smallest, rng.uniform(0, np.pi)))
-        try:
-            expected = want()
-        except NumericError:
-            with pytest.raises(NumericError, match="noninvertible at z=1"):
-                got()
-        else:
-            assert got().tobytes() == expected.tobytes()

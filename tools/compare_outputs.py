@@ -1,6 +1,6 @@
 """Check that two pvar source trees give byte-identical CLI output.
 
-Usage: python3 tools/compare_outputs.py OLD_SRC NEW_SRC [--reps N]
+Usage: python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the pvar package, such as
 the src/ of two checkouts.  Each call runs `python -m pvar.cli` once
@@ -8,7 +8,7 @@ per tree, with BLAS on one thread, and compares exit code, stdout and
 stderr byte for byte:
 
 - `mc --dump-scenarios`, then `mc --format json` on every preset it
-  lists, at the CLI's default 1000 replications unless --reps is given;
+  lists, at the CLI's default 1000 replications;
 - `fit` and `wald` JSON on the series of the benchmark's cli-bivariate
   and cli-wide workloads (bench/inputs.py draws them, bench/workloads.py
   gives the arguments);
@@ -57,11 +57,10 @@ def write_model(path, phi, sigma):
         fh.write("\n".join(lines) + "\n")
 
 
-def calls(tmp, scenarios, reps):
+def calls(tmp, scenarios):
     """(label, argv) of every call after DUMP, which gave scenarios."""
-    extra = [] if reps is None else ["--reps", str(reps)]
     for name in scenarios:
-        yield f"mc {name}", ["mc", "--scenario", name, "--format", "json"] + extra
+        yield f"mc {name}", ["mc", "--scenario", name, "--format", "json"]
     for workload, spec in workloads.CLI.items():
         csv = os.path.join(tmp, f"{workload}.csv")
         inputs.write_csv(csv, inputs.simulate(spec["phi"], spec["sigma"],
@@ -121,8 +120,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="mc replications (default: the CLI's)")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not os.path.isfile(os.path.join(src, "pvar", "cli.py")):
@@ -132,7 +129,7 @@ def main(argv=None):
         dump = compare("mc scenarios", DUMP, src_pair, tmp)
         if dump is None:
             return 1
-        for label, call in calls(tmp, json.loads(dump), args.reps):
+        for label, call in calls(tmp, json.loads(dump)):
             if compare(label, call, src_pair, tmp) is None:
                 return 1
     return 0
