@@ -17,14 +17,17 @@ over a block of K = block_cycles(model) cycles these are P x + T g: x
 is the state before the block and g stacks the last n entries of its
 u_c.  One product per seed takes T g of every block, the loop carries
 x through P once per block, and a cycle's first values are u_c + A x_{c-1}.
+The maps and the colour are built once per model value (s, d, every Phi
+and Sigma) and kept, read-only, for the 8 models last simulated.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import cholesky_upper
-from .model import PeriodicSeries, cycle_maps, require_causal
+from .model import PeriodicSeries, PvarModel, cycle_maps, require_causal
 
 DEFAULT_BURNIN = 500
 
@@ -55,8 +58,6 @@ class NoiseSpec:
 def colour_matrix(sigmas):
     """The (s, d, s, d) block-diagonal colour of a cycle's s d raw draws:
     block (v, v) is the upper Cholesky factor of sigmas[v], the rest 0."""
-    if not len(sigmas):
-        raise ValueError("need at least one season covariance")
     factors = cholesky_upper(np.stack(sigmas))  # one call for every season
     s, d = factors.shape[:2]
     colour = np.zeros((s, d, s, d))
@@ -105,32 +106,24 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     steps once per block_cycles(model) cycles (see the module
     docstring), so it rounds differently from a step-by-step one.
     """
-    require_causal(model)
-    if spec is None:
-        spec = NoiseSpec()
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
+    for name, value, low in (("len(seed)", len(seeds), 1), ("n_cycles", n_cycles, 1),
+                             ("burnin", burnin, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    spec = spec or NoiseSpec()
+    A, B, P, T, colour = _plan(model.s, model.d, tuple(
+        tuple(a.tobytes() for a in lags) for lags in model.phi + [model.sigma]))
     R, s, d, max_p = len(seeds), model.s, model.d, model.max_p
     cycles = burnin + n_cycles
-    A, B = cycle_maps(model)
     m, n, q, K = max_p * d, min(max_p, s) * d, s * d, block_cycles(model)
-    # z = zA[:m] maps (x, g) of a block to the state after its cycle j
-    # (zA[q:] of zA = [z; A z]), and [P | T] stacks the last n rows of each
-    zA, eye = np.eye(m + q, m + K * n), np.eye(n)
-    M = np.empty((K * n, m + K * n))
-    for j in range(K):
-        np.matmul(A, zA[:m], out=zA[m:])
-        zA[:m] = zA[q:]
-        zA[m - n:m, m + j * n:m + j * n + n] += eye
-        M[j * n:j * n + n] = zA[m - n:m]
-    P, T = np.split(M, [m], axis=1)
     # y[r, max_p + t - 1] is Y[t] of seed r, cyc[r, c] the values of its
     # cycle c and x[r, c] the state before that cycle
     y = np.zeros((R, max_p + cycles * s, d))
     flat = y.reshape(R, -1)
     cyc = flat[:, m:].reshape(R, cycles, q)
     x = np.lib.stride_tricks.sliding_window_view(flat, m, axis=1)[:, ::q]
-    colour = colour_matrix(model.sigma)
     for r, sd in enumerate(seeds):
         eps = gen_noise(colour, cycles, spec, np.random.default_rng(sd))
         np.matmul(eps.reshape(cycles, q), B.T, out=cyc[r])
@@ -151,3 +144,25 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     pick = 0 if single else slice(None)
     return PeriodicSeries(s=s, data=y[pick, start:],
                           presample=y[pick, start - max_p:start])
+
+
+@lru_cache(maxsize=8)
+def _plan(s, d, key):
+    """simulate's read-only (A, B, P, T, colour) from a causal model's bytes."""
+    *phi, sigma = [[np.frombuffer(a).reshape(d, d) for a in lags] for lags in key]
+    model = PvarModel(s, d, phi, sigma)
+    require_causal(model)
+    A, B = cycle_maps(model)
+    m, n, q, K = model.max_p * d, min(model.max_p, s) * d, s * d, block_cycles(model)
+    # z = zA[:m] maps (x, g) of a block to the state after its cycle j
+    # (zA[q:] of zA = [z; A z]), and [P | T] stacks the last n rows of each
+    zA, eye, M = np.eye(m + q, m + K * n), np.eye(n), np.empty((K * n, m + K * n))
+    for j in range(K):
+        np.matmul(A, zA[:m], out=zA[m:])
+        zA[:m] = zA[q:]
+        zA[m - n:m, m + j * n:m + j * n + n] += eye
+        M[j * n:j * n + n] = zA[m - n:m]
+    plan = A, B, *np.split(M, [m], axis=1), colour_matrix(model.sigma)
+    for a in plan:
+        a.flags.writeable = False
+    return plan

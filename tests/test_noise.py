@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
@@ -264,3 +266,99 @@ def test_batched_simulate_raises_for_a_noncausal_model():
     model = PvarModel(s=1, d=1, phi=[[np.array([[1.5]])]], sigma=[np.eye(1)])
     with pytest.raises(NumericError, match="radius 1.5 is not below one"):
         simulate(model, 10, seed=[1, 2])
+
+
+@pytest.mark.parametrize("args, name", [
+    (dict(seed=[]), "len(seed)"), (dict(seed=np.array([], dtype=int)), "len(seed)"),
+    (dict(n_cycles=0), "n_cycles"), (dict(n_cycles=-1), "n_cycles"),
+    (dict(burnin=-1), "burnin")])
+def test_simulate_rejects_bad_arguments_before_any_work(args, name):
+    # a noncausal model: the argument is named before the model is checked
+    model = PvarModel(s=1, d=1, phi=[[np.array([[1.5]])]], sigma=[np.eye(1)])
+    args = dict(dict(n_cycles=10, seed=[1, 2], burnin=5), **args)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be at least"):
+        simulate(model, **args)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls simulate's plan makes to pvar.noise.<name>, from an
+    empty plan cache."""
+    pvar.noise._plan.cache_clear()
+    calls, original = [], getattr(pvar.noise, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pvar.noise, name, counted)
+    return calls
+
+
+def test_equal_models_share_one_simulation_plan(monkeypatch):
+    calls = _counting(monkeypatch, "cycle_maps")
+    rng = np.random.default_rng(8)
+    model = _random_causal_model(rng, [2, 0, 1], 2)
+    twin = PvarModel(s=model.s, d=model.d, phi=model.phi, sigma=model.sigma)
+    assert twin.sigma[0] is not model.sigma[0]  # PvarModel copies its matrices
+    spec = NoiseSpec("weak-product", m=2)
+    first = simulate(model, 30, spec, seed=[1, 2], burnin=10)
+    again = simulate(twin, 30, spec, seed=[1, 2], burnin=10)
+    assert len(calls) == 1
+    assert np.array_equal(first.data, again.data)
+    simulate(_random_causal_model(rng, [2, 0, 1], 2), 30, spec, seed=1, burnin=10)
+    assert len(calls) == 2
+
+
+def test_a_model_changed_in_place_simulates_as_a_fresh_one():
+    model = _random_causal_model(np.random.default_rng(9), [1, 3], 2)
+    spec = NoiseSpec("weak-product", m=2)
+
+    def halve_a_lag():
+        model.phi[1][2] *= 0.5
+
+    def raise_a_variance():
+        model.sigma[0][1, 1] += 1.0
+
+    for change in (halve_a_lag, raise_a_variance):  # each alone reaches the plan
+        before = simulate(model, 30, spec, seed=[4, 5], burnin=10)
+        change()
+        after = simulate(model, 30, spec, seed=[4, 5], burnin=10)
+        pvar.noise._plan.cache_clear()
+        fresh = PvarModel(s=2, d=2, phi=model.phi, sigma=model.sigma)
+        want = simulate(fresh, 30, spec, seed=[4, 5], burnin=10)
+        assert np.array_equal(after.data, want.data)
+        assert np.array_equal(after.presample, want.presample)
+        assert not np.array_equal(after.data, before.data)
+
+
+@pytest.mark.parametrize("phi, sigma, message", [
+    ([[[[1.5, 0.0], [0.0, 0.2]]]], [np.eye(2)], "radius 1.5 is not below one"),
+    ([[np.eye(2) * 0.5]], [[[1.0, 2.0], [2.0, 1.0]]], "not positive definite")])
+def test_a_plan_that_fails_raises_on_every_call(monkeypatch, phi, sigma, message):
+    calls = _counting(monkeypatch, "require_causal")
+    model = PvarModel(s=1, d=2, phi=phi, sigma=sigma)
+    for tries in (1, 2, 3):
+        with pytest.raises(NumericError, match=message):
+            simulate(model, 10, seed=[1, 2])
+        assert len(calls) == tries
+
+
+def test_simulation_plan_arrays_are_read_only(monkeypatch):
+    plans = []
+
+    def recording_plan(*key):
+        plans.append(plan(*key))
+        return plans[-1]
+
+    plan = pvar.noise._plan
+    monkeypatch.setattr(pvar.noise, "_plan", recording_plan)
+    model = _random_causal_model(np.random.default_rng(10), [2, 1, 3], 2)
+    simulate(model, 20, seed=3, burnin=5)
+    simulate(model, 20, seed=4, burnin=5)
+    assert len(plans) == 2 and all(a is b for a, b in zip(*plans))
+    A, B, P, T, colour = plans[0]
+    assert colour.tobytes() == colour_matrix(model.sigma).tobytes()
+    for a in plans[0]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0

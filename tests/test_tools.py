@@ -4,6 +4,8 @@ import os
 import numpy as np
 
 from pvar.cli import read_model
+from pvar.model import PvarModel, require_causal
+from pvar.noise import block_cycles
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "compare_outputs.py")
@@ -18,15 +20,27 @@ def load_tool():
 
 def test_compare_outputs_writes_models_the_cli_reads(tmp_path):
     tool = load_tool()
-    for spec in tool.workloads.CLI.values():
+    models = tool.simulate_models()
+    assert list(models)[:2] == list(tool.workloads.CLI)
+    for phi, sigma in models.values():
         path = str(tmp_path / "m.txt")
-        tool.write_model(path, spec["phi"], spec["sigma"])
+        tool.write_model(path, phi, sigma)
         model = read_model(path)
-        d = len(spec["sigma"][0])
-        for v, lags in enumerate(spec["phi"]):
+        d = len(sigma[0])
+        for v, lags in enumerate(phi):
             want = np.asarray(lags, dtype=float).reshape(-1, d, d)
-            assert np.array_equal(np.stack(model.phi[v]), want)
-            assert np.array_equal(model.sigma[v], np.asarray(spec["sigma"][v]))
+            assert np.array_equal(np.reshape(model.phi[v], (-1, d, d)), want)
+            assert np.array_equal(model.sigma[v], np.asarray(sigma[v]))
+
+
+def test_compare_outputs_simulates_a_long_order_and_an_order_0_season():
+    models = load_tool().simulate_models()
+    long_order = PvarModel(5, 9, *models["order-above-s"])
+    assert long_order.max_p > long_order.s and block_cycles(long_order) == 1
+    zero = PvarModel(3, 2, *models["order-0-season"])
+    assert [zero.p(v) for v in (1, 2, 3)] == [2, 0, 1]
+    for model in (long_order, zero):
+        require_causal(model)
 
 
 def test_compare_outputs_names_the_first_differing_line():

@@ -12,8 +12,10 @@ stderr byte for byte:
 - `fit` and `wald` JSON on the series of the benchmark's cli-bivariate
   and cli-wide workloads (bench/inputs.py draws them, bench/workloads.py
   gives the arguments);
-- `simulate` CSV of the same two models under every noise kind the
-  presets use.
+- `simulate` CSV under every noise kind the presets use, of the same
+  two models and of two more (simulate_models): one whose order exceeds
+  its period, so simulate steps one cycle per block, and one with an
+  order-0 season.
 
 The calls run in that order.  The first that differs is printed with
 its first differing line, and so is a call that fails on OLD_SRC, as
@@ -57,6 +59,25 @@ def write_model(path, phi, sigma):
         fh.write("\n".join(lines) + "\n")
 
 
+def simulate_models():
+    """{name: (phi, sigma)} of the models the simulate calls draw from, in
+    write_model's form: the two bench models, then two drawn from a fixed
+    seed.  "order-above-s" has s = 5, d = 9 and order 6, so it renews 45
+    state values per cycle and simulate's blocks are one cycle long;
+    "order-0-season" has orders 2, 0 and 1."""
+    rng = np.random.default_rng(DATA_SEED)
+
+    def draw(orders, d, scale):
+        phi = [[scale * rng.standard_normal((d, d)) for _ in range(p)] for p in orders]
+        sigma = [a @ a.T + np.eye(d) for a in rng.standard_normal((len(orders), d, d))]
+        return phi, sigma
+
+    models = {w: (spec["phi"], spec["sigma"]) for w, spec in workloads.CLI.items()}
+    models["order-above-s"] = draw([6, 1, 0, 2, 1], 9, 0.05)
+    models["order-0-season"] = draw([2, 0, 1], 2, 0.3)
+    return models
+
+
 def calls(tmp, scenarios):
     """(label, argv) of every call after DUMP, which gave scenarios."""
     for name in scenarios:
@@ -67,11 +88,11 @@ def calls(tmp, scenarios):
                                               spec["n_cycles"], spec["m"], DATA_SEED))
         for command, argv in workloads.cli_argv(workload, csv):
             yield f"{command} {workload}", argv
-    for workload, spec in workloads.CLI.items():
-        model = os.path.join(tmp, f"{workload}.model")
-        write_model(model, spec["phi"], spec["sigma"])
+    for name, (phi, sigma) in simulate_models().items():
+        model = os.path.join(tmp, f"{name}.model")
+        write_model(model, phi, sigma)
         for noise in sorted({sc["noise"] for sc in scenarios.values()}):
-            yield (f"simulate {workload} {noise}",
+            yield (f"simulate {name} {noise}",
                    ["simulate", "--model", model, "--n", "500", "--noise", noise,
                     "--m", "2", "--seed", "7"])
 
