@@ -15,15 +15,15 @@ _PUBLIC = {  # submodule: the names the package re-exports from it
     "analytic": ("DiagExampleParams", "example_model", "omega_closed", "psi_closed",
                  "theta_closed", "theta_s_closed"),
     "errors": (),
-    "estimate": ("FitResult", "build_design", "demean_seasonal", "fit_ols"),
+    "estimate": ("FitResult", "PeriodicSeries", "build_design", "demean_seasonal",
+                 "fit_ols"),
     "infer": ("Restriction", "WaldResult", "chisq_sf", "normal_sf", "t_report", "wald"),
     "linalg": ("cholesky_upper", "vec"),
     "lrv": ("BANDWIDTH_RULES", "KernelSpec", "covariances", "default_bandwidth",
             "kernel_weight", "omega_hat", "psi_hac", "psi_spectral", "score_series",
             "select_ar_order_aic", "theta_sandwich", "theta_strong"),
     "mc": ("McReport", "Scenario", "preset", "run_scenario"),
-    "model": ("PeriodicSeries", "PvarModel", "companion_spectral_radius",
-              "ma_coefficients"),
+    "model": ("PvarModel", "companion_spectral_radius", "ma_coefficients"),
     "noise": ("NoiseSpec", "colour_matrix", "gen_noise", "simulate"),
     "oracle": ("ExactCovariances", "exact_covariances"),
 }

@@ -7,12 +7,14 @@ Commands:
   mc         run a built-in Monte Carlo scenario
   analytic   closed-form covariance tables of the diagonal two-season example
 
+fit and wald run here; simulate, mc and analytic run from cli_models,
+which a fit or wald call never imports.
+
 Exit codes: 0 success, 2 usage error, 3 data or file error (DataError,
 OSError), 4 numerical error (NumericError).
 """
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -21,36 +23,35 @@ import warnings
 import numpy as np
 
 from .errors import DataError, NumericError, PvarError
-from .estimate import fit_ols
+from .estimate import PeriodicSeries, fit_ols
 from .infer import Restriction, t_report, wald
 from .linalg import vec
 from .lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
                   covariances, default_bandwidth)
-from .model import PeriodicSeries, PvarModel, companion_spectral_radius
+from .output import emit, num, render
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_FLOAT_FMT = "%.17g"
-
 
 # ---------------------------------------------------------------------------
-# data and model file handling
+# data file and restriction parsing
 
 def read_csv(path, s):
     """Load a CSV of d numeric columns into a PeriodicSeries.
 
-    Blank lines are skipped, and so is a first line that is not all
-    numbers (a header).  A cell that is not a finite number is a
-    DataError naming its row and column.  A trailing incomplete cycle
-    is dropped with a warning on stderr.  numpy's C reader reads the
-    rows; where it fails, warns or reads a non-finite cell, the rows
-    are read again by _read_csv_exact, so they are float()'s throughout.
+    A leading UTF-8 byte-order mark is skipped, and so are blank lines
+    and a first line that is not all numbers (a header).  A cell that
+    is not a finite number is a DataError naming its row and column.  A
+    trailing incomplete cycle is dropped with a warning on stderr.
+    numpy's C reader reads the rows; where it fails, warns or reads a
+    non-finite cell, the rows are read again by _read_csv_exact, so
+    they are float()'s throughout.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             fh.seek(0)  # raises on a pipe, which must go to the exact path unread
             skip, first = next((k, ln) for k, ln in enumerate(iter(fh.readline, ""), 1)
@@ -83,7 +84,7 @@ def _is_header(line):
 def _read_csv_exact(path):
     """The rows, each cell read by float(); DataError names the first bad one."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             rows = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
@@ -110,110 +111,8 @@ def _read_csv_exact(path):
     return np.array(data)
 
 
-def write_csv(path, data):
-    _emit("".join(",".join(_FLOAT_FMT % x for x in row) + "\n"
-                  for row in np.atleast_2d(data)), path)
-
-
-def _parse_matrix(text, what):
-    try:
-        rows = [[float(x) for x in row.split()] for row in text.split(";")]
-    except ValueError:
-        raise DataError(f"{what}: non-numeric matrix entry in {text!r}") from None
-    if not all(math.isfinite(x) for row in rows for x in row):
-        raise DataError(f"{what}: non-finite matrix entry in {text!r}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{what}: ragged matrix literal {text!r}")
-    return np.array(rows, dtype=float)
-
-
-def read_model(path):
-    """Parse the flat structured-text model format.
-
-    Scalar keys s and d come first; each season block starts with a
-    line "[season v]" and holds p, lag matrices phi1..phip, and sigma,
-    and no other key.  No key may appear twice in the header or in one
-    block.  Matrix literals are row-major with ';' between rows.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
-    header = {}
-    seasons = {}
-    current = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        msec = re.fullmatch(r"\[season\s+(\d+)\]", line)
-        if msec:
-            current = int(msec.group(1))
-            if current in seasons:
-                raise DataError(
-                    f"{path}: line {lineno}: repeated [season {current}] block")
-            seasons[current] = {}
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip().lower(), value.strip()
-        block = header if current is None else seasons[current]
-        if current is None and key not in ("s", "d"):
-            raise DataError(f"{path}: line {lineno}: unknown header key '{key}'")
-        if key in block:
-            raise DataError(f"{path}: line {lineno}: repeated key '{key}'")
-        block[key] = value
-    for key in ("s", "d"):
-        if key not in header:
-            raise DataError(f"{path}: missing header key '{key}'")
-    try:
-        s, d = int(header["s"]), int(header["d"])
-    except ValueError:
-        raise DataError(f"{path}: s and d must be integers") from None
-    if s < 1 or d < 1:
-        raise DataError(f"{path}: s and d must be at least 1")
-    for v in seasons:
-        if not 1 <= v <= s:
-            raise DataError(f"{path}: [season {v}] outside 1..{s}")
-    phi, sigma = [], []
-    for v in range(1, s + 1):
-        if v not in seasons:
-            raise DataError(f"{path}: missing [season {v}] block")
-        block = seasons[v]
-        try:
-            p = int(block.get("p", "1"))
-        except ValueError:
-            raise DataError(f"{path}: season {v}: p must be an integer") from None
-        if p < 0:
-            raise DataError(f"{path}: season {v}: p must be at least 0")
-        lags = []
-        for k in range(1, p + 1):
-            key = f"phi{k}"
-            if key not in block:
-                raise DataError(f"{path}: season {v}: missing '{key}'")
-            mat = _parse_matrix(block[key], f"{path}: season {v} {key}")
-            if mat.shape != (d, d):
-                raise DataError(f"{path}: season {v} {key}: expected {d}x{d}")
-            lags.append(mat)
-        # phi1..phip are all present here, so p is at most the block's size
-        unknown = set(block) - {"p", "sigma"} - {f"phi{k}" for k in range(1, p + 1)}
-        if unknown:
-            raise DataError(f"{path}: season {v}: unknown key '{min(unknown)}'")
-        if "sigma" not in block:
-            raise DataError(f"{path}: season {v}: missing 'sigma'")
-        sig = _parse_matrix(block["sigma"], f"{path}: season {v} sigma")
-        if sig.shape != (d, d):
-            raise DataError(f"{path}: season {v} sigma: expected {d}x{d}")
-        phi.append(lags)
-        sigma.append(sig)
-    return PvarModel(s=s, d=d, phi=phi, sigma=sigma)
-
-
-_RESTRICT_RE = re.compile(
-    r"phi\[(\d+)(?:,(\d+))?\][\(\[](\d+),(\d+)[\)\]]\s*=\s*([-+0-9.eE]+)")
+# compiled on first use, and then cached by re; a fit call never uses it
+_RESTRICT = r"phi\[(\d+)(?:,(\d+))?\][\(\[](\d+),(\d+)[\)\]]\s*=\s*([-+0-9.eE]+)"
 
 
 def parse_restriction(text, s, d, orders):
@@ -221,7 +120,7 @@ def parse_restriction(text, s, d, orders):
 
     Returns (season, coefficient index, value).
     """
-    m = _RESTRICT_RE.fullmatch(text.strip())
+    m = re.fullmatch(_RESTRICT, text.strip())
     if not m:
         raise DataError(
             f"cannot parse restriction {text!r}; expected phi[season](row,col)=value")
@@ -243,42 +142,6 @@ def parse_restriction(text, s, d, orders):
             f"lag {lag} outside 1..{orders[season - 1]} in {text!r}")
     index = (lag - 1) * d * d + (col - 1) * d + (row - 1)
     return season, index, value
-
-
-# ---------------------------------------------------------------------------
-# output helpers
-
-def _emit(text, out_path):
-    text = text if text.endswith("\n") else text + "\n"
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _table(headers, rows):
-    cells = [headers] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
-def _render(headers, rows, fmt, payload=None):
-    if fmt == "json":
-        return _json(payload)
-    if fmt == "csv":
-        return "\n".join(",".join(str(c) for c in row) for row in [headers] + rows)
-    return _table(headers, rows)
-
-
-def _f(x, nd=6):
-    return f"{x:.{nd}g}"
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +181,6 @@ def _covariances_from_args(args, fit, seasons=None):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(args):
-    from .noise import NoiseSpec, simulate
-    model = read_model(args.model)
-    spec = NoiseSpec(kind=args.noise, m=args.m)
-    series = simulate(model, args.n, spec, seed=args.seed, burnin=args.burnin)
-    rho = companion_spectral_radius(model)
-    if rho > 0 and rho ** args.burnin > 1e-12:
-        print(f"warning: --burnin {args.burnin} is short for companion spectral "
-              f"radius {rho:.4g}", file=sys.stderr)
-    write_csv(args.out, series.data)
-    return EXIT_OK
-
-
 def _fit_from_args(args):
     series = read_csv(args.data, args.s)
     return fit_ols(series, _season_orders(args.order, args.s), demean=args.demean)
@@ -349,11 +199,10 @@ def cmd_fit(args):
             "season": v, "coefficients": records,
             "sigma_tilde_vec": vec(fit.sigma_tilde[v - 1]).tolist()})
         for r in records:
-            rows.append([v, r["lag"], r["row"], r["col"], _f(r["estimate"])]
-                        + [_f(r["std_errors"][m]) for m in args.cov]
-                        + [_f(r["p_values"][m]) for m in args.cov])
-    _emit(_render(headers, rows, args.format, payload), args.out)
-    return EXIT_OK
+            rows.append([v, r["lag"], r["row"], r["col"], num(r["estimate"])]
+                        + [num(r["std_errors"][m]) for m in args.cov]
+                        + [num(r["p_values"][m]) for m in args.cov])
+    emit(render(headers, rows, args.format, payload), args.out)
 
 
 def cmd_wald(args):
@@ -377,72 +226,17 @@ def cmd_wald(args):
         for m in args.cov:
             res = wald(fit.beta_hat[season - 1], thetas[season][m],
                        fit.n_used, rest)
-            rows.append([season, m, _f(res.statistic, 10), res.df, _f(res.p_value, 10)])
+            rows.append([season, m, num(res.statistic, 10), res.df, num(res.p_value, 10)])
             payload["tests"].append({"season": season, "method": m,
                                      "statistic": res.statistic, "df": res.df,
                                      "p_value": res.p_value})
-    _emit(_render(headers, rows, args.format, payload), args.out)
-    return EXIT_OK
+    emit(render(headers, rows, args.format, payload), args.out)
 
 
-def cmd_mc(args):
-    from .mc import PRESETS, preset, run_scenario
-    if args.dump_scenarios:
-        scenarios = {name: preset(name) for name in PRESETS}
-        _emit(_json({name: {
-            "noise": sc.noise.kind, "m": sc.noise.m, "n_cycles": sc.n_cycles,
-            "reps": sc.reps, "levels": list(sc.levels), "methods": list(sc.methods),
-            "base_seed": sc.base_seed, "bandwidth": sc.bandwidth,
-            "phi11": [float(phi[0][0, 0]) for phi in sc.model.phi],
-            "phi22": [float(phi[0][1, 1]) for phi in sc.model.phi],
-            "sigma": [[list(r) for r in m] for m in sc.model.sigma],
-        } for name, sc in scenarios.items()}), args.out)
-        return EXIT_OK
-    sc = preset(args.scenario, n_cycles=args.n, reps=args.reps,
-                base_seed=args.seed)
-    report = run_scenario(sc)
-    headers = ["season", "method", "level", "rejection"]
-    rows, tests = [], []
-    for (v, method, level) in sorted(report.rejection):
-        freq = report.rejection[(v, method, level)]
-        rows.append([v, method, _f(level, 3), _f(freq, 6)])
-        tests.append({"season": v, "method": method, "level": level,
-                      "rejection": freq,
-                      "mc_se": math.sqrt(freq * (1 - freq) / report.completed)})
-    payload = {"command": "mc", "scenario": report.scenario,
-               "reps": report.reps, "completed": report.completed,
-               "failures": report.failures, "rejection": tests,
-               "failure_reasons": [
-                   {"class": cls, "message": msg, "count": count}
-                   for (cls, msg), count in report.failure_reasons.items()],
-               "sse": {f"{v}:{i}": report.coef_sse[(v, i)]
-                       for (v, i) in sorted(report.coef_sse)}}
-    _emit(_render(headers, rows, args.format, payload), args.out)
-    return EXIT_OK
-
-
-def cmd_analytic(args):
-    from . import analytic as an
-    params = an.DiagExampleParams(m=args.m)
-    omega = an.omega_closed(params)
-    theta_s = an.theta_s_closed(params)
-    try:  # 3.0 ** m overflows from m = 647, the sandwich products from m = 645
-        theta = an.theta_closed(params)
-        psi = an.psi_closed(params)
-    except (OverflowError, FloatingPointError) as exc:
-        raise NumericError(f"--m {args.m} is too large: the closed forms "
-                           "overflow double precision") from exc
-    headers = ["quantity", "season", "diagonal"]
-    rows, payload = [], {"command": "analytic", "m": args.m}
-    for name, pair in (("omega", omega), ("psi", psi),
-                       ("theta_s", theta_s), ("theta", theta)):
-        payload[name] = {}
-        for v in (1, 2):
-            diag = [float(x) for x in np.diag(pair[v - 1])]
-            rows.append([name, v, " ".join(_f(x) for x in diag)])
-            payload[name][str(v)] = diag
-    _emit(_render(headers, rows, args.format, payload), args.out)
-    return EXIT_OK
+def _model_command(args):
+    """Run simulate, mc or analytic, which cli_models holds."""
+    from . import cli_models
+    getattr(cli_models, f"cmd_{args.command}")(args)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +347,11 @@ def build_parser():
         description="Periodic vector autoregression estimation and inference")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text, func in (
-            ("simulate", "simulate a model file to CSV", cmd_simulate),
+            ("simulate", "simulate a model file to CSV", _model_command),
             ("fit", "least squares fit with robust errors", cmd_fit),
             ("wald", "Wald tests of linear restrictions", cmd_wald),
-            ("mc", "run a built-in Monte Carlo scenario", cmd_mc),
-            ("analytic", "closed-form example tables", cmd_analytic)):
+            ("mc", "run a built-in Monte Carlo scenario", _model_command),
+            ("analytic", "closed-form example tables", _model_command)):
         sub.add_parser(name, help=text, command=name).set_defaults(func=func)
     return parser
 
@@ -571,7 +365,8 @@ def main(argv=None):
     try:
         # an overflow or invalid operation is a numeric failure, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            args.func(args)
+        return EXIT_OK
     except (DataError, OSError) as exc:
         code, error = EXIT_DATA, exc
     except (PvarError, np.linalg.LinAlgError, ArithmeticError) as exc:

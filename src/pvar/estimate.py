@@ -9,17 +9,44 @@ and estimates B(v) = (Phi_1(v), ..., Phi_p(v)) by ordinary least
 squares.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .errors import DataError
 from .linalg import mT, solve_guarded, vec
-from .model import PeriodicSeries
 
 
-@dataclass
+class PeriodicSeries:
+    """Observed series of N full cycles plus an optional presample.
+
+    data has shape (N*s, d); row t-1 holds Y[t] for t = 1..N*s.
+    presample has shape (L, d) in chronological order, so its last row
+    is Y[0], the one before is Y[-1], and so on.  A stack of R series
+    has data (R, N*s, d) and presample (R, L, d).
+    """
+
+    def __init__(self, s, data, presample=None):
+        self.s = s
+        self.data = np.atleast_2d(np.asarray(data, dtype=float))
+        if presample is None or np.size(presample) == 0:
+            presample = np.zeros(self.data.shape[:-2] + (0, self.d))
+        self.presample = np.atleast_2d(np.asarray(presample, dtype=float))
+        if self.data.shape[-2] % s:
+            raise ValueError("data length must be a whole number of cycles")
+        pre = self.presample.shape
+        if pre[:-2] != self.data.shape[:-2] or pre[-1] != self.d:
+            raise ValueError("presample dimension differs from data")
+
+    @property
+    def d(self):
+        return self.data.shape[-1]
+
+    @property
+    def n_cycles(self):
+        return self.data.shape[-2] // self.s
+
+
 class FitResult:
     """Per-season estimates from a PVAR regression.
 
@@ -28,14 +55,10 @@ class FitResult:
     per-season array, one slice per series.
     """
 
-    s: int
-    d: int
-    orders: list
-    n_used: int
-    B_hat: list
-    residuals: list
-    sigma_tilde: list
-    X: list
+    def __init__(self, s, d, orders, n_used, B_hat, residuals, sigma_tilde, X):
+        self.s, self.d, self.orders, self.n_used = s, d, orders, n_used
+        self.B_hat, self.residuals = B_hat, residuals
+        self.sigma_tilde, self.X = sigma_tilde, X
 
     @property
     def beta_hat(self):

@@ -11,7 +11,6 @@ or from one of the robust sandwich estimators; the test is otherwise
 identical.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -52,16 +51,12 @@ def normal_sf(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-@dataclass
 class Restriction:
     """Rows R0 and target r0 of the tested linear hypothesis."""
 
-    R0: np.ndarray
-    r0: np.ndarray
-
-    def __post_init__(self):
-        self.R0 = np.atleast_2d(np.asarray(self.R0, dtype=float))
-        self.r0 = np.asarray(self.r0, dtype=float).reshape(-1)
+    def __init__(self, R0, r0):
+        self.R0 = np.atleast_2d(np.asarray(R0, dtype=float))
+        self.r0 = np.asarray(r0, dtype=float).reshape(-1)
         if self.R0.shape[0] != self.r0.size:
             raise ValueError("R0 and r0 disagree on the restriction count")
         if np.linalg.matrix_rank(self.R0) < self.R0.shape[0]:
@@ -78,11 +73,10 @@ class Restriction:
         return cls(R0, r0)
 
 
-@dataclass
 class WaldResult:
-    statistic: float  # or an array, one entry per slice of a stacked test
-    df: int
-    p_value: float
+    def __init__(self, statistic, df, p_value):
+        # statistic and p_value are floats, or arrays of a stacked test's shape
+        self.statistic, self.df, self.p_value = statistic, df, p_value
 
 
 def wald(beta_hat, theta, n, restriction):

@@ -19,7 +19,6 @@ call gives: the Monte Carlo harness passes the fit of a whole chunk
 of replications at once.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -37,16 +36,13 @@ COV_METHODS = {"strong": "standard", "sp": "modified-sp", "hac": "modified-hac"}
 QS_SUPPORT = 10.0
 
 
-@dataclass
 class KernelSpec:
-    kind: str = "bartlett"
-    bandwidth: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel {self.kind!r}")
-        if not self.bandwidth > 0:
+    def __init__(self, kind="bartlett", bandwidth=0.1):
+        if kind not in KERNEL_KINDS:
+            raise ValueError(f"unknown kernel {kind!r}")
+        if not bandwidth > 0:
             raise ValueError("bandwidth must be positive")
+        self.kind, self.bandwidth = kind, bandwidth
 
     @property
     def support(self):

@@ -25,13 +25,13 @@ import time
 import numpy as np
 
 from .errors import DataError, NumericError, PvarError
-from .estimate import fit_ols
+from .estimate import PeriodicSeries, fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
 from .lrv import COV_METHODS, KernelSpec, covariances, default_bandwidth
 # psi_hac stays importable from here: bench/test_bench.py traces it in mc
 from .lrv import psi_hac  # noqa: F401
-from .model import PeriodicSeries, PvarModel
+from .model import PvarModel
 from .noise import NoiseSpec, simulate
 
 #: Replications whose series one noise.simulate call draws together.

@@ -1,4 +1,4 @@
-"""Model and data containers for periodic vector autoregressions.
+"""Periodic vector autoregression models: container, cycle maps, causality.
 
 A PVAR with period s and dimension d evolves as
 
@@ -12,7 +12,7 @@ max_p values before the cycle and e its innovations.  The model is
 causal when the map from x to the next cycle's state contracts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,40 +55,6 @@ class PvarModel:
     @property
     def max_p(self):
         return max((len(l) for l in self.phi), default=0)
-
-
-@dataclass
-class PeriodicSeries:
-    """Observed series of N full cycles plus an optional presample.
-
-    data has shape (N*s, d); row t-1 holds Y[t] for t = 1..N*s.
-    presample has shape (L, d) in chronological order, so its last row
-    is Y[0], the one before is Y[-1], and so on.  A stack of R series
-    has data (R, N*s, d) and presample (R, L, d).
-    """
-
-    s: int
-    data: np.ndarray
-    presample: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if self.presample is None or np.size(self.presample) == 0:
-            self.presample = np.zeros(self.data.shape[:-2] + (0, self.d))
-        self.presample = np.atleast_2d(np.asarray(self.presample, dtype=float))
-        if self.data.shape[-2] % self.s:
-            raise ValueError("data length must be a whole number of cycles")
-        pre = self.presample.shape
-        if pre[:-2] != self.data.shape[:-2] or pre[-1] != self.d:
-            raise ValueError("presample dimension differs from data")
-
-    @property
-    def d(self):
-        return self.data.shape[-1]
-
-    @property
-    def n_cycles(self):
-        return self.data.shape[-2] // self.s
 
 
 def cycle_maps(model):

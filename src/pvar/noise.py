@@ -26,8 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .estimate import PeriodicSeries
 from .linalg import cholesky_upper
-from .model import PeriodicSeries, PvarModel, cycle_maps, require_causal
+from .model import PvarModel, cycle_maps, require_causal
 
 DEFAULT_BURNIN = 500
 

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import pvar.cli
+import pvar.cli_models
 import pvar.lrv
 import pvar.mc
-from pvar.cli import (_read_csv_exact, main, parse_restriction, read_csv,
-                      read_model, write_csv)
+from pvar.cli import _read_csv_exact, main, parse_restriction, read_csv
+from pvar.cli_models import read_model, write_csv
 from pvar.errors import DataError, NumericError, PvarError
 from pvar.infer import Restriction
 from pvar.model import PvarModel
@@ -103,6 +104,28 @@ def test_read_csv_rejects_non_finite_cells(tmp_path, cell):
     path.write_text(f"a,b\n1,2\n\n3,{cell}\n5,6\n")
     with pytest.raises(DataError, match=f"row 4, column 2: non-finite value '{cell}'"):
         read_csv(str(path), s=1)
+
+
+@pytest.mark.parametrize("header", [b"", b"a,b\n"])
+def test_csv_byte_order_mark_is_skipped(tmp_path, capsys, header):
+    # a spreadsheet's "CSV UTF-8" export starts the file with one
+    plain = tmp_path / "plain.csv"
+    write_csv(str(plain), np.random.default_rng(2).standard_normal((20, 2)))
+    marked = _write(tmp_path / "bom.csv", b"\xef\xbb\xbf" + header + plain.read_bytes())
+    assert np.array_equal(_read_csv_exact(marked), _read_csv_exact(str(plain)))
+    outs = []
+    for path in (str(plain), marked):
+        assert main(["fit", "--data", path, "--s", "2", "--format", "json"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == ""
+
+
+def test_model_byte_order_mark_is_skipped(tmp_path, model_file):
+    plain = read_model(model_file)
+    marked = read_model(_write(tmp_path / "bom.txt", b"\xef\xbb\xbf" + MODEL_TEXT.encode()))
+    assert (marked.s, marked.d) == (plain.s, plain.d)
+    assert np.array_equal(marked.phi, plain.phi)
+    assert np.array_equal(marked.sigma, plain.sigma)
 
 
 def test_parse_restriction():
@@ -820,7 +843,7 @@ def test_exception_class_decides_the_exit_code(monkeypatch, capsys, error, code)
     def failing(args):
         raise error
 
-    monkeypatch.setattr(pvar.cli, "cmd_analytic", failing)
+    monkeypatch.setattr(pvar.cli_models, "cmd_analytic", failing)
     assert main(["analytic"]) == code
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {error}\n"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pvar.errors import DataError, NumericError
-from pvar.estimate import build_design, demean_seasonal, fit_ols
-from pvar.model import PeriodicSeries, PvarModel
+from pvar.estimate import PeriodicSeries, build_design, demean_seasonal, fit_ols
+from pvar.model import PvarModel
 from pvar.noise import simulate
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from lifted import lifted_companion_radius, lifted_var
 from pvar.errors import NumericError
-from pvar.model import (PeriodicSeries, PvarModel, companion_spectral_radius,
+from pvar.estimate import PeriodicSeries
+from pvar.model import (PvarModel, companion_spectral_radius,
                         ma_coefficients, require_causal)
 from pvar.noise import NoiseSpec, colour_matrix, gen_noise, simulate
 

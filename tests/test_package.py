@@ -8,12 +8,13 @@ import sys
 import numpy as np
 
 import pvar
-from pvar.cli import write_csv
+from pvar.cli_models import write_csv
 from pvar.lrv import COV_METHODS, KERNEL_KINDS
 from pvar.mc import PRESETS
 from pvar.noise import NOISE_KINDS
 
 SOURCE = pathlib.Path(pvar.__file__).parent
+CLI_FILES = ("cli.py", "cli_models.py")  # all of the command-line code
 
 
 def test_all_names_resolve_and_star_import_succeeds():
@@ -51,18 +52,22 @@ def test_every_raise_names_a_package_error_or_value_error():
 def test_cli_spells_no_method_kernel_noise_or_preset_name():
     # the CLI reads each vocabulary from the table of the module that owns it
     names = {*COV_METHODS, *KERNEL_KINDS, *NOISE_KINDS, *PRESETS}
-    tree = ast.parse((SOURCE / "cli.py").read_text())
-    defaults = {id(node.value) for node in ast.walk(tree)
-                if isinstance(node, ast.keyword) and node.arg == "default"}
-    spelled = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
-               if isinstance(node, ast.Constant) and node.value in names
-               and id(node) not in defaults]
+    spelled = []
+    for path in CLI_FILES:
+        tree = ast.parse((SOURCE / path).read_text())
+        defaults = {id(node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.keyword) and node.arg == "default"}
+        spelled += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in names
+                    and id(node) not in defaults]
     assert spelled == []
 
 
-# modules a fit or wald call never runs: cli imports them inside the
-# commands that do, and the package on first use of one of their names
-UNUSED_BY_FIT = ("pvar.mc", "pvar.noise", "pvar.oracle", "pvar.analytic")
+# modules a fit or wald call never runs: the CLI imports them inside the
+# commands that do, and the package on first use of one of their names;
+# dataclasses is not used on the fit path, whose records are plain classes
+UNUSED_BY_FIT = ("pvar.mc", "pvar.noise", "pvar.oracle", "pvar.analytic",
+                 "pvar.model", "pvar.cli_models", "dataclasses")
 
 
 def test_fit_and_wald_load_no_simulation_or_reference_module(tmp_path):
@@ -74,6 +79,7 @@ def test_fit_and_wald_load_no_simulation_or_reference_module(tmp_path):
         import pvar
         bare = [m for m in {UNUSED_BY_FIT!r} if m in sys.modules]
         from pvar.cli import main
+        bare += [m for m in {UNUSED_BY_FIT!r} if m in sys.modules]
         codes = [main(["fit"] + {common!r}),
                  main(["wald", "--restrict", "phi[1](1,1)=0"] + {common!r})]
         called = [m for m in {UNUSED_BY_FIT!r} if m in sys.modules]
@@ -86,16 +92,16 @@ def test_fit_and_wald_load_no_simulation_or_reference_module(tmp_path):
 
 
 def test_cli_imports_no_simulation_or_reference_module_at_module_level():
-    unused = {name.split(".")[1] for name in UNUSED_BY_FIT}
-    tree = ast.parse((SOURCE / "cli.py").read_text())
-    stack, imported = list(tree.body), []
-    while stack:  # every statement but those inside a function
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.ImportFrom):
-            imported += [node.module] if node.module else [a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            imported += [a.name for a in node.names]
-        stack.extend(ast.iter_child_nodes(node))
-    assert imported and not {name.split(".")[-1] for name in imported} & unused
+    unused = {name.split(".")[-1] for name in UNUSED_BY_FIT}
+    for path in CLI_FILES:
+        stack, imported = list(ast.parse((SOURCE / path).read_text()).body), []
+        while stack:  # every statement but those inside a function
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.ImportFrom):
+                imported += [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            stack.extend(ast.iter_child_nodes(node))
+        assert imported and not {name.split(".")[-1] for name in imported} & unused, path

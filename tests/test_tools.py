@@ -3,7 +3,8 @@ import os
 
 import numpy as np
 
-from pvar.cli import read_model
+from pvar.cli import main
+from pvar.cli_models import read_model
 from pvar.model import PvarModel, require_causal
 from pvar.noise import block_cycles
 
@@ -51,3 +52,18 @@ def test_compare_outputs_names_the_first_differing_line():
     assert diff(same, (0, b"a\nc\n", b"")) == "stdout: line 2\n  old: b\n  new: c"
     assert diff(same, (0, b"a\nb\n", b"w")) == "stderr: line 1\n  old: \n  new: w"
     assert diff(same, (0, b"a\n", b"")) == "stdout: line 2\n  old: b\n  new: "
+
+
+def test_compare_outputs_checks_help_analytic_and_error_calls(tmp_path, capsys):
+    listed = list(load_tool().calls(str(tmp_path), {}))
+    assert [label for label, _, _ in listed[:12]] == [
+        "help pvar", "help simulate", "help fit", "help wald", "help mc", "help analytic",
+        "analytic table", "analytic csv", "analytic json", "error missing data",
+        "error model without s", "error mc reps 0"]
+    assert [fails for *_, fails in listed] == [False] * 9 + [True] * 3 + [False] * (
+        len(listed) - 12)
+    assert [main(argv) for _, argv, _ in listed[:12]] == [0] * 9 + [3, 3, 2]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].endswith("missing.csv: [Errno 2] No such file or directory: "
+                           f"'{tmp_path / 'missing.csv'}'")
+    assert err[1].endswith("no-s.model: missing header key 's'")

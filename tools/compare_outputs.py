@@ -7,8 +7,13 @@ the src/ of two checkouts.  Each call runs `python -m pvar.cli` once
 per tree, with BLAS on one thread, and compares exit code, stdout and
 stderr byte for byte:
 
-- `mc --dump-scenarios`, then `mc --format json` on every preset it
-  lists, at the CLI's default 1000 replications;
+- `mc --dump-scenarios`;
+- `--help` of pvar and of each command;
+- `analytic` as a table, CSV and JSON;
+- three calls that must fail (error_calls): a missing `--data` file, a
+  model file without its `s` key and `mc --reps 0`;
+- `mc --format json` on every preset the dump lists, at the CLI's
+  default 1000 replications;
 - `fit` and `wald` JSON on the series of the benchmark's cli-bivariate
   and cli-wide workloads (bench/inputs.py draws them, bench/workloads.py
   gives the arguments);
@@ -18,9 +23,9 @@ stderr byte for byte:
   order-0 season.
 
 The calls run in that order.  The first that differs is printed with
-its first differing line, and so is a call that fails on OLD_SRC, as
-every call should succeed; the exit code is then 1.  It is 0 when
-every call matches.
+its first differing line, and so is a call that fails on OLD_SRC,
+or one of error_calls that does not; the exit code is then 1.  It is 0
+when every call matches.
 """
 
 import argparse
@@ -39,6 +44,7 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 
 DUMP = ["mc", "--dump-scenarios"]
+COMMANDS = ("simulate", "fit", "wald", "mc", "analytic")
 DATA_SEED = 1
 
 
@@ -78,23 +84,42 @@ def simulate_models():
     return models
 
 
+def error_calls(tmp):
+    """(label, argv) of the calls that must fail, with files in tmp."""
+    no_s = os.path.join(tmp, "no-s.model")
+    with open(no_s, "w", encoding="utf-8") as fh:
+        fh.write("d = 2\n")
+    return [("missing data", ["fit", "--data", os.path.join(tmp, "missing.csv"),
+                              "--s", "2"]),
+            ("model without s", ["simulate", "--model", no_s, "--n", "10"]),
+            ("mc reps 0", ["mc", "--reps", "0"])]
+
+
 def calls(tmp, scenarios):
-    """(label, argv) of every call after DUMP, which gave scenarios."""
+    """(label, argv, fails) of every call after DUMP, which gave scenarios;
+    fails marks the calls of error_calls(tmp)."""
+    for command in ("",) + COMMANDS:
+        argv = [command, "--help"] if command else ["--help"]
+        yield f"help {command or 'pvar'}", argv, False
+    for fmt in ("table", "csv", "json"):
+        yield f"analytic {fmt}", ["analytic", "--m", "2", "--format", fmt], False
+    for label, argv in error_calls(tmp):
+        yield f"error {label}", argv, True
     for name in scenarios:
-        yield f"mc {name}", ["mc", "--scenario", name, "--format", "json"]
+        yield f"mc {name}", ["mc", "--scenario", name, "--format", "json"], False
     for workload, spec in workloads.CLI.items():
         csv = os.path.join(tmp, f"{workload}.csv")
         inputs.write_csv(csv, inputs.simulate(spec["phi"], spec["sigma"],
                                               spec["n_cycles"], spec["m"], DATA_SEED))
         for command, argv in workloads.cli_argv(workload, csv):
-            yield f"{command} {workload}", argv
+            yield f"{command} {workload}", argv, False
     for name, (phi, sigma) in simulate_models().items():
         model = os.path.join(tmp, f"{name}.model")
         write_model(model, phi, sigma)
         for noise in sorted({sc["noise"] for sc in scenarios.values()}):
             yield (f"simulate {name} {noise}",
                    ["simulate", "--model", model, "--n", "500", "--noise", noise,
-                    "--m", "2", "--seed", "7"])
+                    "--m", "2", "--seed", "7"], False)
 
 
 def run(src, argv, tmp):
@@ -120,14 +145,15 @@ def first_difference(old, new):
     return None
 
 
-def compare(label, call, src_pair, tmp):
+def compare(label, call, src_pair, tmp, fails=False):
     """Run call on both trees and print how they compare; returns the
-    old tree's stdout, or None if the call differs or fails there."""
+    old tree's stdout, or None if the call differs, or if it fails
+    there and fails is false, or succeeds there and fails is true."""
     old, new = (run(src, call, tmp) for src in src_pair)
-    if old[0]:
+    if bool(old[0]) != fails:
         stderr = old[2].decode(errors="replace").strip()
-        print(f"FAILS   {label}: pvar {' '.join(call)} exits {old[0]} on OLD_SRC\n"
-              f"  {stderr}")
+        print(f"FAILS   {label}: pvar {' '.join(call)} exits {old[0]} on OLD_SRC"
+              f"{', where it should fail' if fails else ''}\n  {stderr}")
         return None
     diff = first_difference(old, new)
     if diff is not None:
@@ -150,8 +176,8 @@ def main(argv=None):
         dump = compare("mc scenarios", DUMP, src_pair, tmp)
         if dump is None:
             return 1
-        for label, call in calls(tmp, json.loads(dump)):
-            if compare(label, call, src_pair, tmp) is None:
+        for label, call, fails in calls(tmp, json.loads(dump)):
+            if compare(label, call, src_pair, tmp, fails) is None:
                 return 1
     return 0
 
