@@ -42,27 +42,21 @@ EXIT_NUMERIC = 4
 def read_csv(path, s):
     """Load a CSV of d numeric columns into a PeriodicSeries.
 
-    A leading UTF-8 byte-order mark is skipped, and so are blank lines
-    and a first line that is not all numbers (a header).  A cell that
-    is not a finite number is a DataError naming its row and column.  A
-    trailing incomplete cycle is dropped with a warning on stderr.
-    numpy's C reader reads the rows; where it fails, warns or reads a
-    non-finite cell, the rows are read again by _read_csv_exact, so
-    they are float()'s throughout.
+    The file is read once; numpy's C reader parses its lines from the
+    first data line on (_data_lines), and where it fails, warns or reads
+    a non-finite cell, _read_csv_exact does, so the rows are float()'s
+    and a DataError names the first cell that is not a finite number.
+    A trailing incomplete cycle is dropped with a warning on stderr.
     """
+    scan = lines, start = _data_lines(path)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fh.seek(0)  # raises on a pipe, which must go to the exact path unread
-            skip, first = next((k, ln) for k, ln in enumerate(iter(fh.readline, ""), 1)
-                               if ln.strip())
-            fh.seek(0)
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                              skiprows=skip if _is_header(first) else skip - 1)
-    except (OSError, ValueError, Warning, StopIteration):  # next(): no nonblank line
+            data = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
         data = None
     if data is None or not np.isfinite(data).all():
-        data = _read_csv_exact(path)
+        data = _read_csv_exact(path, scan)
     extra = data.shape[0] % s
     if data.shape[0] == extra:
         raise DataError(f"{path}: fewer rows than one cycle of {s}")
@@ -73,23 +67,28 @@ def read_csv(path, s):
     return PeriodicSeries(s=s, data=data)
 
 
-def _is_header(line):
+def _data_lines(path):
+    """The file's lines, past a UTF-8 byte-order mark, and the index of the
+    first nonblank one, or of the next if float() rejects a cell (a header)."""
     try:
-        [float(cell) for cell in line.split(",")]
-    except ValueError:
-        return True
-    return False
-
-
-def _read_csv_exact(path):
-    """The rows, each cell read by float(); DataError names the first bad one."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            rows = [(lineno, ln) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    if rows and _is_header(rows[0][1]):
-        rows = rows[1:]
+    start = next((k for k, ln in enumerate(lines) if ln.strip()), len(lines))
+    try:
+        [float(cell) for ln in lines[start:start + 1] for cell in ln.split(",")]
+    except ValueError:
+        start += 1
+    return lines, start
+
+
+def _read_csv_exact(path, scan=None):
+    """The rows of scan, which is _data_lines(path) if None, each cell read
+    by float(); DataError names the first bad one."""
+    lines, start = scan or _data_lines(path)
+    rows = [(lineno, ln) for lineno, ln in enumerate(lines[start:], start + 1)
+            if ln.strip()]
     if not rows:
         raise DataError(f"{path}: no data rows")
     data = []

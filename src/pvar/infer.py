@@ -26,7 +26,8 @@ def chisq_sf(x, df):
     positive: exp(-y) sum_{i<k} y^i / i! for df = 2k, and
     erfc(sqrt y) + exp(-y) sum_{i<k} y^(i+1/2) / Gamma(i+3/2) for
     df = 2k+1.  The sum is scaled by exp(-y) through its logarithm, so
-    the tail underflows only where its value does.
+    the tail underflows only where its value does; where the sum
+    overflows, it is summed again from its terms' logarithms.
     """
     if not (float(df).is_integer() and df >= 1):
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
@@ -43,6 +44,12 @@ def chisq_sf(x, df):
     for i in range(int(df) // 2):
         total += term
         term *= y / (i + first)
+    if total == math.inf:  # term i is y^(i + first - 1) / Gamma(i + first)
+        logs = [(i + first - 1) * math.log(y) - math.lgamma(i + first)
+                for i in range(int(df) // 2)]
+        top = max(logs)
+        log_total = top + math.log(sum(math.exp(t - top) for t in logs))
+        return min(1.0, tail + math.exp(log_total - y))
     return tail + math.exp(math.log(total) - y) if total > 0 else tail
 
 

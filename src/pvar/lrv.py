@@ -339,6 +339,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     for all methods, up to the larger of the HAC truncation lag and the
     AIC r_max or fixed order.  The fit of a stack of series
     (estimate.fit_ols) gives stacked estimates, one slice per series.
+    A HAC kernel that weights every sample lag 1 is a NumericError for a
+    season with coefficients: its Psi is (sum W)(sum W)' / N, which the
+    normal equations make zero.
     """
     for method in methods:
         if method not in COV_METHODS:
@@ -348,6 +351,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
         raise ValueError(f"seasons must be integers, got {seasons}")
     if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
         raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
+    N = fit.n_used
+    flat = "hac" in methods and hac.truncation >= N - 1 and all(
+        kernel_weight(hac, h * hac.bandwidth) == 1.0 for h in range(N))
     out = {}
     for v in seasons:
         X = fit.X[v - 1]
@@ -358,9 +364,12 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
             if method == "strong":
                 out[v][method] = theta_strong(omega_inv, fit.sigma_tilde[v - 1])
                 continue
+            if method == "hac" and flat and X.shape[-2]:
+                raise NumericError(
+                    f"the {hac.kind} kernel at bandwidth {hac.bandwidth:g} weights "
+                    f"every score lag up to {N - 1} by 1, so the HAC Psi is zero")
             if W is None:
                 W = score_series(X, fit.residuals[v - 1])
-                N = W.shape[-2]
                 r = default_r_max(N) if ar_order == "aic" else int(ar_order)
                 S = autocovariances(W, min(max(hac.truncation, r), N - 1))
             psi = (psi_spectral(W, ar_order, S) if method == "sp"

@@ -723,14 +723,26 @@ def test_csv_reader_equals_its_exact_path(text):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _read_pipe(text, s):
+    """read_csv of text written to a pipe, which can be read only once."""
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        return read_csv(f"/dev/fd/{read}", s)
+    finally:
+        os.close(read)
+
+
 def test_csv_reader_rereads_only_what_numpy_may_read_differently(tmp_path,
                                                                  monkeypatch):
-    # numpy's C reader gives plain files their rows; underscores,
-    # whitespace-only lines, non-finite cells and files without data rows
-    # go through the exact path
+    # numpy's C reader gives plain files and pipes their rows;
+    # underscores, whitespace-only lines, non-finite cells and files
+    # without data rows go to the exact parser, which gets the lines
+    # read_csv has read
     reread = []
-    monkeypatch.setattr(pvar.cli, "_read_csv_exact",
-                        lambda path: reread.append(path) or _read_csv_exact(path))
+    monkeypatch.setattr(pvar.cli, "_read_csv_exact", lambda path, scan:
+                        reread.append(path) or _read_csv_exact(path, scan))
     path = tmp_path / "d.csv"
     for text, rows in (("a,b\n\n1,2\n3e-1,-4\n", [[1, 2], [0.3, -4]]),
                        ("\n1,2\r\n3,4", [[1, 2], [3, 4]]), ("5\n", [[5]]),
@@ -744,20 +756,39 @@ def test_csv_reader_rereads_only_what_numpy_may_read_differently(tmp_path,
             data = None
         assert reread == ([] if rows else [str(path)]), text
         assert rows is None or data == rows, text
+    reread.clear()
+    assert _read_pipe("y1,y2\n1,2\n3,4\n", 1).data.tolist() == [[1, 2], [3, 4]]
+    assert reread == []
 
 
 def test_csv_reader_reads_a_pipe_once(tmp_path):
-    # a pipe cannot be read twice, so the C reader leaves it to the exact path
+    # a pipe cannot be read twice: its one read feeds both parsers
     text = "y1,y2\n" + "".join(f"{i},{-i}\n" for i in range(10))
-    (tmp_path / "d.csv").write_text(text)
-    read, write = os.pipe()
-    try:
-        os.write(write, text.encode())
-        os.close(write)
-        data = read_csv(f"/dev/fd/{read}", 2).data
-    finally:
-        os.close(read)
-    assert data.tobytes() == read_csv(str(tmp_path / "d.csv"), 2).data.tobytes()
+    for spoil in ("", "3,1_0\n"):  # numpy's reader, then the exact parser
+        data = _read_pipe(text + spoil, 2).data
+        (tmp_path / "d.csv").write_text(text + spoil)
+        assert data.tobytes() == read_csv(str(tmp_path / "d.csv"), 2).data.tobytes()
+
+
+def test_csv_reader_opens_its_path_once(tmp_path, monkeypatch):
+    # a plain file, one the exact parser reads and a missing file
+    opened, real_open = [], open
+    monkeypatch.setattr("builtins.open",
+                        lambda *args, **kwargs: opened.append(args[0])
+                        or real_open(*args, **kwargs))
+    missing = tmp_path / "missing.csv"
+    (tmp_path / "plain.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "exact.csv").write_text("a,b\n1_0,2\n")
+    for path, want in ((tmp_path / "plain.csv", [[1, 2]]),
+                       (tmp_path / "exact.csv", [[10, 2]]),
+                       (missing, f"{missing}: [Errno 2] No such file or "
+                                 f"directory: '{missing}'")):
+        opened.clear()
+        try:
+            got = read_csv(str(path), 1).data.tolist()
+        except DataError as exc:
+            got = str(exc)
+        assert opened == [str(path)] and got == want, path
 
 
 # Command-line arguments of fit and wald: every flag of the two commands
@@ -847,6 +878,33 @@ def test_exception_class_decides_the_exit_code(monkeypatch, capsys, error, code)
     assert main(["analytic"]) == code
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command,kernel,bandwidth", [
+    ("fit", "rect", "full"), ("fit", "rect", "1e-300"), ("fit", "qs", "1e-300"),
+    ("wald", "rect", "full")])
+def test_hac_that_weights_every_lag_one_exits_4(weak_data, capsys, command, kernel,
+                                                 bandwidth):
+    # such a Psi is zero for least-squares scores: fit printed standard
+    # errors of about 1e-9 with p-values of 0, and wald huge statistics
+    argv = [command, "--data", str(weak_data), "--s", "2", "--cov", "strong,hac",
+            "--kernel", kernel, "--bandwidth", bandwidth]
+    if command == "wald":
+        argv += ["--restrict", "phi[1](2,2)=0"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(
+        f"error: the {kernel} kernel at bandwidth [^ ]+ weights every score lag "
+        "up to 58 by 1, so the HAC Psi is zero\n", err)
+
+
+def test_bartlett_at_full_bandwidth_fits(weak_data, capsys):
+    # the fixed-b form of Kiefer and Vogelsang weights lag h by 1 - h/N
+    assert main(["fit", "--data", str(weak_data), "--s", "2", "--cov", "hac",
+                 "--kernel", "bartlett", "--bandwidth", "full", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ses = [c["std_errors"]["hac"] for v in out["seasons"] for c in v["coefficients"]]
+    assert min(ses) > 1e-3
 
 
 def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):

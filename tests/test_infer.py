@@ -55,6 +55,24 @@ def test_chisq_sf_limits():
     assert chisq_sf(1500.0, 40) == pytest.approx(special.gammaincc(20, 750), rel=1e-12)
 
 
+@pytest.mark.parametrize("df", [1, 2, 59, 60, 100, 200, 201, 1500, 2001])
+def test_chisq_sf_where_its_term_sum_overflows(df):
+    # the sum of y^i / i! overflowed to inf before exp(-y) scaled it,
+    # from x of about 1.4e3 (df >= 1420) to 1.5e12 (df = 59); the
+    # statistics span that boundary, and near df it is crossed at p ~ 1
+    xs = np.concatenate([np.geomspace(1e2, 1e14, 400), df * np.linspace(0.9, 2.0, 50)])
+    ours = np.array([chisq_sf(float(x), df) for x in xs])
+    assert ((ours >= 0) & (ours <= 1)).all()
+    np.testing.assert_allclose(ours, special.gammaincc(df / 2, xs / 2),
+                               rtol=1e-11, atol=1e-300, err_msg=f"df={df}")
+
+
+def test_chisq_sf_of_a_large_statistic_with_many_restrictions_is_zero():
+    # these read inf, so pvar wald printed a p-value above 1
+    for x, df in ((1e5, 200), (1e6, 201), (1e8, 100), (1e12, 60)):
+        assert chisq_sf(x, df) == 0.0
+
+
 @pytest.mark.parametrize("df", [1.5, 0, -2, float("nan")])
 def test_chisq_sf_rejects_non_integer_df(df):
     with pytest.raises(ValueError, match="positive integer"):

@@ -642,6 +642,21 @@ def test_covariances_builder_matches_parts():
         covariances(fit, ["white"], spec)
 
 
+def test_covariances_rejects_a_hac_kernel_that_weights_every_lag_one():
+    # Psi was (sum W)(sum W)' / N, zero up to rounding by the normal
+    # equations, and the sandwich gave standard errors of about 1e-9
+    fit = fit_ols(simulate(example_model(), 200, NoiseSpec(), seed=3), [1, 0])
+    N = fit.n_used
+    for spec in (KernelSpec("rect", 1.0 / N), KernelSpec("qs", 1e-300)):
+        psi = psi_hac(score_series(fit.X[0], fit.residuals[0]), spec)
+        assert np.abs(psi).max() < 1e-9
+        with pytest.raises(NumericError, match=f"every score lag up to {N - 1} by 1"):
+            covariances(fit, ["strong", "hac"], spec)
+        # season 2 has no coefficients, and the other methods do not weight lags
+        assert covariances(fit, ["hac"], spec, seasons=[2])[2]["hac"].shape == (0, 0)
+        covariances(fit, ["strong", "sp"], spec)
+
+
 def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):
     fit = fit_ols(simulate(example_model(), 100, NoiseSpec(), seed=2), 1)
 

@@ -67,3 +67,17 @@ def test_compare_outputs_checks_help_analytic_and_error_calls(tmp_path, capsys):
     assert err[0].endswith("missing.csv: [Errno 2] No such file or directory: "
                            f"'{tmp_path / 'missing.csv'}'")
     assert err[1].endswith("no-s.model: missing header key 's'")
+
+
+def test_compare_outputs_fits_under_each_kernel_and_from_a_pipe(tmp_path):
+    tool = load_tool()
+    listed = {label: argv for label, argv, _ in tool.calls(str(tmp_path), {})}
+    fit = listed["fit cli-bivariate"]
+    for kernel in ("rect", "parzen", "qs"):
+        assert listed[f"fit cli-bivariate {kernel}"] == fit + ["--kernel", kernel,
+                                                              "--bandwidth", "0.2"]
+    piped = listed["fit cli-bivariate from a pipe"]
+    assert piped == [word if word != fit[2] else "/dev/stdin" for word in fit]
+    src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
+    code, out, err = tool.run(src, piped, str(tmp_path))
+    assert (code, out, err) == tool.run(src, fit, str(tmp_path)) and code == 0

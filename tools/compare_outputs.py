@@ -17,6 +17,9 @@ stderr byte for byte:
 - `fit` and `wald` JSON on the series of the benchmark's cli-bivariate
   and cli-wide workloads (bench/inputs.py draws them, bench/workloads.py
   gives the arguments);
+- the cli-bivariate `fit` under each other HAC kernel (KERNELS) at
+  `--bandwidth 0.2`, and once with that series on stdin, a pipe, as
+  `--data /dev/stdin`;
 - `simulate` CSV under every noise kind the presets use, of the same
   two models and of two more (simulate_models): one whose order exceeds
   its period, so simulate steps one cycle per block, and one with an
@@ -46,6 +49,10 @@ import workloads  # noqa: E402
 DUMP = ["mc", "--dump-scenarios"]
 COMMANDS = ("simulate", "fit", "wald", "mc", "analytic")
 DATA_SEED = 1
+KERNELS = ("rect", "parzen", "qs")
+#: The CSV, written by calls() in its directory, that a call with
+#: `--data /dev/stdin` gets through a pipe.
+PIPED_CSV = "cli-bivariate.csv"
 
 
 def write_model(path, phi, sigma):
@@ -113,6 +120,11 @@ def calls(tmp, scenarios):
                                               spec["n_cycles"], spec["m"], DATA_SEED))
         for command, argv in workloads.cli_argv(workload, csv):
             yield f"{command} {workload}", argv, False
+    fit = dict(workloads.cli_argv("cli-bivariate", os.path.join(tmp, PIPED_CSV)))["fit"]
+    for kernel in KERNELS:
+        yield (f"fit cli-bivariate {kernel}",
+               fit + ["--kernel", kernel, "--bandwidth", "0.2"], False)
+    yield "fit cli-bivariate from a pipe", fit[:2] + ["/dev/stdin"] + fit[3:], False
     for name, (phi, sigma) in simulate_models().items():
         model = os.path.join(tmp, f"{name}.model")
         write_model(model, phi, sigma)
@@ -125,8 +137,12 @@ def calls(tmp, scenarios):
 def run(src, argv, tmp):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    piped = None
+    if "/dev/stdin" in argv:
+        with open(os.path.join(tmp, PIPED_CSV), "rb") as fh:
+            piped = fh.read()
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv, cwd=tmp,
-                          env=env, capture_output=True)
+                          env=env, input=piped, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
