@@ -83,10 +83,10 @@ def _data_lines(path):
     return lines, start
 
 
-def _read_csv_exact(path, scan=None):
-    """The rows of scan, which is _data_lines(path) if None, each cell read
-    by float(); DataError names the first bad one."""
-    lines, start = scan or _data_lines(path)
+def _read_csv_exact(path, scan):
+    """The rows of scan, which is _data_lines(path), each cell read by
+    float(); DataError names the first bad one."""
+    lines, start = scan
     rows = [(lineno, ln) for lineno, ln in enumerate(lines[start:], start + 1)
             if ln.strip()]
     if not rows:

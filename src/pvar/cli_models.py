@@ -134,12 +134,12 @@ def cmd_simulate(args):
 
 
 def cmd_mc(args):
-    from .mc import PRESETS, preset, run_scenario
+    from .mc import LEVELS, PRESETS, preset, run_scenario
     if args.dump_scenarios:
         scenarios = {name: preset(name) for name in PRESETS}
         emit(to_json({name: {
             "noise": sc.noise.kind, "m": sc.noise.m, "n_cycles": sc.n_cycles,
-            "reps": sc.reps, "levels": list(sc.levels), "methods": list(sc.methods),
+            "reps": sc.reps, "levels": list(LEVELS), "methods": list(sc.methods),
             "base_seed": sc.base_seed, "bandwidth": sc.bandwidth,
             "phi11": [float(phi[0][0, 0]) for phi in sc.model.phi],
             "phi22": [float(phi[0][1, 1]) for phi in sc.model.phi],

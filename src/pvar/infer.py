@@ -27,7 +27,8 @@ def chisq_sf(x, df):
     erfc(sqrt y) + exp(-y) sum_{i<k} y^(i+1/2) / Gamma(i+3/2) for
     df = 2k+1.  The sum is scaled by exp(-y) through its logarithm, so
     the tail underflows only where its value does; where the sum
-    overflows, it is summed again from its terms' logarithms.
+    overflows, it is summed again from its terms' logarithms.  Rounding
+    past 1 is clamped to 1.
     """
     if not (float(df).is_integer() and df >= 1):
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
@@ -50,7 +51,7 @@ def chisq_sf(x, df):
         top = max(logs)
         log_total = top + math.log(sum(math.exp(t - top) for t in logs))
         return min(1.0, tail + math.exp(log_total - y))
-    return tail + math.exp(math.log(total) - y) if total > 0 else tail
+    return min(1.0, tail + math.exp(math.log(total) - y)) if total > 0 else tail
 
 
 def normal_sf(x):

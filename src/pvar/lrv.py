@@ -45,13 +45,10 @@ class KernelSpec:
         self.kind, self.bandwidth = kind, bandwidth
 
     @property
-    def support(self):
-        return QS_SUPPORT if self.kind == "qs" else 1.0
-
-    @property
     def truncation(self):
         # support / bandwidth overflows to inf for a subnormal bandwidth
-        return int(math.floor(min(self.support / self.bandwidth, np.finfo(float).max)))
+        support = QS_SUPPORT if self.kind == "qs" else 1.0
+        return int(math.floor(min(support / self.bandwidth, np.finfo(float).max)))
 
 
 def kernel_weight(spec, x):
@@ -137,14 +134,19 @@ def psi_hac(W, spec, S=None):
     """Kernel-weighted sum of the score autocovariances.
 
     S is autocovariances(W, H) for some H at or past the truncation lag,
-    or None to compute it here.
+    or None to compute it here.  A kernel that weights every sample lag
+    1 is a NumericError for scores with columns: its Psi is
+    (sum W)(sum W)' / N, which the normal equations make zero.
     """
     W = np.asarray(W, dtype=float)
-    N = W.shape[-2]
+    N, q = W.shape[-2:]
     T = min(spec.truncation, N - 1)
+    w = np.array([kernel_weight(spec, h * spec.bandwidth) for h in range(T + 1)])
+    if q and T == N - 1 and (w == 1.0).all():
+        raise NumericError(f"the {spec.kind} kernel at bandwidth {spec.bandwidth:g} weights "
+                           f"every score lag up to {N - 1} by 1, so the HAC Psi is zero")
     if S is None:
         S = autocovariances(W, T)
-    w = np.array([kernel_weight(spec, h * spec.bandwidth) for h in range(T + 1)])
     lags = np.flatnonzero(w[1:]) + 1
     lam = S[..., lags, :, :] / N
     # S_0 / N f(0), then w_h (Lambda_h + Lambda_h') of each lag with a
@@ -339,9 +341,6 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     for all methods, up to the larger of the HAC truncation lag and the
     AIC r_max or fixed order.  The fit of a stack of series
     (estimate.fit_ols) gives stacked estimates, one slice per series.
-    A HAC kernel that weights every sample lag 1 is a NumericError for a
-    season with coefficients: its Psi is (sum W)(sum W)' / N, which the
-    normal equations make zero.
     """
     for method in methods:
         if method not in COV_METHODS:
@@ -352,27 +351,20 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
         raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
     N = fit.n_used
-    flat = "hac" in methods and hac.truncation >= N - 1 and all(
-        kernel_weight(hac, h * hac.bandwidth) == 1.0 for h in range(N))
+    r = default_r_max(N) if ar_order == "aic" else int(ar_order)
     out = {}
     for v in seasons:
         X = fit.X[v - 1]
         omega_inv = omega_inverse(omega_hat(X))
-        W = None
+        if set(methods) - {"strong"}:
+            W = score_series(X, fit.residuals[v - 1])
+            S = autocovariances(W, min(max(hac.truncation, r), N - 1))
         out[v] = {}
         for method in methods:
             if method == "strong":
                 out[v][method] = theta_strong(omega_inv, fit.sigma_tilde[v - 1])
-                continue
-            if method == "hac" and flat and X.shape[-2]:
-                raise NumericError(
-                    f"the {hac.kind} kernel at bandwidth {hac.bandwidth:g} weights "
-                    f"every score lag up to {N - 1} by 1, so the HAC Psi is zero")
-            if W is None:
-                W = score_series(X, fit.residuals[v - 1])
-                r = default_r_max(N) if ar_order == "aic" else int(ar_order)
-                S = autocovariances(W, min(max(hac.truncation, r), N - 1))
-            psi = (psi_spectral(W, ar_order, S) if method == "sp"
-                   else psi_hac(W, hac, S))
-            out[v][method] = theta_sandwich(omega_inv, psi, fit.d)
+            else:
+                psi = (psi_spectral(W, ar_order, S) if method == "sp"
+                       else psi_hac(W, hac, S))
+                out[v][method] = theta_sandwich(omega_inv, psi, fit.d)
     return out

@@ -36,7 +36,8 @@ from .noise import NoiseSpec, simulate
 
 #: Replications whose series one noise.simulate call draws together.
 CHUNK = 10
-DEFAULT_LEVELS = (0.01, 0.05, 0.10)
+#: The nominal sizes whose rejection rates a report gives.
+LEVELS = (0.01, 0.05, 0.10)
 
 
 @dataclass
@@ -48,7 +49,6 @@ class Scenario:
     reps: int
     restrictions: list = field(default=None)  # one per season, or None
     methods: tuple = tuple(COV_METHODS.values())  # the tests' report names
-    levels: tuple = DEFAULT_LEVELS
     base_seed: int = 424243
     bandwidth: float = None  # of the Bartlett HAC; None -> Andrews at n_cycles
 
@@ -57,8 +57,6 @@ class Scenario:
             raise ValueError("reps must be at least 1")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be at least 1")
-        if any(not 0 < a < 1 for a in self.levels):
-            raise ValueError("levels must lie strictly inside (0, 1)")
         for m in self.methods:
             if m not in COV_METHODS.values():
                 raise ValueError(f"unknown method {m!r}")
@@ -148,7 +146,7 @@ def run_scenario(scenario):
     n = results[0][1]  # the same in every fit: it depends on n_cycles and the orders
     model = scenario.model
     coef_mean, coef_sse, coef_var, theta_mean, rejection = {}, {}, {}, {}, {}
-    names, levels = scenario.methods, np.array(scenario.levels)
+    names, levels = scenario.methods, np.array(LEVELS)
     for v in range(1, model.s + 1):
         # a cumsum adds the rows one at a time in seed order, whatever
         # CHUNK is (np.add.reduce pairs the rows of a single column)
@@ -169,7 +167,7 @@ def run_scenario(scenario):
             freq = (p[..., None] < levels).sum(axis=1) / completed
             rejection.update(((v, name, a), x)
                              for name, row in zip(names, freq.tolist())
-                             for a, x in zip(scenario.levels, row))
+                             for a, x in zip(LEVELS, row))
     reasons = Counter((type(exc).__name__, str(exc)) for exc in errors)
     return McReport(scenario.name, scenario.reps, completed, len(errors),
                     failure_reasons=dict(reasons), rejection=rejection,

@@ -19,7 +19,7 @@ import pvar.cli
 import pvar.cli_models
 import pvar.lrv
 import pvar.mc
-from pvar.cli import _read_csv_exact, main, parse_restriction, read_csv
+from pvar.cli import _data_lines, _read_csv_exact, main, parse_restriction, read_csv
 from pvar.cli_models import read_model, write_csv
 from pvar.errors import DataError, NumericError, PvarError
 from pvar.infer import Restriction
@@ -112,7 +112,8 @@ def test_csv_byte_order_mark_is_skipped(tmp_path, capsys, header):
     plain = tmp_path / "plain.csv"
     write_csv(str(plain), np.random.default_rng(2).standard_normal((20, 2)))
     marked = _write(tmp_path / "bom.csv", b"\xef\xbb\xbf" + header + plain.read_bytes())
-    assert np.array_equal(_read_csv_exact(marked), _read_csv_exact(str(plain)))
+    assert np.array_equal(_read_csv_exact(marked, _data_lines(marked)),
+                          _read_csv_exact(str(plain), _data_lines(str(plain))))
     outs = []
     for path in (str(plain), marked):
         assert main(["fit", "--data", path, "--s", "2", "--format", "json"]) == 0
@@ -712,7 +713,7 @@ def test_csv_reader_equals_its_exact_path(text):
             except DataError as exc:
                 got = str(exc)
         try:
-            want = _read_csv_exact(path)
+            want = _read_csv_exact(path, _data_lines(path))
         except DataError as exc:
             want = str(exc)
     assert err.getvalue() == "" and caught == []

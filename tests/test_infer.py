@@ -73,6 +73,18 @@ def test_chisq_sf_of_a_large_statistic_with_many_restrictions_is_zero():
         assert chisq_sf(x, df) == 0.0
 
 
+def test_chisq_sf_of_a_small_statistic_with_many_restrictions_is_at_most_one():
+    # exp(log(total) - y) rounded past 1 where the partial sum nearly
+    # equals e^y: chisq_sf(60.3, 201) read 1.000000000000001
+    assert chisq_sf(60.3, 201) == 1.0
+    xs = np.linspace(0.01, 50, 100)
+    for df in range(1, 400):
+        ours = np.array([chisq_sf(float(x), df) for x in xs])
+        assert (ours <= 1).all(), f"df={df}"
+        np.testing.assert_allclose(ours, special.gammaincc(df / 2, xs / 2),
+                                   rtol=1e-11, atol=0, err_msg=f"df={df}")
+
+
 @pytest.mark.parametrize("df", [1.5, 0, -2, float("nan")])
 def test_chisq_sf_rejects_non_integer_df(df):
     with pytest.raises(ValueError, match="positive integer"):

@@ -648,13 +648,46 @@ def test_covariances_rejects_a_hac_kernel_that_weights_every_lag_one():
     fit = fit_ols(simulate(example_model(), 200, NoiseSpec(), seed=3), [1, 0])
     N = fit.n_used
     for spec in (KernelSpec("rect", 1.0 / N), KernelSpec("qs", 1e-300)):
-        psi = psi_hac(score_series(fit.X[0], fit.residuals[0]), spec)
-        assert np.abs(psi).max() < 1e-9
+        with pytest.raises(NumericError, match=f"every score lag up to {N - 1} by 1"):
+            psi_hac(score_series(fit.X[0], fit.residuals[0]), spec)
         with pytest.raises(NumericError, match=f"every score lag up to {N - 1} by 1"):
             covariances(fit, ["strong", "hac"], spec)
         # season 2 has no coefficients, and the other methods do not weight lags
         assert covariances(fit, ["hac"], spec, seasons=[2])[2]["hac"].shape == (0, 0)
         covariances(fit, ["strong", "sp"], spec)
+
+
+@pytest.mark.parametrize("kind,bandwidth", [("rect", 1.0 / 50), ("qs", 1e-300)])
+def test_psi_hac_rejects_a_kernel_that_weights_every_lag_one(monkeypatch, kind,
+                                                              bandwidth):
+    # it returned Psi ~ 0 here, where only covariances raised; the check
+    # runs before the autocovariance sums it would otherwise compute
+    W = np.random.default_rng(4).standard_normal((3, 50, 4))
+    monkeypatch.setattr(pvar.lrv, "autocovariances", None)
+    with pytest.raises(NumericError) as exc:
+        psi_hac(W, KernelSpec(kind, bandwidth))
+    assert str(exc.value) == (f"the {kind} kernel at bandwidth {bandwidth:g} weights "
+                              "every score lag up to 49 by 1, so the HAC Psi is zero")
+
+
+def test_psi_hac_of_scores_with_no_columns_is_empty_under_any_kernel():
+    # an order-0 season has no coefficients, so no Psi to be zero
+    for spec in (KernelSpec("rect", 1.0 / 50), KernelSpec("qs", 1e-300), KernelSpec()):
+        assert psi_hac(np.zeros((50, 0)), spec).shape == (0, 0)
+        assert psi_hac(np.zeros((3, 50, 0)), spec).shape == (3, 0, 0)
+
+
+def test_covariances_of_strong_alone_builds_no_scores(monkeypatch):
+    fit = fit_ols(simulate(example_model(), 100, NoiseSpec(), seed=2), 1)
+    want = covariances(fit, ["strong"], KernelSpec())
+
+    def fail(*args, **kwargs):
+        raise AssertionError("scores were built")
+
+    monkeypatch.setattr(pvar.lrv, "score_series", fail)
+    monkeypatch.setattr(pvar.lrv, "autocovariances", fail)
+    got = covariances(fit, ["strong"], KernelSpec())
+    assert all(np.array_equal(got[v]["strong"], want[v]["strong"]) for v in want)
 
 
 def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):

@@ -29,9 +29,6 @@ def test_preset_names_and_validation():
                  noise=NoiseSpec(), n_cycles=10, reps=0)
     with pytest.raises(ValueError):
         Scenario(name="x", model=preset("model-I").model,
-                 noise=NoiseSpec(), n_cycles=10, reps=1, levels=(1.5,))
-    with pytest.raises(ValueError):
-        Scenario(name="x", model=preset("model-I").model,
                  noise=NoiseSpec(), n_cycles=0, reps=1)
     # zero is passed on to the validation, not replaced by the default
     with pytest.raises(ValueError):

@@ -60,8 +60,9 @@ def test_compare_outputs_checks_help_analytic_and_error_calls(tmp_path, capsys):
         "help pvar", "help simulate", "help fit", "help wald", "help mc", "help analytic",
         "analytic table", "analytic csv", "analytic json", "error missing data",
         "error model without s", "error mc reps 0"]
-    assert [fails for *_, fails in listed] == [False] * 9 + [True] * 3 + [False] * (
-        len(listed) - 12)
+    assert [label for label, _, fails in listed if fails] == [
+        "error missing data", "error model without s", "error mc reps 0",
+        "error fit cli-bivariate flat kernel"]
     assert [main(argv) for _, argv, _ in listed[:12]] == [0] * 9 + [3, 3, 2]
     err = capsys.readouterr().err.splitlines()
     assert err[0].endswith("missing.csv: [Errno 2] No such file or directory: "
@@ -81,3 +82,19 @@ def test_compare_outputs_fits_under_each_kernel_and_from_a_pipe(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
     code, out, err = tool.run(src, piped, str(tmp_path))
     assert (code, out, err) == tool.run(src, fit, str(tmp_path)) and code == 0
+
+
+def test_compare_outputs_runs_each_covariance_method_alone_and_a_flat_kernel(
+        tmp_path, capsys):
+    tool = load_tool()
+    listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
+    for method in ("strong", "sp", "hac"):
+        for command in ("fit", "wald"):
+            argv, fails = listed[f"{command} cli-bivariate {method}"]
+            assert argv == listed[f"{command} cli-bivariate"][0] + ["--cov", method]
+            assert not fails
+    argv, fails = listed["error fit cli-bivariate flat kernel"]
+    assert fails and argv == listed["fit cli-bivariate"][0] + [
+        "--cov", "hac", "--kernel", "rect", "--bandwidth", "full"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.endswith("so the HAC Psi is zero\n")

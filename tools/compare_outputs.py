@@ -20,6 +20,9 @@ stderr byte for byte:
 - the cli-bivariate `fit` under each other HAC kernel (KERNELS) at
   `--bandwidth 0.2`, and once with that series on stdin, a pipe, as
   `--data /dev/stdin`;
+- the cli-bivariate `fit` and `wald` under each covariance method
+  alone (COV), and a `fit --cov hac` that must fail with exit 4, its
+  `rect` kernel at `--bandwidth full` weighting every lag 1;
 - `simulate` CSV under every noise kind the presets use, of the same
   two models and of two more (simulate_models): one whose order exceeds
   its period, so simulate steps one cycle per block, and one with an
@@ -50,6 +53,7 @@ DUMP = ["mc", "--dump-scenarios"]
 COMMANDS = ("simulate", "fit", "wald", "mc", "analytic")
 DATA_SEED = 1
 KERNELS = ("rect", "parzen", "qs")
+COV = ("strong", "sp", "hac")
 #: The CSV, written by calls() in its directory, that a call with
 #: `--data /dev/stdin` gets through a pipe.
 PIPED_CSV = "cli-bivariate.csv"
@@ -120,11 +124,17 @@ def calls(tmp, scenarios):
                                               spec["n_cycles"], spec["m"], DATA_SEED))
         for command, argv in workloads.cli_argv(workload, csv):
             yield f"{command} {workload}", argv, False
-    fit = dict(workloads.cli_argv("cli-bivariate", os.path.join(tmp, PIPED_CSV)))["fit"]
+    bivariate = dict(workloads.cli_argv("cli-bivariate", os.path.join(tmp, PIPED_CSV)))
+    fit = bivariate["fit"]
     for kernel in KERNELS:
         yield (f"fit cli-bivariate {kernel}",
                fit + ["--kernel", kernel, "--bandwidth", "0.2"], False)
     yield "fit cli-bivariate from a pipe", fit[:2] + ["/dev/stdin"] + fit[3:], False
+    for method in COV:
+        for command, argv in bivariate.items():
+            yield f"{command} cli-bivariate {method}", argv + ["--cov", method], False
+    yield ("error fit cli-bivariate flat kernel",
+           fit + ["--cov", "hac", "--kernel", "rect", "--bandwidth", "full"], True)
     for name, (phi, sigma) in simulate_models().items():
         model = os.path.join(tmp, f"{name}.model")
         write_model(model, phi, sigma)
