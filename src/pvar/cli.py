@@ -15,7 +15,9 @@ OSError), 4 numerical error (NumericError).
 """
 
 import argparse
+import atexit
 import math
+import os
 import re
 import sys
 import warnings
@@ -356,16 +358,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code else EXIT_OK
-    try:
-        # an overflow or invalid operation is a numeric failure, not a warning
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            args.func(args)
-        return EXIT_OK
+        try:
+            args = build_parser().parse_args(argv)
+            # an overflow or invalid operation is a numeric failure, not a warning
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                args.func(args)
+            code = EXIT_OK
+        except SystemExit as exc:  # --help, or a usage error argparse reported
+            code = exc.code or EXIT_OK
+        if sys.stdout:  # so that a failed write of buffered output is exit 3 too
+            sys.stdout.flush()
+        return code
     except (DataError, OSError) as exc:
         code, error = EXIT_DATA, exc
     except (PvarError, np.linalg.LinAlgError, ArithmeticError) as exc:
@@ -376,5 +380,22 @@ def main(argv=None):
     return code
 
 
+def run():
+    """Entry point of `pvar` and `python -m pvar.cli`: main(), the atexit
+    handlers and a flush, then os._exit, which skips the interpreter's
+    teardown; sys.exit under a profiler or tracer, which writes at exit."""
+    code = main()
+    hooks = getattr(sys, "monitoring", None)  # cProfile's from Python 3.12 on
+    if sys.getprofile() or sys.gettrace() or hooks and any(map(hooks.get_tool, range(6))):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in filter(None, (sys.stderr, sys.stdout)):
+            stream.flush()
+    except OSError:  # main has reported the stdout it could not write
+        code = code or EXIT_DATA
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -93,7 +93,7 @@ def wald(beta_hat, theta, n, restriction):
     theta may be a stack of covariances with any leading axes, and
     beta_hat one coefficient vector per slice; statistic and p_value are
     then arrays of the stack's shape, and NumericError is raised if any
-    slice's restriction covariance is singular.
+    slice's restriction covariance is singular or has a variance <= 0.
     """
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta_hat, dtype=float).reshape(theta.shape[:-2] + (-1,))
@@ -104,6 +104,9 @@ def wald(beta_hat, theta, n, restriction):
     gap = (R0 @ beta[..., None])[..., 0] - r0
     mid = R0 @ theta @ R0.T
     sol = solve_guarded(mid, gap[..., None], what="restriction covariance")
+    var = np.diagonal(mid, axis1=-2, axis2=-1)
+    if not (var > 0).all():
+        raise NumericError(f"a restriction's variance is {var.min():.6g}, not positive")
     stat = ((n * gap)[..., None, :] @ sol)[..., 0, 0]
     df = R0.shape[0]
     if stat.ndim == 0:
@@ -128,9 +131,11 @@ def t_report(d, beta, thetas, n):
         ses, pvals = {}, {}
         for name, theta in thetas.items():
             var = float(theta[idx, idx])
-            ses[name] = se = (var / n) ** 0.5 if var > 0 else float("nan")
-            pvals[name] = (2.0 * normal_sf(abs(beta[idx]) / se) if se > 0
-                           else float("nan"))
+            if not var > 0:
+                raise NumericError(f"the {name} variance of the lag {lag + 1} coefficient "
+                                   f"({row + 1},{col + 1}) is {var:.6g}, not positive")
+            ses[name] = se = (var / n) ** 0.5
+            pvals[name] = 2.0 * normal_sf(abs(beta[idx]) / se)
         records.append({"lag": lag + 1, "row": row + 1, "col": col + 1,
                         "estimate": float(beta[idx]), "std_errors": ses,
                         "p_values": pvals})

@@ -3,7 +3,6 @@
 cli and cli_models both import it, so that neither imports the other.
 """
 
-import json
 import sys
 
 
@@ -17,6 +16,7 @@ def emit(text, out_path):
 
 
 def to_json(payload):
+    import json  # only JSON output needs it, so a table or CSV call never loads it
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

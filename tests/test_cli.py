@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -908,6 +909,22 @@ def test_bartlett_at_full_bandwidth_fits(weak_data, capsys):
     assert min(ses) > 1e-3
 
 
+@pytest.mark.parametrize("command", ["fit", "wald"])
+def test_hac_with_a_negative_variance_exits_4(weak_data, capsys, command):
+    # the rect window is not positive semidefinite: at bandwidth 0.04 it
+    # gives season 1's lag-1 (2,2) coefficient a negative HAC variance,
+    # where fit printed nan (invalid JSON) and wald a negative statistic
+    argv = [command, "--data", str(weak_data), "--s", "2", "--cov", "strong,hac",
+            "--kernel", "rect", "--bandwidth", "0.04", "--format", "json"]
+    if command == "wald":
+        argv += ["--restrict", "phi[1](2,2)=0"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    what = {"fit": r"the hac variance of the lag 1 coefficient \(2,2\)",
+            "wald": "a restriction's variance"}[command]
+    assert out == "" and re.fullmatch(f"error: {what} is -[0-9.]+, not positive\n", err)
+
+
 def test_linalg_error_is_a_numeric_error(weak_data, monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -934,6 +951,90 @@ def test_order_zero_season_under_spectral_cov(tmp_path, weak_data):
         assert set(full["std_errors"]) == {"strong", "sp", "hac"}
         for key in ("strong", "hac"):
             assert full["std_errors"][key] == part["std_errors"][key]
+
+
+# A spawned call ends in pvar.cli.run, which leaves the process with
+# os._exit once main() has returned and the output is flushed.
+SRC = str(pathlib.Path(pvar.cli.__file__).parents[1])
+
+
+def spawn(args, env=(), stdout=subprocess.PIPE):
+    """python args, with this tree's pvar on the path and env's variables
+    set, or unset where the value is None."""
+    environ = {**os.environ, "PYTHONPATH": SRC, **dict(env)}
+    return subprocess.run([sys.executable] + args, stdout=stdout, stderr=subprocess.PIPE,
+                          env={k: v for k, v in environ.items() if v is not None})
+
+
+def _exit_path_argv(case, data):
+    common = ["--data", str(data), "--s", "2"]
+    return {"fit": ["fit"] + common,
+            "wald": ["wald"] + common + ["--restrict", "phi[2](1,1)=0"],
+            "help": ["fit", "--help"],
+            "usage": ["fit", "--bogus"],
+            "data": ["fit", "--data", str(data.with_name("missing.csv")), "--s", "2"],
+            "numeric": ["fit"] + common + ["--cov", "hac", "--kernel", "rect",
+                                           "--bandwidth", "full"]}[case]
+
+
+@pytest.mark.parametrize("case,code", [("fit", 0), ("wald", 0), ("help", 0),
+                                       ("usage", 2), ("data", 3), ("numeric", 4)])
+def test_spawned_call_matches_main_in_process(weak_data, capsysbinary, case, code):
+    argv = _exit_path_argv(case, weak_data)
+    assert main(argv) == code
+    proc = spawn(["-m", "pvar.cli"] + argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsysbinary.readouterr())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("case,unbuffered", [
+    ("fit", "1"), ("fit", None), ("wald", "1"), ("wald", None), ("help", None)])
+def test_a_failed_write_to_stdout_is_one_error_line_and_exit_3(weak_data, case,
+                                                                unbuffered):
+    # buffered output used to fail at interpreter exit, with "Exception
+    # ignored" lines and exit 120; help to unbuffered stdout is left out,
+    # as argparse drops a failed write of it and exits 0
+    with open("/dev/full", "wb") as full:
+        proc = spawn(["-m", "pvar.cli"] + _exit_path_argv(case, weak_data),
+                     {"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        3, b"error: [Errno 28] No space left on device\n")
+
+
+def test_atexit_handlers_run_before_the_process_ends(weak_data):
+    code = ("import atexit, sys; atexit.register(print, 'atexit ran'); "
+            "from pvar.cli import run; run()")
+    proc = spawn(["-c", code] + _exit_path_argv("wald", weak_data))
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = proc.stdout.decode().splitlines()
+    assert out[0].startswith("season") and out[-1] == "atexit ran"
+
+
+def test_a_profiled_call_exits_through_the_profiler(weak_data):
+    proc = spawn(["-m", "cProfile", "-m", "pvar.cli"]
+                 + _exit_path_argv("fit", weak_data))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"season") and b"function calls" in proc.stdout
+
+
+def test_run_under_a_tracer_exits_through_sys_exit(weak_data, monkeypatch, capsys):
+    # a tracer such as coverage writes its output at interpreter exit
+    def no_exit(code):
+        raise AssertionError("os._exit under a tracer")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    monkeypatch.setattr(sys, "gettrace", lambda: print)
+    monkeypatch.setattr(sys, "argv", ["pvar"] + _exit_path_argv("usage", weak_data))
+    with pytest.raises(SystemExit) as exc:
+        pvar.cli.run()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("pvar fit: error: ")
+
+
+def test_the_pvar_script_names_run():
+    text = (pathlib.Path(SRC).parent / "pyproject.toml").read_text()
+    module, name = re.search(r'^pvar = "([\w.]+):(\w+)"$', text, re.M).groups()
+    assert getattr(importlib.import_module(module), name) is pvar.cli.run
 
 
 def test_import_loads_no_scipy():

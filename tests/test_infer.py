@@ -189,3 +189,19 @@ def test_zero_estimate_has_p_one():
     theta = np.eye(1)
     rows = t_report(1, np.zeros(1), {"strong": theta}, 100)
     assert rows[0]["p_values"]["strong"] == pytest.approx(1.0)
+
+
+def test_a_variance_that_is_not_positive_is_a_numeric_error():
+    # a HAC Theta under a kernel that is not positive semidefinite, such
+    # as rect, can have one; its standard error and Wald statistic are void
+    theta = np.diag([1.0, 2.0, -0.5, 3.0])
+    with pytest.raises(NumericError, match=r"^the hac variance of the lag 1 "
+                       r"coefficient \(1,2\) is -0\.5, not positive$"):
+        t_report(2, np.ones(4), {"strong": np.eye(4), "hac": theta}, 100)
+    with pytest.raises(NumericError, match="^a restriction's variance is -0.5, not"):
+        wald(np.ones(4), theta, 100, Restriction.coordinates([0, 2], 4))
+    # one slice of a stack with a zero variance, though it is not singular
+    stack = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
+    with pytest.raises(NumericError, match="^a restriction's variance is 0, not"):
+        wald(np.ones((3, 2)), stack, 100, Restriction(np.eye(2), np.zeros(2)))
+    assert wald(np.ones(4), theta, 100, Restriction.coordinates([0, 3], 4)).df == 2

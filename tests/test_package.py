@@ -1,5 +1,4 @@
 import ast
-import json
 import os
 import pathlib
 import subprocess
@@ -73,22 +72,25 @@ UNUSED_BY_FIT = ("pvar.mc", "pvar.noise", "pvar.oracle", "pvar.analytic",
 def test_fit_and_wald_load_no_simulation_or_reference_module(tmp_path):
     data, out = str(tmp_path / "data.csv"), str(tmp_path / "out.json")
     write_csv(data, np.random.default_rng(3).standard_normal((200, 2)))
-    common = ["--data", data, "--s", "2", "--format", "json", "--out", out]
+    common = ["--data", data, "--s", "2", "--out", out]
+    as_json = ["--format", "json"]
     code = f"""if True:
-        import json, sys
+        import sys
         import pvar
         bare = [m for m in {UNUSED_BY_FIT!r} if m in sys.modules]
         from pvar.cli import main
         bare += [m for m in {UNUSED_BY_FIT!r} if m in sys.modules]
-        codes = [main(["fit"] + {common!r}),
-                 main(["wald", "--restrict", "phi[1](1,1)=0"] + {common!r})]
+        codes = [main(["fit"] + {common!r})]
+        table = "json" in sys.modules  # only --format json needs it
+        codes += [main(["fit"] + {common + as_json!r}),
+                  main(["wald", "--restrict", "phi[1](1,1)=0"] + {common + as_json!r})]
         called = [m for m in {UNUSED_BY_FIT!r} if m in sys.modules]
-        print(json.dumps([bare, codes, called, pvar.simulate is pvar.noise.simulate]))
+        print(repr([bare, codes, table, called, pvar.simulate is pvar.noise.simulate]))
     """
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert json.loads(proc.stdout) == [[], [0, 0], [], True]
+    assert ast.literal_eval(proc.stdout) == [[], [0, 0, 0], False, [], True]
 
 
 def test_cli_imports_no_simulation_or_reference_module_at_module_level():

@@ -80,8 +80,8 @@ def test_compare_outputs_fits_under_each_kernel_and_from_a_pipe(tmp_path):
     piped = listed["fit cli-bivariate from a pipe"]
     assert piped == [word if word != fit[2] else "/dev/stdin" for word in fit]
     src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
-    code, out, err = tool.run(src, piped, str(tmp_path))
-    assert (code, out, err) == tool.run(src, fit, str(tmp_path)) and code == 0
+    code, out, err, written = tool.run(src, piped, str(tmp_path))
+    assert (code, out, err, written) == tool.run(src, fit, str(tmp_path)) and code == 0
 
 
 def test_compare_outputs_runs_each_covariance_method_alone_and_a_flat_kernel(
@@ -98,3 +98,21 @@ def test_compare_outputs_runs_each_covariance_method_alone_and_a_flat_kernel(
         "--cov", "hac", "--kernel", "rect", "--bandwidth", "full"]
     assert main(argv) == 4
     assert capsys.readouterr().err.endswith("so the HAC Psi is zero\n")
+
+
+def test_compare_outputs_compares_the_file_a_fit_writes(tmp_path):
+    # the file must be whole when the process ends, which it does by
+    # os._exit without the interpreter's teardown
+    tool = load_tool()
+    listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
+    fit = listed["fit cli-bivariate"][0]
+    argv, fails = listed["fit cli-bivariate to a file"]
+    out_file = str(tmp_path / tool.OUT_FILE)
+    assert argv == fit + ["--out", out_file] and not fails
+    src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
+    code, out, err, written = tool.run(src, fit, str(tmp_path))
+    assert code == 0 and written == b"" and out.startswith(b"{")
+    assert tool.run(src, argv, str(tmp_path)) == (0, b"", err, out)
+    assert not os.path.exists(out_file)
+    assert tool.first_difference((0, b"", b"", out), (0, b"", b"", out[:-1])).startswith(
+        "--out file: line ")

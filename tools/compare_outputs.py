@@ -5,7 +5,8 @@ Usage: python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories holding the pvar package, such as
 the src/ of two checkouts.  Each call runs `python -m pvar.cli` once
 per tree, with BLAS on one thread, and compares exit code, stdout and
-stderr byte for byte:
+stderr byte for byte, and the file a call's `--out` names (OUT_FILE),
+which run() reads and deletes after each call:
 
 - `mc --dump-scenarios`;
 - `--help` of pvar and of each command;
@@ -18,8 +19,9 @@ stderr byte for byte:
   and cli-wide workloads (bench/inputs.py draws them, bench/workloads.py
   gives the arguments);
 - the cli-bivariate `fit` under each other HAC kernel (KERNELS) at
-  `--bandwidth 0.2`, and once with that series on stdin, a pipe, as
-  `--data /dev/stdin`;
+  `--bandwidth 0.2`, once with that series on stdin, a pipe, as
+  `--data /dev/stdin`, and once with `--out OUT_FILE`, whose bytes must
+  be complete when the process ends;
 - the cli-bivariate `fit` and `wald` under each covariance method
   alone (COV), and a `fit --cov hac` that must fail with exit 4, its
   `rect` kernel at `--bandwidth full` weighting every lag 1;
@@ -57,6 +59,8 @@ COV = ("strong", "sp", "hac")
 #: The CSV, written by calls() in its directory, that a call with
 #: `--data /dev/stdin` gets through a pipe.
 PIPED_CSV = "cli-bivariate.csv"
+#: The file, in calls()' directory, that the one call with `--out` writes.
+OUT_FILE = "fit-out.json"
 
 
 def write_model(path, phi, sigma):
@@ -130,6 +134,7 @@ def calls(tmp, scenarios):
         yield (f"fit cli-bivariate {kernel}",
                fit + ["--kernel", kernel, "--bandwidth", "0.2"], False)
     yield "fit cli-bivariate from a pipe", fit[:2] + ["/dev/stdin"] + fit[3:], False
+    yield "fit cli-bivariate to a file", fit + ["--out", os.path.join(tmp, OUT_FILE)], False
     for method in COV:
         for command, argv in bivariate.items():
             yield f"{command} cli-bivariate {method}", argv + ["--cov", method], False
@@ -153,12 +158,19 @@ def run(src, argv, tmp):
             piped = fh.read()
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv, cwd=tmp,
                           env=env, input=piped, capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    written = b""
+    if "--out" in argv:
+        path = os.path.join(tmp, argv[argv.index("--out") + 1])
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                written = fh.read()
+            os.remove(path)
+    return proc.returncode, proc.stdout, proc.stderr, written
 
 
 def first_difference(old, new):
     """'stream: line k' and the two lines where old and new first differ."""
-    for stream, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+    for stream, a, b in zip(("exit code", "stdout", "stderr", "--out file"), old, new):
         if a == b:
             continue
         if stream == "exit code":
@@ -185,7 +197,7 @@ def compare(label, call, src_pair, tmp, fails=False):
     if diff is not None:
         print(f"DIFFERS {label}: pvar {' '.join(call)}\n{diff}")
         return None
-    print(f"same    {label} ({len(old[1])} bytes)")
+    print(f"same    {label} ({len(old[1]) + len(old[3])} bytes)")
     return old[1]
 
 
