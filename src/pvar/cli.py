@@ -160,7 +160,7 @@ def _season_orders(orders, s):
 def _bandwidth_value(arg, n):
     if arg is None or arg in BANDWIDTH_RULES:
         try:
-            return default_bandwidth(n, arg or "andrews")
+            return default_bandwidth(n, arg)
         except ValueError as exc:
             raise DataError(str(exc)) from None
     try:
@@ -195,7 +195,8 @@ def cmd_fit(args):
     rows, payload = [], {"command": "fit", "n_cycles": fit.n_used,
                          "orders": fit.orders, "seasons": []}
     for v in range(1, fit.s + 1):
-        records = t_report(fit.d, fit.beta_hat[v - 1], thetas[v], fit.n_used)
+        records = t_report(fit.d, fit.beta_hat[v - 1], thetas[v], fit.n_used,
+                           f"season {v}: ")
         payload["seasons"].append({
             "season": v, "coefficients": records,
             "sigma_tilde_vec": vec(fit.sigma_tilde[v - 1]).tolist()})
@@ -226,7 +227,7 @@ def cmd_wald(args):
                                        values=list(targets.values()))
         for m in args.cov:
             res = wald(fit.beta_hat[season - 1], thetas[season][m],
-                       fit.n_used, rest)
+                       fit.n_used, rest, f"season {season}, {m}: ")
             rows.append([season, m, num(res.statistic, 10), res.df, num(res.p_value, 10)])
             payload["tests"].append({"season": season, "method": m,
                                      "statistic": res.statistic, "df": res.df,
@@ -262,6 +263,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse's drops an OSError from the write; main reports it as exit 3
+        file = file or sys.stdout or sys.stderr
+        if file:
+            file.write(self.format_help())
 
 
 def _int_from(low):

@@ -87,13 +87,14 @@ class WaldResult:
         self.statistic, self.df, self.p_value = statistic, df, p_value
 
 
-def wald(beta_hat, theta, n, restriction):
+def wald(beta_hat, theta, n, restriction, where=""):
     """Wald test of R0 beta = r0 with a given covariance estimate.
 
     theta may be a stack of covariances with any leading axes, and
     beta_hat one coefficient vector per slice; statistic and p_value are
     then arrays of the stack's shape, and NumericError is raised if any
     slice's restriction covariance is singular or has a variance <= 0.
+    where prefixes its message, such as "season 1, hac: ".
     """
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta_hat, dtype=float).reshape(theta.shape[:-2] + (-1,))
@@ -103,10 +104,11 @@ def wald(beta_hat, theta, n, restriction):
     # column-vector products, so that one slice multiplies as R0 @ beta does
     gap = (R0 @ beta[..., None])[..., 0] - r0
     mid = R0 @ theta @ R0.T
-    sol = solve_guarded(mid, gap[..., None], what="restriction covariance")
+    sol = solve_guarded(mid, gap[..., None], what=f"{where}restriction covariance")
     var = np.diagonal(mid, axis1=-2, axis2=-1)
     if not (var > 0).all():
-        raise NumericError(f"a restriction's variance is {var.min():.6g}, not positive")
+        raise NumericError(f"{where}a restriction's variance is {var.min():.6g}, "
+                           "not positive")
     stat = ((n * gap)[..., None, :] @ sol)[..., 0, 0]
     df = R0.shape[0]
     if stat.ndim == 0:
@@ -115,13 +117,14 @@ def wald(beta_hat, theta, n, restriction):
     return WaldResult(statistic=stat, df=df, p_value=p_value.reshape(stat.shape))
 
 
-def t_report(d, beta, thetas, n):
+def t_report(d, beta, thetas, n, where=""):
     """Per-coefficient records of one season, as pvar fit's JSON lists them.
 
     thetas maps a method name to its covariance of beta.  Each coefficient,
     in vec order, gets a dict {lag, row, col, estimate, std_errors,
     p_values}, with per method a standard error sqrt(Theta_ii / N) and a
-    two-sided normal p-value, the single-restriction Wald p-value.
+    two-sided normal p-value, the single-restriction Wald p-value.  where
+    prefixes the message of a variance <= 0, such as "season 1: ".
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     records = []
@@ -132,8 +135,9 @@ def t_report(d, beta, thetas, n):
         for name, theta in thetas.items():
             var = float(theta[idx, idx])
             if not var > 0:
-                raise NumericError(f"the {name} variance of the lag {lag + 1} coefficient "
-                                   f"({row + 1},{col + 1}) is {var:.6g}, not positive")
+                raise NumericError(f"{where}the {name} variance of the lag {lag + 1} "
+                                   f"coefficient ({row + 1},{col + 1}) is {var:.6g}, "
+                                   "not positive")
             ses[name] = se = (var / n) ** 0.5
             pvals[name] = 2.0 * normal_sf(abs(beta[idx]) / se)
         records.append({"lag": lag + 1, "row": row + 1, "col": col + 1,

@@ -82,9 +82,9 @@ BANDWIDTH_RULES = {
 }
 
 
-def default_bandwidth(n, rule="andrews"):
+def default_bandwidth(n, rule=None):
     try:
-        return BANDWIDTH_RULES[rule](n)
+        return BANDWIDTH_RULES["andrews" if rule is None else rule](n)
     except KeyError:
         raise ValueError(f"unknown bandwidth rule {rule!r}") from None
     except ZeroDivisionError:  # 1 / log(1)
@@ -252,36 +252,38 @@ def default_r_max(n):
     return k if k ** 3 <= n else k - 1
 
 
+def spectral_lags(N, q, r="aic"):
+    """The last score lag psi_spectral reads, at most N - 1: the order r, or
+    the AIC search bound min(default_r_max(N), N // (q + 1)), past which
+    the lag Gram has more columns than rows."""
+    return min(min(default_r_max(N), N // (q + 1)) if r == "aic" else int(r), N - 1)
+
+
 def psi_spectral(W, r="aic", S=None):
     """Long-run variance through an autoregression on the scores.
 
     With fitted lag matrices A_1..A_r and residual covariance Sigma,
     Psi = P^-1 Sigma P^-T where P = I - sum_k A_k.  r may be a fixed
-    order or "aic", searched up to min(default_r_max(N), N // (q + 1)):
-    past that the lag Gram has more columns than rows.  Scores with no
+    order or "aic", searched up to spectral_lags(N, q).  Scores with no
     columns (a season of order 0) give the 0x0 Psi.  For a stack of
     score series AIC picks an order per series, and those that share an
     order > 0 are fitted together (order 0 is S_0 / N).  The search and
     the fits read W only through S = autocovariances(W, H), computed if
-    None; an S passed in must reach the lag the search or order needs.
+    None; an S passed in must reach H = spectral_lags(N, q, r).
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape[-2:]
     if q == 0:
         return np.zeros(W.shape[:-2] + (0, 0))
-    if r == "aic":
-        if not default_r_max(N) < N / 2:  # N <= 2
-            raise DataError(f"{N} score observations are too few "
-                                   "for the AIC order search")
-        r_max = min(default_r_max(N), N // (q + 1))
-    # an order past N - 1 fails _psi_of_order's observation count
-    H = min(r_max if r == "aic" else int(r), N - 1)
+    if r == "aic" and not default_r_max(N) < N / 2:  # N <= 2
+        raise DataError(f"{N} score observations are too few for the AIC order search")
+    H = spectral_lags(N, q, r)
     if S is None:
         S = autocovariances(W, H)
     elif S.shape[-3] <= H:
         raise ValueError(f"S reaches lag {S.shape[-3] - 1}, short of lag {H}")
     flat, flat_S = W.reshape((-1, N, q)), S.reshape((-1,) + S.shape[-3:])
-    orders = np.reshape(select_ar_order_aic(W, r_max, S) if r == "aic"
+    orders = np.reshape(select_ar_order_aic(W, H, S) if r == "aic"
                         else np.full(W.shape[:-2], int(r)), -1)
     psi = flat_S[:, 0] / N  # what an order-0 fit gives, bit for bit
     # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
@@ -337,9 +339,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     bools, in 1..s (None: all), both checked before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
-    Each season inverts its Omega and sums the autocovariances of W once
-    for all methods, up to the larger of the HAC truncation lag and the
-    AIC r_max or fixed order.  The fit of a stack of series
+    Each season inverts its Omega and sums the autocovariances of W once,
+    to the deepest lag that a requested estimator reads: spectral_lags
+    for "sp", the truncation lag for "hac".  The fit of a stack of series
     (estimate.fit_ols) gives stacked estimates, one slice per series.
     """
     for method in methods:
@@ -351,14 +353,14 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
         raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
     N = fit.n_used
-    r = default_r_max(N) if ar_order == "aic" else int(ar_order)
     out = {}
     for v in seasons:
         X = fit.X[v - 1]
         omega_inv = omega_inverse(omega_hat(X))
         if set(methods) - {"strong"}:
             W = score_series(X, fit.residuals[v - 1])
-            S = autocovariances(W, min(max(hac.truncation, r), N - 1))
+            lags = {"sp": spectral_lags(N, W.shape[-1], ar_order), "hac": hac.truncation}
+            S = autocovariances(W, min(max(lags.get(m, 0) for m in methods), N - 1))
         out[v] = {}
         for method in methods:
             if method == "strong":

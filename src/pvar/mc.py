@@ -65,9 +65,7 @@ class Scenario:
 
     def hac_spec(self):
         b = self.bandwidth
-        if b is None:
-            b = default_bandwidth(self.n_cycles, "andrews")
-        return KernelSpec("bartlett", b)
+        return KernelSpec("bartlett", default_bandwidth(self.n_cycles) if b is None else b)
 
 
 @dataclass

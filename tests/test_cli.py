@@ -913,15 +913,16 @@ def test_bartlett_at_full_bandwidth_fits(weak_data, capsys):
 def test_hac_with_a_negative_variance_exits_4(weak_data, capsys, command):
     # the rect window is not positive semidefinite: at bandwidth 0.04 it
     # gives season 1's lag-1 (2,2) coefficient a negative HAC variance,
-    # where fit printed nan (invalid JSON) and wald a negative statistic
+    # where fit printed nan (invalid JSON) and wald a negative statistic;
+    # the message names the season, and wald's the method too
     argv = [command, "--data", str(weak_data), "--s", "2", "--cov", "strong,hac",
             "--kernel", "rect", "--bandwidth", "0.04", "--format", "json"]
     if command == "wald":
         argv += ["--restrict", "phi[1](2,2)=0"]
     assert main(argv) == 4
     out, err = capsys.readouterr()
-    what = {"fit": r"the hac variance of the lag 1 coefficient \(2,2\)",
-            "wald": "a restriction's variance"}[command]
+    what = {"fit": r"season 1: the hac variance of the lag 1 coefficient \(2,2\)",
+            "wald": "season 1, hac: a restriction's variance"}[command]
     assert out == "" and re.fullmatch(f"error: {what} is -[0-9.]+, not positive\n", err)
 
 
@@ -992,11 +993,24 @@ def test_spawned_call_matches_main_in_process(weak_data, capsysbinary, case, cod
 def test_a_failed_write_to_stdout_is_one_error_line_and_exit_3(weak_data, case,
                                                                 unbuffered):
     # buffered output used to fail at interpreter exit, with "Exception
-    # ignored" lines and exit 120; help to unbuffered stdout is left out,
-    # as argparse drops a failed write of it and exits 0
+    # ignored" lines and exit 120
     with open("/dev/full", "wb") as full:
         proc = spawn(["-m", "pvar.cli"] + _exit_path_argv(case, weak_data),
                      {"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        3, b"error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["", "simulate", "fit", "wald", "mc", "analytic"])
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_help_to_a_full_stdout_is_one_error_line_and_exit_3(command, unbuffered):
+    # argparse drops an OSError from its write of the help, so help to a
+    # full, unbuffered stdout exited 0 with nothing on stderr
+    argv = [command, "--help"] if command else ["--help"]
+    with open("/dev/full", "wb") as full:
+        proc = spawn(["-m", "pvar.cli"] + argv, {"PYTHONUNBUFFERED": unbuffered},
+                     stdout=full)
     assert (proc.returncode, proc.stderr) == (
         3, b"error: [Errno 28] No space left on device\n")
 

@@ -7,7 +7,8 @@ from pvar.estimate import build_design, fit_ols
 from pvar.lrv import (KernelSpec, autocovariances, covariances,
                       default_bandwidth, default_r_max, kernel_weight, omega_hat,
                       omega_inverse, psi_hac, psi_spectral, score_series,
-                      select_ar_order_aic, theta_sandwich, theta_strong)
+                      select_ar_order_aic, spectral_lags, theta_sandwich,
+                      theta_strong)
 from pvar.linalg import mT, require_conditioned, solve_guarded
 from pvar.mc import preset
 from pvar.model import PvarModel
@@ -590,6 +591,49 @@ def test_strong_noise_lrv_matches_kronecker_form():
     assert rel < 0.05
 
 
+def var1_scores(R=200, N=4000, seed=20240):
+    """R score series of a stationary VAR(1), W_n = A W_{n-1} + e_n with
+    Cov e_n = Sigma, and their long-run variance (I - A)^-1 Sigma (I - A)^-T,
+    lag-0 covariance Gamma_0 and A."""
+    A = np.array([[0.5, 0.1, 0.0], [0.05, 0.3, -0.1], [0.0, 0.1, -0.4]])
+    chol = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [-0.2, 0.4, 0.8]])
+    q, sigma = 3, chol @ chol.T
+    # vec Gamma_0 = (I - A (x) A)^-1 vec Sigma
+    gamma0 = np.linalg.solve(np.eye(q * q) - np.kron(A, A),
+                             sigma.reshape(-1)).reshape(q, q)
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((N, R, q)) @ chol.T
+    W = np.empty((N, R, q))
+    W[0] = rng.standard_normal((R, q)) @ np.linalg.cholesky(gamma0).T
+    for n in range(1, N):
+        W[n] = W[n - 1] @ A.T + e[n]
+    P = np.linalg.inv(np.eye(q) - A)
+    return np.swapaxes(W, 0, 1), P @ sigma @ P.T, gamma0, A
+
+
+def test_long_run_variance_of_var1_scores():
+    # scores whose lags matter: against the lag-0 moment they change Psi's
+    # diagonal by factors 1/0.31, 1/0.52 and 1/2.05.  Over 200 series the
+    # mean's relative error has a spread (sd over ten seeds) of 0.3-0.6%,
+    # so both bands are 2.5%.
+    W, psi, gamma0, A = var1_scores()
+    N, diag = W.shape[-2], np.diag(psi)
+    assert np.allclose(np.diag(gamma0) / diag, [0.308, 0.523, 2.046], atol=1e-3)
+    sp = np.diag(psi_spectral(W).mean(axis=0))
+    assert np.abs(sp / diag - 1).max() < 0.025
+    # the Bartlett HAC at the Andrews bandwidth has a truncation bias: its
+    # mean is Gamma_0 + sum_h w_h (1 - h/N) (Gamma_h + Gamma_h'), with
+    # Gamma_h = A^h Gamma_0, which is 12% low, 7% low and 6% high here
+    spec = KernelSpec("bartlett", default_bandwidth(N))
+    expected, gamma = gamma0.copy(), gamma0
+    for h in range(1, spec.truncation + 1):
+        gamma = A @ gamma
+        expected += kernel_weight(spec, h * spec.bandwidth) * (N - h) / N * (gamma + gamma.T)
+    assert np.allclose(np.diag(expected) / diag - 1, [-0.121, -0.065, 0.061], atol=1e-3)
+    hac = np.diag(psi_hac(W, spec).mean(axis=0))
+    assert np.abs((hac - np.diag(expected)) / diag).max() < 0.025
+
+
 # sandwich assembly ----------------------------------------------------------
 
 def random_spd(rng, n):
@@ -688,6 +732,38 @@ def test_covariances_of_strong_alone_builds_no_scores(monkeypatch):
     monkeypatch.setattr(pvar.lrv, "autocovariances", fail)
     got = covariances(fit, ["strong"], KernelSpec())
     assert all(np.array_equal(got[v]["strong"], want[v]["strong"]) for v in want)
+
+
+@pytest.mark.parametrize("methods,hac,ar_order,lag", [
+    (["sp"], KernelSpec("bartlett", 1e-3), "aic", "sp"),
+    (["hac"], KernelSpec(), 100, "hac"),
+    (["sp", "hac"], KernelSpec("bartlett", 0.05), "aic", "hac"),
+    (["hac", "strong", "sp"], KernelSpec(), 30, "sp")])
+def test_covariances_sums_only_the_lags_its_estimators_read(monkeypatch, methods, hac,
+                                                             ar_order, lag):
+    # the sums ran to the larger of the HAC truncation and the AIC bound
+    # or order whichever methods were asked for: to lag 299 for "sp" at
+    # bandwidth 1e-3, and to lag 100 for "hac" at ar_order 100
+    fit = fit_ols(simulate(example_model(), 300, NoiseSpec(), seed=2), 1)
+    N, q = fit.n_used, 4
+    assert spectral_lags(N, q) == min(default_r_max(N), N // (q + 1)) == 6
+    depth = {"sp": spectral_lags(N, q, ar_order), "hac": min(hac.truncation, N - 1)}[lag]
+    summed, real = [], pvar.lrv.autocovariances
+
+    def spy(W, H):
+        summed.append(H)
+        return real(W, H)
+
+    monkeypatch.setattr(pvar.lrv, "autocovariances", spy)
+    got = covariances(fit, methods, hac, ar_order)
+    assert summed == [depth] * fit.s  # one sum per season
+    for v in got:  # as from the sums of every lag
+        X = fit.X[v - 1]
+        W, omega_inv = score_series(X, fit.residuals[v - 1]), omega_inverse(omega_hat(X))
+        S = real(W, N - 1)
+        for m in set(methods) - {"strong"}:
+            psi = psi_spectral(W, ar_order, S) if m == "sp" else psi_hac(W, hac, S)
+            assert np.array_equal(got[v][m], theta_sandwich(omega_inv, psi, 2))
 
 
 def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 
 import pvar
 from pvar.cli_models import write_csv
-from pvar.lrv import COV_METHODS, KERNEL_KINDS
+from pvar.lrv import BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS
 from pvar.mc import PRESETS
 from pvar.noise import NOISE_KINDS
 
@@ -49,15 +49,18 @@ def test_every_raise_names_a_package_error_or_value_error():
 
 
 def test_cli_spells_no_method_kernel_noise_or_preset_name():
-    # the CLI reads each vocabulary from the table of the module that owns it
-    names = {*COV_METHODS, *KERNEL_KINDS, *NOISE_KINDS, *PRESETS}
+    # the CLI reads each vocabulary from the table of the module that owns
+    # it, and neither the CLI nor mc names a bandwidth rule: the default
+    # one is default_bandwidth's
+    names = {*COV_METHODS, *KERNEL_KINDS, *NOISE_KINDS, *PRESETS, *BANDWIDTH_RULES}
     spelled = []
-    for path in CLI_FILES:
+    for path, vocabulary in [(path, names) for path in CLI_FILES] + [
+            ("mc.py", set(BANDWIDTH_RULES))]:
         tree = ast.parse((SOURCE / path).read_text())
         defaults = {id(node.value) for node in ast.walk(tree)
                     if isinstance(node, ast.keyword) and node.arg == "default"}
         spelled += [f"{path}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Constant) and node.value in names
+                    if isinstance(node, ast.Constant) and node.value in vocabulary
                     and id(node) not in defaults]
     assert spelled == []
 

@@ -100,6 +100,17 @@ def test_compare_outputs_runs_each_covariance_method_alone_and_a_flat_kernel(
     assert capsys.readouterr().err.endswith("so the HAC Psi is zero\n")
 
 
+def test_compare_outputs_fits_cli_wide_with_a_flag_of_the_other_method(tmp_path):
+    # covariances summed the score lags that a method not asked for reads
+    listed = {label: (argv, fails) for label, argv, fails in
+              load_tool().calls(str(tmp_path), {})}
+    fit = listed["fit cli-wide"][0]
+    assert listed["fit cli-wide sp --bandwidth 0.001"] == (
+        fit + ["--cov", "sp", "--bandwidth", "0.001"], False)
+    assert listed["fit cli-wide hac --ar-order 100"] == (
+        fit + ["--cov", "hac", "--ar-order", "100"], False)
+
+
 def test_compare_outputs_compares_the_file_a_fit_writes(tmp_path):
     # the file must be whole when the process ends, which it does by
     # os._exit without the interpreter's teardown

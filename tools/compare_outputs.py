@@ -25,6 +25,9 @@ which run() reads and deletes after each call:
 - the cli-bivariate `fit` and `wald` under each covariance method
   alone (COV), and a `fit --cov hac` that must fail with exit 4, its
   `rect` kernel at `--bandwidth full` weighting every lag 1;
+- the cli-wide `fit` under one method with the other's flag set far
+  from its default (UNRELATED_FLAGS): `--cov sp --bandwidth 0.001` and
+  `--cov hac --ar-order 100`;
 - `simulate` CSV under every noise kind the presets use, of the same
   two models and of two more (simulate_models): one whose order exceeds
   its period, so simulate steps one cycle per block, and one with an
@@ -56,6 +59,8 @@ COMMANDS = ("simulate", "fit", "wald", "mc", "analytic")
 DATA_SEED = 1
 KERNELS = ("rect", "parzen", "qs")
 COV = ("strong", "sp", "hac")
+#: One covariance method and a flag that only the other method reads.
+UNRELATED_FLAGS = (("sp", "--bandwidth", "0.001"), ("hac", "--ar-order", "100"))
 #: The CSV, written by calls() in its directory, that a call with
 #: `--data /dev/stdin` gets through a pipe.
 PIPED_CSV = "cli-bivariate.csv"
@@ -140,6 +145,10 @@ def calls(tmp, scenarios):
             yield f"{command} cli-bivariate {method}", argv + ["--cov", method], False
     yield ("error fit cli-bivariate flat kernel",
            fit + ["--cov", "hac", "--kernel", "rect", "--bandwidth", "full"], True)
+    wide = dict(workloads.cli_argv("cli-wide", os.path.join(tmp, "cli-wide.csv")))["fit"]
+    for method, flag, value in UNRELATED_FLAGS:
+        yield (f"fit cli-wide {method} {flag} {value}",
+               wide + ["--cov", method, flag, value], False)
     for name, (phi, sigma) in simulate_models().items():
         model = os.path.join(tmp, f"{name}.model")
         write_model(model, phi, sigma)
