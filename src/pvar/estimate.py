@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_int
 from .linalg import mT, solve_guarded, vec
 
 
@@ -27,7 +27,7 @@ class PeriodicSeries:
     """
 
     def __init__(self, s, data, presample=None):
-        self.s = s
+        self.s = require_int("s", s, 1)
         self.data = np.atleast_2d(np.asarray(data, dtype=float))
         if presample is None or np.size(presample) == 0:
             presample = np.zeros(self.data.shape[:-2] + (0, self.d))
@@ -83,13 +83,10 @@ def demean_seasonal(series):
 
 
 def _normalize_orders(series, orders):
-    if np.isscalar(orders):
-        orders = [int(orders)] * series.s
-    orders = [int(p) for p in orders]
+    orders = [orders] * series.s if np.isscalar(orders) else orders
+    orders = [require_int("order", p, 0) for p in orders]
     if len(orders) != series.s:
         raise ValueError("need one order per season")
-    if any(p < 0 for p in orders):
-        raise ValueError("orders must be nonnegative")
     return orders
 
 
@@ -126,8 +123,10 @@ def build_design(series, orders):
 def fit_ols(series, orders, demean=True):
     """Per-season least squares.
 
-    A stack of series is fitted with one guarded solve per season, and
-    each slice of the result equals the fit of its series alone.
+    orders is one order for all seasons or one per season, each an
+    integer of at least 0 (errors.require_int).  A stack of series is
+    fitted with one guarded solve per season, and each slice of the
+    result equals the fit of its series alone.
     """
     orders = _normalize_orders(series, orders)
     if demean:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require_int
 from .linalg import solve_guarded
 
 
@@ -72,8 +72,8 @@ class Restriction:
 
     @classmethod
     def coordinates(cls, indices, n_coef, values=None):
-        """Test beta[i] = value for each listed coordinate."""
-        indices = list(indices)
+        """Test beta[i] = value for each listed coordinate, an integer >= 0."""
+        indices = [require_int("index", i, 0) for i in indices]
         R0 = np.zeros((len(indices), n_coef))
         for row, i in enumerate(indices):
             R0[row, i] = 1.0

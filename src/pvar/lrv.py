@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, require_int
 from .linalg import mT, require_conditioned, solve_guarded, tri_inv
 
 KERNEL_KINDS = ("bartlett", "rect", "parzen", "qs")
@@ -130,12 +130,19 @@ def autocovariances(W, H):
     return S
 
 
+def _sums(W, H, S):
+    """autocovariances(W, H) if S is None, else S if it reaches lag H."""
+    if S is not None and S.shape[-3] <= H:
+        raise ValueError(f"S reaches lag {S.shape[-3] - 1}, short of lag {H}")
+    return autocovariances(W, H) if S is None else S
+
+
 def psi_hac(W, spec, S=None):
     """Kernel-weighted sum of the score autocovariances.
 
     S is autocovariances(W, H) for some H at or past the truncation lag,
-    or None to compute it here.  A kernel that weights every sample lag
-    1 is a NumericError for scores with columns: its Psi is
+    or None to compute it here (_sums).  A kernel that weights every
+    sample lag 1 is a NumericError for scores with columns: its Psi is
     (sum W)(sum W)' / N, which the normal equations make zero.
     """
     W = np.asarray(W, dtype=float)
@@ -145,8 +152,7 @@ def psi_hac(W, spec, S=None):
     if q and T == N - 1 and (w == 1.0).all():
         raise NumericError(f"the {spec.kind} kernel at bandwidth {spec.bandwidth:g} weights "
                            f"every score lag up to {N - 1} by 1, so the HAC Psi is zero")
-    if S is None:
-        S = autocovariances(W, T)
+    S = _sums(W, T, S)
     lags = np.flatnonzero(w[1:]) + 1
     lam = S[..., lags, :, :] / N
     # S_0 / N f(0), then w_h (Lambda_h + Lambda_h') of each lag with a
@@ -207,9 +213,8 @@ def select_ar_order_aic(W, r_max, S=None):
     fit of the common sample is exact (q*r >= N - r_max), are skipped;
     ties go to the lowest order.
 
-    No design is built: the moments come from the autocovariance sums
-    S = autocovariances(W, H), H >= r_max (computed if None), through
-    _lag_moments.
+    No design is built: _lag_moments takes the moments from the sums S
+    to lag r_max (_sums), an integer (errors.require_int) below N / 2.
 
     W may be a stack of score series; the result is then an int array
     of one order per series, and the search raises if any series'
@@ -217,13 +222,10 @@ def select_ar_order_aic(W, r_max, S=None):
     """
     W = np.asarray(W, dtype=float)
     stack, (N, q) = W.shape[:-2], W.shape[-2:]
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    if not r_max < N / 2:
+    if not require_int("r_max", r_max, 0) < N / 2:
         raise ValueError("r_max must be below N/2")
     n_eff = N - r_max
-    yy, cross, gram = _lag_moments(
-        W, r_max, autocovariances(W, r_max) if S is None else S)
+    yy, cross, gram = _lag_moments(W, r_max, _sums(W, r_max, S))
     resid = np.empty(stack + (r_max + 1, q, q))
     resid[..., 0, :, :] = yy
     if r_max and q:
@@ -256,7 +258,8 @@ def spectral_lags(N, q, r="aic"):
     """The last score lag psi_spectral reads, at most N - 1: the order r, or
     the AIC search bound min(default_r_max(N), N // (q + 1)), past which
     the lag Gram has more columns than rows."""
-    return min(min(default_r_max(N), N // (q + 1)) if r == "aic" else int(r), N - 1)
+    return min(min(default_r_max(N), N // (q + 1)) if r == "aic"
+               else require_int("r", r, 0), N - 1)
 
 
 def psi_spectral(W, r="aic", S=None):
@@ -267,9 +270,8 @@ def psi_spectral(W, r="aic", S=None):
     order or "aic", searched up to spectral_lags(N, q).  Scores with no
     columns (a season of order 0) give the 0x0 Psi.  For a stack of
     score series AIC picks an order per series, and those that share an
-    order > 0 are fitted together (order 0 is S_0 / N).  The search and
-    the fits read W only through S = autocovariances(W, H), computed if
-    None; an S passed in must reach H = spectral_lags(N, q, r).
+    order > 0 are fitted together (order 0 is S_0 / N), all from the sums
+    S of W to lag spectral_lags(N, q, r) (_sums).
     """
     W = np.asarray(W, dtype=float)
     N, q = W.shape[-2:]
@@ -278,13 +280,10 @@ def psi_spectral(W, r="aic", S=None):
     if r == "aic" and not default_r_max(N) < N / 2:  # N <= 2
         raise DataError(f"{N} score observations are too few for the AIC order search")
     H = spectral_lags(N, q, r)
-    if S is None:
-        S = autocovariances(W, H)
-    elif S.shape[-3] <= H:
-        raise ValueError(f"S reaches lag {S.shape[-3] - 1}, short of lag {H}")
+    S = _sums(W, H, S)
     flat, flat_S = W.reshape((-1, N, q)), S.reshape((-1,) + S.shape[-3:])
     orders = np.reshape(select_ar_order_aic(W, H, S) if r == "aic"
-                        else np.full(W.shape[:-2], int(r)), -1)
+                        else np.full(W.shape[:-2], r), -1)
     psi = flat_S[:, 0] / N  # what an order-0 fit gives, bit for bit
     # not np.unique, whose first call imports numpy.ma: ~20 ms per CLI call
     for order in sorted(set(orders.tolist()) - {0}):
@@ -335,8 +334,9 @@ def theta_sandwich(omega_inv, psi, d):
 def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     """Theta estimates {season: {method: Theta}}; seasons defaults to all.
 
-    methods are keys of COV_METHODS and seasons nonempty integers, not
-    bools, in 1..s (None: all), both checked before any work is done.
+    methods are keys of COV_METHODS, ar_order is "aic" or an integer of
+    at least 0 (errors.require_int) and seasons nonempty integers, not
+    bools, in 1..s (None: all), all checked before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
     Each season inverts its Omega and sums the autocovariances of W once,
@@ -352,6 +352,8 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
         raise ValueError(f"seasons must be integers, got {seasons}")
     if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
         raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
+    if ar_order != "aic":
+        require_int("ar_order", ar_order, 0)
     N = fit.n_used
     out = {}
     for v in seasons:

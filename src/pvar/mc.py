@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .errors import DataError, NumericError, PvarError
+from .errors import DataError, NumericError, PvarError, require_int
 from .estimate import PeriodicSeries, fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
@@ -53,10 +53,8 @@ class Scenario:
     bandwidth: float = None  # of the Bartlett HAC; None -> Andrews at n_cycles
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be at least 1")
+        self.reps = require_int("reps", self.reps, 1)
+        self.n_cycles = require_int("n_cycles", self.n_cycles, 1)
         for m in self.methods:
             if m not in COV_METHODS.values():
                 raise ValueError(f"unknown method {m!r}")

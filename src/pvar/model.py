@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require_int
 
 #: Margin below one required of the companion spectral radius.
 CAUSAL_TOL = 1e-10
@@ -36,8 +36,7 @@ class PvarModel:
     sigma: list
 
     def __post_init__(self):
-        if self.s < 1 or self.d < 1:
-            raise ValueError("period and dimension must be positive")
+        self.s, self.d = require_int("s", self.s, 1), require_int("d", self.d, 1)
         if len(self.phi) != self.s or len(self.sigma) != self.s:
             raise ValueError("need one coefficient list and one covariance per season")
         self.phi = [[np.array(m, dtype=float) for m in lags] for lags in self.phi]

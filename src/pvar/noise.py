@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import require_int
 from .estimate import PeriodicSeries
 from .linalg import cholesky_upper
 from .model import PvarModel, cycle_maps, require_causal
@@ -52,8 +53,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "weak-product" and self.m < 1:
-            raise ValueError("product window exponent m must be at least 1")
+        if self.kind == "weak-product":
+            self.m = require_int("m", self.m, 1)
 
 
 def colour_matrix(sigmas):
@@ -109,10 +110,9 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     """
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    for name, value, low in (("len(seed)", len(seeds), 1), ("n_cycles", n_cycles, 1),
-                             ("burnin", burnin, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
+    require_int("len(seed)", len(seeds), 1)
+    n_cycles = require_int("n_cycles", n_cycles, 1)
+    burnin = require_int("burnin", burnin, 0)
     spec = spec or NoiseSpec()
     A, B, P, T, colour = _plan(model.s, model.d, tuple(
         tuple(a.tobytes() for a in lags) for lags in model.phi + [model.sigma]))

@@ -152,6 +152,25 @@ def test_insufficient_data():
         fit_ols(ser, 4)
 
 
+@pytest.mark.parametrize("order", [1.9, 2.0, "1", True, np.True_, -1])
+def test_orders_that_are_not_nonnegative_integers_raise(order):
+    # 1.9 and "1" fitted order 1, and True fitted order 1 as well
+    ser = simulate(example_model(), 100, seed=4)
+    for orders in (order, [1, order]):
+        for call in (fit_ols, build_design):
+            with pytest.raises(ValueError, match=r"^order must be "):
+                call(ser, orders)
+    assert fit_ols(ser, [np.int64(1), np.uint8(0)]).orders == [1, 0]
+
+
+@pytest.mark.parametrize("s", [2.5, True, 0])
+def test_periodic_series_rejects_a_period_that_is_not_a_positive_integer(s):
+    # s = 2.5 gave n_cycles 40.0, True one season and 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^s must be "):
+        PeriodicSeries(s, np.zeros((100, 2)))
+    assert PeriodicSeries(np.int64(2), np.zeros((100, 2))).n_cycles == 50
+
+
 @pytest.mark.parametrize("orders", [[1, 1], [2, 0], [0, 3]])
 def test_stacked_fit_equals_each_slice_fitted_alone(orders):
     stack = simulate(example_model(), 120, seed=[5, 6, 7])

@@ -164,6 +164,14 @@ def test_restriction_dependent_rows_rejected():
         Restriction(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
 
 
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, -1, "1"])
+def test_restriction_coordinates_must_be_nonnegative_integers(index):
+    # [True] set every entry of its row, and -1 the last one
+    with pytest.raises(ValueError, match=r"^index must be "):
+        Restriction.coordinates([0, index], 4)
+    assert np.array_equal(Restriction.coordinates([np.int64(1)], 3).R0, [[0, 1, 0]])
+
+
 def test_t_report_layout_and_identity():
     rng = np.random.default_rng(3)
     beta = rng.standard_normal(4)

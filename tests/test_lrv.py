@@ -370,12 +370,27 @@ def test_psi_spectral_fits_each_order_as_the_lag_design_does(r):
                               psi_spectral(scores, r))
 
 
-@pytest.mark.parametrize("r,H", [(3, 2), ("aic", 11)])
-def test_psi_spectral_rejects_an_S_short_of_the_order(r, H):
+@pytest.mark.parametrize("estimate,H", [
+    pytest.param(lambda W, S: psi_spectral(W, 3, S), 2, id="3-2"),
     # at N = 2000 and q = 3 the AIC searches up to default_r_max = 12
+    pytest.param(lambda W, S: psi_spectral(W, "aic", S), 11, id="aic-11"),
+    # Bartlett at bandwidth 0.3 truncates at lag 3, of weight 0.1
+    pytest.param(lambda W, S: psi_hac(W, KernelSpec("bartlett", 0.3), S), 2, id="hac-2"),
+    pytest.param(lambda W, S: select_ar_order_aic(W, 5, S), 4, id="r_max-4")])
+def test_psi_spectral_rejects_an_S_short_of_the_order(estimate, H):
+    # psi_hac raised IndexError and select_ar_order_aic a reshape error
     W = mixed_order_stack()[1]
     with pytest.raises(ValueError, match=rf"S reaches lag {H}, short of lag {H + 1}$"):
-        psi_spectral(W, r, autocovariances(W, H))
+        estimate(W, autocovariances(W, H))
+    estimate(W, autocovariances(W, H + 1))
+
+
+@pytest.mark.parametrize("r_max", [2.0, True, -1, "3"])
+def test_select_ar_order_aic_rejects_an_r_max_that_is_not_an_integer(r_max):
+    W = mixed_order_stack()[1]
+    with pytest.raises(ValueError, match=r"^r_max must be "):
+        select_ar_order_aic(W, r_max)
+    assert select_ar_order_aic(W, np.int64(2)) == select_ar_order_aic(W, 2)
 
 
 def test_stacked_covariances_equal_one_fit_at_a_time_on_wide_fits():
@@ -813,6 +828,22 @@ def test_covariances_rejects_seasons_that_are_not_integers(monkeypatch, seasons)
     ref = covariances(fit, ["strong"], KernelSpec(), seasons=[2, 4])
     assert list(got) == [2, 4]
     assert all(np.array_equal(got[v]["strong"], ref[v]["strong"]) for v in (2, 4))
+
+
+@pytest.mark.parametrize("ar_order", [2.7, True, -1, "3"])
+@pytest.mark.parametrize("methods", [["strong"], ["sp"], ["hac", "strong"]])
+def test_covariances_rejects_an_ar_order_that_is_not_an_integer(
+        monkeypatch, methods, ar_order):
+    # 2.7 ran order 2, True order 1 and "3" order 3; -1 raised numpy's
+    # reshape error
+    fit = fit_ols(simulate(example_model(), 100, NoiseSpec(), seed=2), 1)
+    monkeypatch.setattr(pvar.lrv, "omega_hat", lambda X: 1 / 0)
+    with pytest.raises(ValueError, match=r"^ar_order must be "):
+        covariances(fit, methods, KernelSpec(), ar_order)
+    monkeypatch.undo()
+    got = covariances(fit, methods, KernelSpec(), np.int64(2))
+    ref = covariances(fit, methods, KernelSpec(), 2)
+    assert all(np.array_equal(got[v][m], ref[v][m]) for v in ref for m in methods)
 
 
 def test_covariances_inverts_each_omega_once(monkeypatch):

@@ -40,6 +40,18 @@ def test_preset_names_and_validation():
                  noise=NoiseSpec(), n_cycles=10, reps=1, methods=("white",))
 
 
+@pytest.mark.parametrize("field, value", [("reps", 2.5), ("reps", True),
+                                          ("n_cycles", 50.5), ("n_cycles", True)])
+def test_scenario_rejects_counts_that_are_not_integers(field, value):
+    # reps=2.5 and n_cycles=50.5 were accepted; run_scenario raised TypeError
+    args = dict(name="x", model=preset("model-I").model, noise=NoiseSpec(),
+                n_cycles=50, reps=2)
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        Scenario(**dict(args, **{field: value}))
+    sc = Scenario(**dict(args, **{field: np.int64(3)}))
+    assert getattr(sc, field) == 3 and type(getattr(sc, field)) is int
+
+
 @pytest.mark.parametrize("count", [2, 6])
 def test_restrictions_of_the_wrong_length_are_rejected(count):
     sc = preset("model-I")

@@ -139,6 +139,12 @@ def test_model_validation():
         PvarModel(s=2, d=2, phi=[[np.eye(2)]], sigma=[np.eye(2), np.eye(2)])
     with pytest.raises(ValueError, match="coefficient matrices must be d x d"):
         PvarModel(s=1, d=2, phi=[[np.eye(3)]], sigma=[np.eye(2)])
+    for s, d, name in ((2.0, 2, "s"), (True, 2, "s"), (2, 1.0, "d"), (2, 0, "d")):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            PvarModel(s=s, d=d, phi=[[np.eye(2)]] * 2, sigma=[np.eye(2)] * 2)
+    model = PvarModel(s=np.int64(2), d=np.uint8(2), phi=[[np.eye(2)]] * 2,
+                      sigma=[np.eye(2)] * 2)
+    assert type(model.s) is int and type(model.d) is int
 
 
 def test_periodic_series_indexing():

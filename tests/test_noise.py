@@ -19,6 +19,10 @@ def test_noise_spec_validation():
         NoiseSpec(kind="other")
     with pytest.raises(ValueError):
         NoiseSpec(kind="weak-product", m=0)
+    for m in (True, 2.5):  # m=True drew products of two normals, as m=1
+        with pytest.raises(ValueError, match=r"^m must be an integer, got "):
+            NoiseSpec(kind="weak-product", m=m)
+    assert NoiseSpec(kind="weak-product", m=np.int64(2)).m == 2
 
 
 def test_strong_noise_matches_season_covariances():
@@ -271,12 +275,16 @@ def test_batched_simulate_raises_for_a_noncausal_model():
 @pytest.mark.parametrize("args, name", [
     (dict(seed=[]), "len(seed)"), (dict(seed=np.array([], dtype=int)), "len(seed)"),
     (dict(n_cycles=0), "n_cycles"), (dict(n_cycles=-1), "n_cycles"),
-    (dict(burnin=-1), "burnin")])
+    (dict(burnin=-1), "burnin"),
+    # n_cycles=True drew one cycle; 2.5 and burnin=2.5 raised TypeError
+    (dict(n_cycles=True), "n_cycles"), (dict(n_cycles=2.5), "n_cycles"),
+    (dict(burnin=2.5), "burnin")])
 def test_simulate_rejects_bad_arguments_before_any_work(args, name):
     # a noncausal model: the argument is named before the model is checked
     model = PvarModel(s=1, d=1, phi=[[np.array([[1.5]])]], sigma=[np.eye(1)])
+    want = "an integer" if isinstance(args.get(name), (bool, float)) else "at least"
     args = dict(dict(n_cycles=10, seed=[1, 2], burnin=5), **args)
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be at least"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be {want}"):
         simulate(model, **args)
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -109,6 +110,26 @@ def test_compare_outputs_fits_cli_wide_with_a_flag_of_the_other_method(tmp_path)
         fit + ["--cov", "sp", "--bandwidth", "0.001"], False)
     assert listed["fit cli-wide hac --ar-order 100"] == (
         fit + ["--cov", "hac", "--ar-order", "100"], False)
+
+
+def test_compare_outputs_fits_a_fixed_ar_order_and_an_order_list(tmp_path, capsys):
+    # the paths a library order or ar_order takes through the integer rule
+    tool = load_tool()
+    listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
+    assert listed["fit cli-wide sp --ar-order 2"] == (
+        listed["fit cli-wide"][0] + ["--cov", "sp", "--ar-order", "2"], False)
+    orders = [int(p) for p in tool.SEASON_ORDERS.split(",")]
+    restricted = tool.workloads.CLI["cli-bivariate"]["restricted"]
+    assert 2 in orders and any(p == 0 and v not in restricted
+                               for v, p in enumerate(orders, start=1))
+    for command in ("fit", "wald"):
+        argv, fails = listed[f"{command} cli-bivariate --order {tool.SEASON_ORDERS}"]
+        plain = listed[f"{command} cli-bivariate"][0]
+        at = plain.index("--order") + 1
+        assert not fails and argv == plain[:at] + [tool.SEASON_ORDERS] + plain[at + 1:]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert command == "wald" or out["orders"] == orders
 
 
 def test_compare_outputs_compares_the_file_a_fit_writes(tmp_path):

@@ -28,6 +28,11 @@ which run() reads and deletes after each call:
 - the cli-wide `fit` under one method with the other's flag set far
   from its default (UNRELATED_FLAGS): `--cov sp --bandwidth 0.001` and
   `--cov hac --ar-order 100`;
+- the cli-wide `fit --cov sp --ar-order 2`, a fixed order of the score
+  autoregression;
+- the cli-bivariate `fit` and `wald` at the per-season `--order`
+  SEASON_ORDERS, which has an order-2 season and an order-0 season
+  that no `--restrict` of the workload names;
 - `simulate` CSV under every noise kind the presets use, of the same
   two models and of two more (simulate_models): one whose order exceeds
   its period, so simulate steps one cycle per block, and one with an
@@ -61,6 +66,9 @@ KERNELS = ("rect", "parzen", "qs")
 COV = ("strong", "sp", "hac")
 #: One covariance method and a flag that only the other method reads.
 UNRELATED_FLAGS = (("sp", "--bandwidth", "0.001"), ("hac", "--ar-order", "100"))
+#: The cli-bivariate --order list: season 1 of order 2, season 2, which
+#: the workload restricts nowhere, of order 0.
+SEASON_ORDERS = "2,0,1,1,2"
 #: The CSV, written by calls() in its directory, that a call with
 #: `--data /dev/stdin` gets through a pipe.
 PIPED_CSV = "cli-bivariate.csv"
@@ -149,6 +157,11 @@ def calls(tmp, scenarios):
     for method, flag, value in UNRELATED_FLAGS:
         yield (f"fit cli-wide {method} {flag} {value}",
                wide + ["--cov", method, flag, value], False)
+    yield "fit cli-wide sp --ar-order 2", wide + ["--cov", "sp", "--ar-order", "2"], False
+    for command, argv in bivariate.items():
+        at = argv.index("--order") + 1
+        yield (f"{command} cli-bivariate --order {SEASON_ORDERS}",
+               argv[:at] + [SEASON_ORDERS] + argv[at + 1:], False)
     for name, (phi, sigma) in simulate_models().items():
         model = os.path.join(tmp, f"{name}.model")
         write_model(model, phi, sigma)
