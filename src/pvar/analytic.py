@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require_int
 from .lrv import omega_inverse, theta_sandwich, theta_strong
 
 
@@ -45,7 +45,7 @@ class DiagExampleParams:
 
     phi[i][v-1] and sigma[i][v-1] are the AR coefficient and noise
     variance of channel i+1 in season v.  m is the product-noise
-    window exponent.
+    window exponent, an integer >= 0 (psi_closed needs m >= 1).
     """
 
     phi1_s1: float = 0.3
@@ -59,6 +59,7 @@ class DiagExampleParams:
     m: int = 1
 
     def __post_init__(self):
+        self.m = require_int("m", self.m, 0)
         for f1, f2 in self.channels():
             if abs(f1 * f2) >= 1.0:
                 raise NumericError("channel coefficient product must be below one")

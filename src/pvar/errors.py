@@ -1,8 +1,8 @@
-"""Exception types and require_int, the one check of an integer argument.
-The class alone decides the command-line exit code: DataError exits 3,
-NumericError 4; a bad library argument is a ValueError."""
+"""Exception types; require_int checks a count or seed (least 1 for a
+size, 0 for a seed, order or term count), require_positive a bandwidth.
+The class alone sets the CLI exit code: ValueError 2, DataError 3, else 4."""
 
-from numbers import Integral  # numpy imports numbers too: no extra cost
+from numbers import Integral, Real  # numpy imports numbers too: no extra cost
 
 
 class PvarError(Exception):
@@ -24,3 +24,10 @@ def require_int(name, value, low):
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def require_positive(name, value):
+    """float(value) if it is a real, numpy's too, not a bool, above 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not value > 0:
+        raise ValueError(f"{name} must be a real above 0, got {value!r}")
+    return float(value)

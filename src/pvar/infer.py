@@ -72,10 +72,13 @@ class Restriction:
 
     @classmethod
     def coordinates(cls, indices, n_coef, values=None):
-        """Test beta[i] = value for each listed coordinate, an integer >= 0."""
+        """Test beta[i] = value for each listed integer i in 0..n_coef - 1."""
+        n_coef = require_int("n_coef", n_coef, 0)
         indices = [require_int("index", i, 0) for i in indices]
         R0 = np.zeros((len(indices), n_coef))
         for row, i in enumerate(indices):
+            if i >= n_coef:
+                raise ValueError(f"index must be below n_coef {n_coef}, got {i}")
             R0[row, i] = 1.0
         r0 = np.zeros(len(indices)) if values is None else np.asarray(values, float)
         return cls(R0, r0)
@@ -94,8 +97,9 @@ def wald(beta_hat, theta, n, restriction, where=""):
     beta_hat one coefficient vector per slice; statistic and p_value are
     then arrays of the stack's shape, and NumericError is raised if any
     slice's restriction covariance is singular or has a variance <= 0.
-    where prefixes its message, such as "season 1, hac: ".
+    where prefixes its message, such as "season 1, hac: ".  n = N >= 1.
     """
+    n = require_int("n", n, 1)
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta_hat, dtype=float).reshape(theta.shape[:-2] + (-1,))
     R0, r0 = restriction.R0, restriction.r0
@@ -124,8 +128,10 @@ def t_report(d, beta, thetas, n, where=""):
     in vec order, gets a dict {lag, row, col, estimate, std_errors,
     p_values}, with per method a standard error sqrt(Theta_ii / N) and a
     two-sided normal p-value, the single-restriction Wald p-value.  where
-    prefixes the message of a variance <= 0, such as "season 1: ".
+    prefixes the message of a variance <= 0, such as "season 1: ".  d and
+    n = N are integers >= 1, checked first (errors.require_int).
     """
+    d, n = require_int("d", d, 1), require_int("n", n, 1)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     records = []
     for idx in range(beta.size):

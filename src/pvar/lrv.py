@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, NumericError, require_int
+from .errors import DataError, NumericError, require_int, require_positive
 from .linalg import mT, require_conditioned, solve_guarded, tri_inv
 
 KERNEL_KINDS = ("bartlett", "rect", "parzen", "qs")
@@ -37,12 +37,11 @@ QS_SUPPORT = 10.0
 
 
 class KernelSpec:
+    """A HAC window of KERNEL_KINDS at a bandwidth > 0 (require_positive)."""
     def __init__(self, kind="bartlett", bandwidth=0.1):
         if kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {kind!r}")
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        self.kind, self.bandwidth = kind, bandwidth
+        self.kind, self.bandwidth = kind, require_positive("bandwidth", bandwidth)
 
     @property
     def truncation(self):
@@ -83,6 +82,7 @@ BANDWIDTH_RULES = {
 
 
 def default_bandwidth(n, rule=None):
+    n = require_int("n", n, 1)
     try:
         return BANDWIDTH_RULES["andrews" if rule is None else rule](n)
     except KeyError:
@@ -326,8 +326,8 @@ def theta_strong(omega_inv, sigma):
 
 
 def theta_sandwich(omega_inv, psi, d):
-    """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d)."""
-    bread = _kron(omega_inv, np.eye(d))
+    """(Omega^-1 (x) I_d) Psi (Omega^-1 (x) I_d), d an integer >= 1."""
+    bread = _kron(omega_inv, np.eye(require_int("d", d, 1)))
     return bread @ psi @ bread
 
 

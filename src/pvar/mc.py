@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .errors import DataError, NumericError, PvarError, require_int
+from .errors import DataError, NumericError, PvarError, require_int, require_positive
 from .estimate import PeriodicSeries, fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
@@ -42,6 +42,8 @@ LEVELS = (0.01, 0.05, 0.10)
 
 @dataclass
 class Scenario:
+    """A Monte Carlo study: reps and n_cycles >= 1 and base_seed >= 0 are
+    integers (require_int), a bandwidth is a real > 0 (require_positive)."""
     name: str
     model: PvarModel
     noise: NoiseSpec
@@ -55,6 +57,9 @@ class Scenario:
     def __post_init__(self):
         self.reps = require_int("reps", self.reps, 1)
         self.n_cycles = require_int("n_cycles", self.n_cycles, 1)
+        self.base_seed = require_int("base_seed", self.base_seed, 0)
+        if self.bandwidth is not None:
+            self.bandwidth = require_positive("bandwidth", self.bandwidth)
         for m in self.methods:
             if m not in COV_METHODS.values():
                 raise ValueError(f"unknown method {m!r}")

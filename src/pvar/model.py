@@ -97,14 +97,14 @@ def ma_coefficients(model, n_terms):
     """Moving-average weights of the causal solution, season by season.
 
     Returns a list indexed by season v (1-based via [v-1]) holding
-    matrices C_0(v), ..., C_{n_terms}(v) with
+    matrices C_0(v), ..., C_{n_terms}(v), n_terms >= 0, with
 
         Y[n*s + v] = sum_i C_i(v) eps[n*s + v - i].
     """
     s, d = model.s, model.d
     # coeffs[v - 1][i] built jointly across seasons by lag recursion
     coeffs = [[np.eye(d)] for _ in range(s)]
-    for i in range(1, n_terms + 1):
+    for i in range(1, require_int("n_terms", n_terms, 0) + 1):
         for v in range(1, s + 1):
             acc = np.zeros((d, d))
             for k, phi in enumerate(model.phi[v - 1][:i], start=1):

@@ -71,7 +71,7 @@ def gen_noise(colour, n_cycles, spec, rng):
     """Draw n_cycles full cycles of innovations, coloured by colour =
     colour_matrix(sigmas): an (n_cycles * s, d) array, row t-1 eps[t]."""
     s, d = colour.shape[:2]
-    total = n_cycles * s
+    total = require_int("n_cycles", n_cycles, 1) * s
     if spec.kind == "strong":
         raw = rng.standard_normal((total, d))
     else:
@@ -104,12 +104,13 @@ def simulate(model, n_cycles, spec=None, seed=0, burnin=DEFAULT_BURNIN):
     can use every retained cycle.  seed may be one seed or a sequence;
     a sequence returns one stack of series whose data and presample
     have a leading seed axis, each slice bitwise equal to that seed
-    simulated alone with noise from default_rng(seed).  The recursion
-    steps once per block_cycles(model) cycles (see the module
-    docstring), so it rounds differently from a step-by-step one.
+    simulated alone with noise from default_rng(seed).  Seeds, n_cycles
+    and burnin are integers of at least 0, 1 and 0 (errors.require_int).
+    The recursion steps once per block_cycles(model) cycles (see the
+    module docstring), so it rounds differently from a step-by-step one.
     """
     single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
+    seeds = [require_int("seed", sd, 0) for sd in ([seed] if single else seed)]
     require_int("len(seed)", len(seeds), 1)
     n_cycles = require_int("n_cycles", n_cycles, 1)
     burnin = require_int("burnin", burnin, 0)

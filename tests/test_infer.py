@@ -172,6 +172,14 @@ def test_restriction_coordinates_must_be_nonnegative_integers(index):
     assert np.array_equal(Restriction.coordinates([np.int64(1)], 3).R0, [[0, 1, 0]])
 
 
+@pytest.mark.parametrize("indices, n_coef", [([5], 4), ([0, 4], 4), ([1], 0)])
+def test_restriction_coordinates_rejects_an_index_at_or_past_the_width(indices, n_coef):
+    with pytest.raises(ValueError, match=rf"^index must be below n_coef {n_coef}, "
+                                         rf"got {indices[-1]}$"):
+        Restriction.coordinates(indices, n_coef)
+    assert Restriction.coordinates([], 0).R0.shape == (0, 0)  # a season of order 0
+
+
 def test_t_report_layout_and_identity():
     rng = np.random.default_rng(3)
     beta = rng.standard_normal(4)

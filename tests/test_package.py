@@ -1,16 +1,24 @@
 import ast
+import inspect
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import pvar
+from pvar.analytic import DiagExampleParams
 from pvar.cli_models import write_csv
-from pvar.lrv import BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS
-from pvar.mc import PRESETS
-from pvar.noise import NOISE_KINDS
+from pvar.infer import Restriction, t_report, wald
+from pvar.lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
+                      default_bandwidth, theta_sandwich)
+from pvar.mc import PRESETS, Scenario
+from pvar.model import PvarModel, ma_coefficients
+from pvar.noise import NOISE_KINDS, NoiseSpec, colour_matrix, gen_noise, simulate
 
 SOURCE = pathlib.Path(pvar.__file__).parent
 CLI_FILES = ("cli.py", "cli_models.py")  # all of the command-line code
@@ -110,3 +118,130 @@ def test_cli_imports_no_simulation_or_reference_module_at_module_level():
                 imported += [a.name for a in node.names]
             stack.extend(ast.iter_child_nodes(node))
         assert imported and not {name.split(".")[-1] for name in imported} & unused, path
+
+
+class Reached(Exception):
+    """Raised in place of a callable's first work: its checks have passed."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+class NoDraws:
+    """A random generator whose first draw is Reached."""
+    standard_normal = staticmethod(reached)
+
+
+AR1 = PvarModel(s=1, d=1, phi=[[[[0.5]]]], sigma=[[[1.0]]])
+SEASON = (np.zeros(4), {"strong": np.eye(4)})  # beta and Theta of d = 2, p = 1
+
+
+def row(name, arg, least, good, call, work=None, label=""):
+    """A case of the table below: callable name (Class.method for a
+    method), argument, its least value (None for a bandwidth, a real
+    above 0), a valid value, a call that passes the value, and the
+    function, if any, that holds the call's first work."""
+    return pytest.param(name, arg, least, good, call, work, id=f"{name}-{arg}{label}")
+
+
+#: One case per (public callable, argument) whose count, seed or
+#: bandwidth pvar.errors checks, where the parent code failed without a
+#: ValueError naming it, or not at all.
+ARGUMENTS = [
+    row("wald", "n", 1, 250, lambda v: wald(SEASON[0], np.eye(4), v,
+                                            Restriction.coordinates([3], 4)),
+        "pvar.infer.solve_guarded"),
+    row("t_report", "d", 1, 2, lambda v: t_report(v, *SEASON, 250), "pvar.infer.normal_sf"),
+    row("t_report", "n", 1, 250, lambda v: t_report(2, *SEASON, v), "pvar.infer.normal_sf"),
+    row("Restriction.coordinates", "n_coef", 0, 4,
+        lambda v: Restriction.coordinates([0], v)),
+    row("theta_sandwich", "d", 1, 2, lambda v: theta_sandwich(np.eye(2), np.eye(4), v),
+        "pvar.lrv._kron"),
+    row("default_bandwidth", "n", 1, 1000, default_bandwidth, "pvar.lrv.default_r_max"),
+    row("KernelSpec", "bandwidth", None, 0.1, lambda v: KernelSpec("bartlett", v)),
+    row("gen_noise", "n_cycles", 1, 10,
+        lambda v: gen_noise(colour_matrix([np.eye(2)]), v, NoiseSpec(), NoDraws())),
+    row("ma_coefficients", "n_terms", 0, 3, lambda v: ma_coefficients(AR1, v)),
+    row("simulate", "seed", 0, 7, lambda v: simulate(AR1, 10, seed=v), "pvar.noise._plan"),
+    row("simulate", "seed", 0, 7, lambda v: simulate(AR1, 10, seed=[1, v]),
+        "pvar.noise._plan", "-in-a-list"),
+    row("Scenario", "base_seed", 0, 7,
+        lambda v: Scenario("s", AR1, NoiseSpec(), 10, 1, base_seed=v)),
+    row("Scenario", "bandwidth", None, 0.1,
+        lambda v: Scenario("s", AR1, NoiseSpec(), 10, 1, bandwidth=v)),
+    row("DiagExampleParams", "m", 0, 2, lambda v: DiagExampleParams(m=v)),
+]
+
+
+@pytest.mark.parametrize("name, arg, least, good, call, work", ARGUMENTS)
+def test_counts_seeds_and_bandwidths_are_checked_before_any_work(
+        monkeypatch, name, arg, least, good, call, work):
+    if work:
+        monkeypatch.setattr(work, reached)
+    if least is None:
+        bad, numpy_type = (True, "0.1", 0.0, -1.0, math.nan), np.float64
+    else:
+        bad, numpy_type = (True, 2.5, "1", least - 1), np.int64
+    for value in bad:
+        with pytest.raises(ValueError, match=rf"^{re.escape(arg)} must be "):
+            call(value)
+    for value in (good, numpy_type(good)):
+        try:
+            call(value)
+        except Reached:
+            pass
+
+
+#: The arguments that count, seed or set a bandwidth.
+CHECKED_NAMES = {"n", "n_cycles", "n_terms", "n_coef", "d", "s", "m", "reps", "burnin",
+                 "r_max", "seed", "base_seed", "bandwidth"}
+
+#: (callable, argument) pairs that ARGUMENTS leaves out, each with why.
+EXEMPT = {
+    ("FitResult", "s"): "a record that fit_ols fills from a checked PeriodicSeries",
+    ("FitResult", "d"): "a record that fit_ols fills from a checked PeriodicSeries",
+    ("McReport", "reps"): "a record that run_scenario fills from a checked Scenario",
+    ("PeriodicSeries", "s"): "checked before: test_estimate.py::"
+                             "test_periodic_series_rejects_a_period_that_is_not_a_positive_integer",
+    ("PvarModel", "s"): "checked before: test_model.py::test_model_validation",
+    ("PvarModel", "d"): "checked before: test_model.py::test_model_validation",
+    ("NoiseSpec", "m"): "checked before: test_noise.py::test_noise_spec_validation",
+    ("simulate", "n_cycles"): "checked before: test_noise.py::"
+                              "test_simulate_rejects_bad_arguments_before_any_work",
+    ("simulate", "burnin"): "checked before: test_noise.py::"
+                            "test_simulate_rejects_bad_arguments_before_any_work",
+    ("Scenario", "n_cycles"): "checked before: test_mc.py::"
+                              "test_scenario_rejects_counts_that_are_not_integers",
+    ("Scenario", "reps"): "checked before: test_mc.py::"
+                          "test_scenario_rejects_counts_that_are_not_integers",
+    ("select_ar_order_aic", "r_max"): "checked before: test_lrv.py::"
+                                      "test_select_ar_order_aic_rejects_an_r_max_that_is_not_an_integer",
+    ("preset", "n_cycles"): "None for the preset's value, else passed to Scenario",
+    ("preset", "reps"): "None for the preset's value, else passed to Scenario",
+    ("preset", "base_seed"): "None for the preset's value, else passed to Scenario",
+    ("example_model", "m"): "passed to DiagExampleParams and NoiseSpec, which check it",
+}
+
+
+def public_signatures():
+    """(name, signature) of each callable in pvar.__all__: functions, class
+    constructors and the public methods of a class, as Class.method."""
+    for name in pvar.__all__:
+        obj = getattr(pvar, name)
+        if inspect.ismodule(obj) or not callable(obj):
+            continue
+        yield name, inspect.signature(obj)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    yield f"{name}.{attr}", inspect.signature(getattr(obj, attr))
+
+
+def test_every_count_seed_and_bandwidth_argument_is_in_the_table_or_exempt():
+    found = {(name, arg) for name, sig in public_signatures()
+             for arg in sig.parameters if arg in CHECKED_NAMES}
+    rows = {tuple(case.values[:2]) for case in ARGUMENTS}
+    assert found - rows - set(EXEMPT) == set()
+    assert (rows | set(EXEMPT)) - found == set()  # no stale entry
+    assert not rows & set(EXEMPT) and all(EXEMPT.values())

@@ -132,6 +132,21 @@ def test_compare_outputs_fits_a_fixed_ar_order_and_an_order_list(tmp_path, capsy
         assert command == "wald" or out["orders"] == orders
 
 
+def test_compare_outputs_runs_mc_from_the_least_seed(tmp_path, capsys):
+    # no other call passes --seed, and 0 is the least the seed rule accepts
+    tool = load_tool()
+    listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
+    argv, fails = listed["mc model-I --seed 0"]
+    assert not fails and argv == tool.SEEDED_MC
+    at = argv.index("--seed")
+    assert argv[at + 1] == "0"
+    reports = []
+    for call in (argv, argv[:at] + argv[at + 2:]):  # --seed 0, the preset's seed
+        assert main(call) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["completed"] == 50 and reports[0] != reports[1]
+
+
 def test_compare_outputs_compares_the_file_a_fit_writes(tmp_path):
     # the file must be whole when the process ends, which it does by
     # os._exit without the interpreter's teardown

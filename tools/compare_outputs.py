@@ -14,7 +14,8 @@ which run() reads and deletes after each call:
 - three calls that must fail (error_calls): a missing `--data` file, a
   model file without its `s` key and `mc --reps 0`;
 - `mc --format json` on every preset the dump lists, at the CLI's
-  default 1000 replications;
+  default 1000 replications, and SEEDED_MC, 50 model-I replications
+  from `--seed 0`, the least seed there is;
 - `fit` and `wald` JSON on the series of the benchmark's cli-bivariate
   and cli-wide workloads (bench/inputs.py draws them, bench/workloads.py
   gives the arguments);
@@ -62,6 +63,9 @@ import workloads  # noqa: E402
 DUMP = ["mc", "--dump-scenarios"]
 COMMANDS = ("simulate", "fit", "wald", "mc", "analytic")
 DATA_SEED = 1
+#: An mc call with the least base seed, 0; the preset calls use their own.
+SEEDED_MC = ["mc", "--scenario", "model-I", "--reps", "50", "--seed", "0",
+             "--format", "json"]
 KERNELS = ("rect", "parzen", "qs")
 COV = ("strong", "sp", "hac")
 #: One covariance method and a flag that only the other method reads.
@@ -135,6 +139,7 @@ def calls(tmp, scenarios):
         yield f"error {label}", argv, True
     for name in scenarios:
         yield f"mc {name}", ["mc", "--scenario", name, "--format", "json"], False
+    yield "mc model-I --seed 0", SEEDED_MC, False
     for workload, spec in workloads.CLI.items():
         csv = os.path.join(tmp, f"{workload}.csv")
         inputs.write_csv(csv, inputs.simulate(spec["phi"], spec["sigma"],
