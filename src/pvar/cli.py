@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError, NumericError, PvarError
+from .errors import DataError, NumericError, PvarError, require_positive
 from .estimate import PeriodicSeries, fit_ols
 from .infer import Restriction, t_report, wald
 from .linalg import vec
@@ -164,13 +164,11 @@ def _bandwidth_value(arg, n):
         except ValueError as exc:
             raise DataError(str(exc)) from None
     try:
-        b = float(arg)
-    except ValueError:
+        return require_positive("--bandwidth", float(arg))
+    except ValueError:  # not a number, or not in (0, inf)
         raise DataError(f"--bandwidth must be a rule name "
-                        f"({', '.join(sorted(BANDWIDTH_RULES))}) or a number") from None
-    if not 0 < b < math.inf:
-        raise DataError("--bandwidth must be a positive finite number")
-    return b
+                        f"({', '.join(sorted(BANDWIDTH_RULES))}) or a finite real above 0, "
+                        f"got {arg!r}") from None
 
 
 def _covariances_from_args(args, fit, seasons=None):

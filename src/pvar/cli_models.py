@@ -22,7 +22,7 @@ def write_csv(path, data):
                  for row in np.atleast_2d(data)), path)
 
 
-def _parse_matrix(text, what):
+def _parse_matrix(text, what, d):
     try:
         rows = [[float(x) for x in row.split()] for row in text.split(";")]
     except ValueError:
@@ -32,6 +32,8 @@ def _parse_matrix(text, what):
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{what}: ragged matrix literal {text!r}")
+    if (len(rows), widths.pop()) != (d, d):
+        raise DataError(f"{what}: expected {d}x{d}")
     return np.array(rows, dtype=float)
 
 
@@ -102,21 +104,15 @@ def read_model(path):
             key = f"phi{k}"
             if key not in block:
                 raise DataError(f"{path}: season {v}: missing '{key}'")
-            mat = _parse_matrix(block[key], f"{path}: season {v} {key}")
-            if mat.shape != (d, d):
-                raise DataError(f"{path}: season {v} {key}: expected {d}x{d}")
-            lags.append(mat)
+            lags.append(_parse_matrix(block[key], f"{path}: season {v} {key}", d))
         # phi1..phip are all present here, so p is at most the block's size
         unknown = set(block) - {"p", "sigma"} - {f"phi{k}" for k in range(1, p + 1)}
         if unknown:
             raise DataError(f"{path}: season {v}: unknown key '{min(unknown)}'")
         if "sigma" not in block:
             raise DataError(f"{path}: season {v}: missing 'sigma'")
-        sig = _parse_matrix(block["sigma"], f"{path}: season {v} sigma")
-        if sig.shape != (d, d):
-            raise DataError(f"{path}: season {v} sigma: expected {d}x{d}")
         phi.append(lags)
-        sigma.append(sig)
+        sigma.append(_parse_matrix(block["sigma"], f"{path}: season {v} sigma", d))
     return PvarModel(s=s, d=d, phi=phi, sigma=sigma)
 
 

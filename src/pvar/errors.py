@@ -1,7 +1,8 @@
-"""Exception types; require_int checks a count or seed (least 1 for a
-size, 0 for a seed, order or term count), require_positive a bandwidth.
+"""Exception types; require_int checks an integer (least 1 for a size, season
+or df, 0 for a seed, order or term count), require_positive a bandwidth.
 The class alone sets the CLI exit code: ValueError 2, DataError 3, else 4."""
 
+from math import inf
 from numbers import Integral, Real  # numpy imports numbers too: no extra cost
 
 
@@ -27,7 +28,7 @@ def require_int(name, value, low):
 
 
 def require_positive(name, value):
-    """float(value) if it is a real, numpy's too, not a bool, above 0."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not value > 0:
-        raise ValueError(f"{name} must be a real above 0, got {value!r}")
+    """float(value) if it is a real, numpy's too, not a bool, in (0, inf)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < inf:
+        raise ValueError(f"{name} must be a finite real above 0, got {value!r}")
     return float(value)

@@ -20,38 +20,27 @@ from .linalg import solve_guarded
 
 
 def chisq_sf(x, df):
-    """Upper tail of the chi-squared distribution with integer df.
+    """Upper tail of the chi-squared distribution with integer df >= 1.
 
-    With y = x/2 the tail has finite forms whose terms are all
-    positive: exp(-y) sum_{i<k} y^i / i! for df = 2k, and
-    erfc(sqrt y) + exp(-y) sum_{i<k} y^(i+1/2) / Gamma(i+3/2) for
-    df = 2k+1.  The sum is scaled by exp(-y) through its logarithm, so
-    the tail underflows only where its value does; where the sum
-    overflows, it is summed again from its terms' logarithms.  Rounding
-    past 1 is clamped to 1.
+    With y = x/2 the tail is erfc(sqrt y) + exp(-y) sum_{i<k} y^(i+1/2) /
+    Gamma(i+3/2) for df = 2k+1 (df = 1: erfc alone), and exp(-y) sum_{i<k}
+    y^i / i! for df = 2k.  Summed from the terms' logarithms and scaled in
+    the exponent, it underflows only where its value does; it is at most 1.
     """
-    if not (float(df).is_integer() and df >= 1):
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
-    if x <= 0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
+    df = require_int("df", df, 1)
     y = x / 2.0
-    if df % 2:
-        tail, term, first = math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi), 1.5
-    else:
-        tail, term, first = 0.0, 1.0, 1.0
-    total = 0.0
-    for i in range(int(df) // 2):
-        total += term
-        term *= y / (i + first)
-    if total == math.inf:  # term i is y^(i + first - 1) / Gamma(i + first)
-        logs = [(i + first - 1) * math.log(y) - math.lgamma(i + first)
-                for i in range(int(df) // 2)]
-        top = max(logs)
-        log_total = top + math.log(sum(math.exp(t - top) for t in logs))
-        return min(1.0, tail + math.exp(log_total - y))
-    return min(1.0, tail + math.exp(math.log(total) - y)) if total > 0 else tail
+    if y <= 0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    tail, first = (math.erfc(math.sqrt(y)), 1.5) if df % 2 else (0.0, 1.0)
+    if df == 1:
+        return tail
+    logs = [(i + first - 1) * math.log(y) - math.lgamma(i + first)
+            for i in range(df // 2)]  # term i: y^(i + first - 1) / Gamma(i + first)
+    top = max(logs)
+    log_sum = top + math.log(sum(math.exp(t - top) for t in logs))
+    return min(tail + math.exp(log_sum - y), 1.0)  # a nan sum stays nan
 
 
 def normal_sf(x):

@@ -335,8 +335,8 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     """Theta estimates {season: {method: Theta}}; seasons defaults to all.
 
     methods are keys of COV_METHODS, ar_order is "aic" or an integer of
-    at least 0 (errors.require_int) and seasons nonempty integers, not
-    bools, in 1..s (None: all), all checked before any work is done.
+    at least 0 and seasons nonempty integers in 1..s (None: all), each
+    checked by errors.require_int and all before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
     Each season inverts its Omega and sums the autocovariances of W once,
@@ -347,10 +347,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     for method in methods:
         if method not in COV_METHODS:
             raise ValueError(f"unknown covariance method {method!r}")
-    seasons = range(1, fit.s + 1) if seasons is None else list(seasons)
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in seasons):
-        raise ValueError(f"seasons must be integers, got {seasons}")
-    if not seasons or any(v not in range(1, fit.s + 1) for v in seasons):
+    seasons = (range(1, fit.s + 1) if seasons is None
+               else [require_int("season", v, 1) for v in seasons])
+    if not seasons or max(seasons) > fit.s:
         raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
     if ar_order != "aic":
         require_int("ar_order", ar_order, 0)

@@ -450,6 +450,8 @@ def _write(path, content):
     ("model-header-key", 3, "header_model.txt: line 4: unknown header key 'peroid'"),
     ("model-header-repeated", 3, "dup_header_model.txt: line 3: repeated key 's'"),
     ("model-key-repeated", 3, "dup_key_model.txt: line 9: repeated key 'sigma'"),
+    ("model-phi-shape", 3, "phi_shape_model.txt: season 2 phi1: expected 2x2"),
+    ("model-sigma-shape", 3, "sigma_shape_model.txt: season 1 sigma: expected 2x2"),
     ("mc-too-few-cycles", 3, "error: scenario 'model-I': every replication failed, "
      "the first with: season 1: 1 cycles cannot support order 1"),
 ])
@@ -519,6 +521,13 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
             tmp_path / "dup_key_model.txt",
             MODEL_TEXT.replace("sigma = 1.5 0; 0 2.5",
                                "sigma = 1.5 0; 0 2.5\nsigma = 2 0; 0 2").encode())],
+        "model-phi-shape": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "phi_shape_model.txt",
+            MODEL_TEXT.replace("phi1 = -0.7 0; 0 0.15",
+                               "phi1 = -0.7 0 0; 0 0.15 0; 0 0 0.1").encode())],
+        "model-sigma-shape": ["simulate", "--n", "5", "--model", _write(
+            tmp_path / "sigma_shape_model.txt",
+            MODEL_TEXT.replace("sigma = 1.5 0; 0 2.5", "sigma = 1.5").encode())],
         "mc-too-few-cycles": ["mc", "--scenario", "model-I", "--reps", "3", "--n", "1"],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,

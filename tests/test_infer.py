@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -85,10 +87,17 @@ def test_chisq_sf_of_a_small_statistic_with_many_restrictions_is_at_most_one():
                                    rtol=1e-11, atol=0, err_msg=f"df={df}")
 
 
-@pytest.mark.parametrize("df", [1.5, 0, -2, float("nan")])
+@pytest.mark.parametrize("df", [1.5, 0, -2, float("nan"), 2.0, True])
 def test_chisq_sf_rejects_non_integer_df(df):
-    with pytest.raises(ValueError, match="positive integer"):
+    # 2.0 and True ran as integers under a rule of its own
+    with pytest.raises(ValueError, match=r"^df must be (an integer|at least 1), got "):
         chisq_sf(1.0, df)
+
+
+def test_chisq_sf_at_one_degree_of_freedom_is_the_erfc_tail_exactly():
+    # every mc preset and every CLI wald call of one restriction reads it
+    for x in (0.001, 0.01, 0.5, 1.0, 2.0, 3.84, 10.0, 50.0, 100.0, 300.0, 700.0, 1400.0):
+        assert chisq_sf(x, 1) == math.erfc(math.sqrt(x / 2)), x
 
 
 def test_normal_sf_matches_ndtr():

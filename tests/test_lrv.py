@@ -797,7 +797,7 @@ def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):
 def test_covariances_rejects_seasons_outside_the_fit_before_any_work(
         monkeypatch, seasons):
     # [0] read season 5 through X[-1], [6] raised IndexError and [] gave
-    # every season
+    # every season; the least season is errors.require_int's rule
     model = preset("model-I").model
     fit = fit_ols(simulate(model, 100, NoiseSpec(), seed=2), 1)
 
@@ -805,8 +805,9 @@ def test_covariances_rejects_seasons_outside_the_fit_before_any_work(
         raise AssertionError("an estimator ran")
 
     monkeypatch.setattr(pvar.lrv, "omega_hat", fail)
-    with pytest.raises(ValueError, match=r"seasons must be nonempty and in 1\.\.5, "
-                       r"got \[.*\]$"):
+    message = (r"^season must be at least 1, got 0$" if 0 in seasons
+               else r"^seasons must be nonempty and in 1\.\.5, got \[.*\]$")
+    with pytest.raises(ValueError, match=message):
         covariances(fit, ["strong"], KernelSpec(), seasons=seasons)
     monkeypatch.undo()
     assert list(covariances(fit, ["strong"], KernelSpec(), seasons=(5, 1))) == [5, 1]
@@ -821,7 +822,7 @@ def test_covariances_rejects_seasons_that_are_not_integers(monkeypatch, seasons)
     model = preset("model-I").model
     fit = fit_ols(simulate(model, 100, NoiseSpec(), seed=2), 1)
     monkeypatch.setattr(pvar.lrv, "omega_hat", lambda X: 1 / 0)
-    with pytest.raises(ValueError, match=r"seasons must be integers, got \[.*\]$"):
+    with pytest.raises(ValueError, match=r"^season must be an integer, got \S+$"):
         covariances(fit, ["strong"], KernelSpec(), seasons=seasons)
     monkeypatch.undo()
     got = covariances(fit, ["strong"], KernelSpec(), seasons=[np.int64(2), np.uint8(4)])

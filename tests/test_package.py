@@ -13,7 +13,7 @@ import pytest
 import pvar
 from pvar.analytic import DiagExampleParams
 from pvar.cli_models import write_csv
-from pvar.infer import Restriction, t_report, wald
+from pvar.infer import Restriction, chisq_sf, t_report, wald
 from pvar.lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
                       default_bandwidth, theta_sandwich)
 from pvar.mc import PRESETS, Scenario
@@ -139,13 +139,13 @@ SEASON = (np.zeros(4), {"strong": np.eye(4)})  # beta and Theta of d = 2, p = 1
 
 def row(name, arg, least, good, call, work=None, label=""):
     """A case of the table below: callable name (Class.method for a
-    method), argument, its least value (None for a bandwidth, a real
-    above 0), a valid value, a call that passes the value, and the
+    method), argument, its least value (None for a bandwidth, a finite
+    real above 0), a valid value, a call that passes the value, and the
     function, if any, that holds the call's first work."""
     return pytest.param(name, arg, least, good, call, work, id=f"{name}-{arg}{label}")
 
 
-#: One case per (public callable, argument) whose count, seed or
+#: One case per (public callable, argument) whose count, seed, df or
 #: bandwidth pvar.errors checks, where the parent code failed without a
 #: ValueError naming it, or not at all.
 ARGUMENTS = [
@@ -171,6 +171,7 @@ ARGUMENTS = [
     row("Scenario", "bandwidth", None, 0.1,
         lambda v: Scenario("s", AR1, NoiseSpec(), 10, 1, bandwidth=v)),
     row("DiagExampleParams", "m", 0, 2, lambda v: DiagExampleParams(m=v)),
+    row("chisq_sf", "df", 1, 3, lambda v: chisq_sf(3.0, v)),
 ]
 
 
@@ -180,7 +181,7 @@ def test_counts_seeds_and_bandwidths_are_checked_before_any_work(
     if work:
         monkeypatch.setattr(work, reached)
     if least is None:
-        bad, numpy_type = (True, "0.1", 0.0, -1.0, math.nan), np.float64
+        bad, numpy_type = (True, "0.1", 0.0, -1.0, math.nan, math.inf), np.float64
     else:
         bad, numpy_type = (True, 2.5, "1", least - 1), np.int64
     for value in bad:
@@ -193,15 +194,16 @@ def test_counts_seeds_and_bandwidths_are_checked_before_any_work(
             pass
 
 
-#: The arguments that count, seed or set a bandwidth.
+#: The arguments that count, seed, set a bandwidth or give degrees of freedom.
 CHECKED_NAMES = {"n", "n_cycles", "n_terms", "n_coef", "d", "s", "m", "reps", "burnin",
-                 "r_max", "seed", "base_seed", "bandwidth"}
+                 "r_max", "seed", "base_seed", "bandwidth", "df"}
 
 #: (callable, argument) pairs that ARGUMENTS leaves out, each with why.
 EXEMPT = {
     ("FitResult", "s"): "a record that fit_ols fills from a checked PeriodicSeries",
     ("FitResult", "d"): "a record that fit_ols fills from a checked PeriodicSeries",
     ("McReport", "reps"): "a record that run_scenario fills from a checked Scenario",
+    ("WaldResult", "df"): "a record that wald fills with its restriction's row count",
     ("PeriodicSeries", "s"): "checked before: test_estimate.py::"
                              "test_periodic_series_rejects_a_period_that_is_not_a_positive_integer",
     ("PvarModel", "s"): "checked before: test_model.py::test_model_validation",

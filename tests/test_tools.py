@@ -57,18 +57,19 @@ def test_compare_outputs_names_the_first_differing_line():
 
 def test_compare_outputs_checks_help_analytic_and_error_calls(tmp_path, capsys):
     listed = list(load_tool().calls(str(tmp_path), {}))
-    assert [label for label, _, _ in listed[:12]] == [
+    assert [label for label, _, _ in listed[:13]] == [
         "help pvar", "help simulate", "help fit", "help wald", "help mc", "help analytic",
         "analytic table", "analytic csv", "analytic json", "error missing data",
-        "error model without s", "error mc reps 0"]
+        "error model without s", "error model sigma shape", "error mc reps 0"]
     assert [label for label, _, fails in listed if fails] == [
-        "error missing data", "error model without s", "error mc reps 0",
-        "error fit cli-bivariate flat kernel"]
-    assert [main(argv) for _, argv, _ in listed[:12]] == [0] * 9 + [3, 3, 2]
+        "error missing data", "error model without s", "error model sigma shape",
+        "error mc reps 0", "error fit cli-bivariate flat kernel"]
+    assert [main(argv) for _, argv, _ in listed[:13]] == [0] * 9 + [3, 3, 3, 2]
     err = capsys.readouterr().err.splitlines()
     assert err[0].endswith("missing.csv: [Errno 2] No such file or directory: "
                            f"'{tmp_path / 'missing.csv'}'")
     assert err[1].endswith("no-s.model: missing header key 's'")
+    assert err[2].endswith("sigma.model: season 1 sigma: expected 2x2")
 
 
 def test_compare_outputs_fits_under_each_kernel_and_from_a_pipe(tmp_path):
@@ -163,3 +164,18 @@ def test_compare_outputs_compares_the_file_a_fit_writes(tmp_path):
     assert not os.path.exists(out_file)
     assert tool.first_difference((0, b"", b"", out), (0, b"", b"", out[:-1])).startswith(
         "--out file: line ")
+
+
+def test_compare_outputs_runs_a_wald_call_of_several_restrictions(tmp_path, capsys):
+    # every other wald call tests one coefficient per season, df = 1
+    tool = load_tool()
+    listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
+    argv, fails = listed["wald cli-bivariate joint restrictions"]
+    plain = listed["wald cli-bivariate"][0]
+    assert not fails and argv[:-10] == plain[:plain.index("--restrict")]
+    assert argv[-10::2] == ["--restrict"] * 5 and argv[-9::2] == list(tool.JOINT_RESTRICTIONS)
+    assert "--cov" in argv and argv[argv.index("--cov") + 1] == "strong,sp,hac"
+    assert main(argv) == 0
+    tests = json.loads(capsys.readouterr().out)["tests"]
+    assert sorted({(t["season"], t["df"]) for t in tests}) == [(1, 3), (2, 2)]
+    assert {t["method"] for t in tests} == {"strong", "sp", "hac"}

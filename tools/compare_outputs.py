@@ -11,8 +11,9 @@ which run() reads and deletes after each call:
 - `mc --dump-scenarios`;
 - `--help` of pvar and of each command;
 - `analytic` as a table, CSV and JSON;
-- three calls that must fail (error_calls): a missing `--data` file, a
-  model file without its `s` key and `mc --reps 0`;
+- four calls that must fail (error_calls): a missing `--data` file, a
+  model file without its `s` key, one whose `sigma` is 1x1 where d = 2,
+  and `mc --reps 0`;
 - `mc --format json` on every preset the dump lists, at the CLI's
   default 1000 replications, and SEEDED_MC, 50 model-I replications
   from `--seed 0`, the least seed there is;
@@ -26,6 +27,8 @@ which run() reads and deletes after each call:
 - the cli-bivariate `fit` and `wald` under each covariance method
   alone (COV), and a `fit --cov hac` that must fail with exit 4, its
   `rect` kernel at `--bandwidth full` weighting every lag 1;
+- the cli-bivariate `wald` of JOINT_RESTRICTIONS, tests of 3 and 2
+  restrictions, the one call whose chi-squared tail has df > 1;
 - the cli-wide `fit` under one method with the other's flag set far
   from its default (UNRELATED_FLAGS): `--cov sp --bandwidth 0.001` and
   `--cov hac --ar-order 100`;
@@ -73,6 +76,10 @@ UNRELATED_FLAGS = (("sp", "--bandwidth", "0.001"), ("hac", "--ar-order", "100"))
 #: The cli-bivariate --order list: season 1 of order 2, season 2, which
 #: the workload restricts nowhere, of order 0.
 SEASON_ORDERS = "2,0,1,1,2"
+#: The cli-bivariate --restrict list in place of the workload's: three
+#: coefficients of season 1 and two of season 2, each tested jointly.
+JOINT_RESTRICTIONS = ("phi[1](1,2)=0", "phi[1](2,1)=0", "phi[1](2,2)=0",
+                      "phi[2](1,2)=0", "phi[2](2,2)=0")
 #: The CSV, written by calls() in its directory, that a call with
 #: `--data /dev/stdin` gets through a pipe.
 PIPED_CSV = "cli-bivariate.csv"
@@ -118,12 +125,15 @@ def simulate_models():
 
 def error_calls(tmp):
     """(label, argv) of the calls that must fail, with files in tmp."""
-    no_s = os.path.join(tmp, "no-s.model")
-    with open(no_s, "w", encoding="utf-8") as fh:
-        fh.write("d = 2\n")
+    no_s, sigma_1x1 = (os.path.join(tmp, name) for name in ("no-s.model", "sigma.model"))
+    for path, text in ((no_s, "d = 2\n"),
+                       (sigma_1x1, "s = 1\nd = 2\n[season 1]\np = 0\nsigma = 1\n")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return [("missing data", ["fit", "--data", os.path.join(tmp, "missing.csv"),
                               "--s", "2"]),
             ("model without s", ["simulate", "--model", no_s, "--n", "10"]),
+            ("model sigma shape", ["simulate", "--model", sigma_1x1, "--n", "10"]),
             ("mc reps 0", ["mc", "--reps", "0"])]
 
 
@@ -158,6 +168,10 @@ def calls(tmp, scenarios):
             yield f"{command} cli-bivariate {method}", argv + ["--cov", method], False
     yield ("error fit cli-bivariate flat kernel",
            fit + ["--cov", "hac", "--kernel", "rect", "--bandwidth", "full"], True)
+    wald = bivariate["wald"]
+    yield ("wald cli-bivariate joint restrictions",
+           wald[:wald.index("--restrict")]
+           + [word for r in JOINT_RESTRICTIONS for word in ("--restrict", r)], False)
     wide = dict(workloads.cli_argv("cli-wide", os.path.join(tmp, "cli-wide.csv")))["fit"]
     for method, flag, value in UNRELATED_FLAGS:
         yield (f"fit cli-wide {method} {flag} {value}",
