@@ -23,7 +23,7 @@ _PUBLIC = {  # submodule: the names the package re-exports from it
             "kernel_weight", "omega_hat", "psi_hac", "psi_spectral", "score_series",
             "select_ar_order_aic", "theta_sandwich", "theta_strong"),
     "mc": ("McReport", "Scenario", "preset", "run_scenario"),
-    "model": ("PvarModel", "companion_spectral_radius", "ma_coefficients"),
+    "model": ("PvarModel", "companion_spectral_radius"),
     "noise": ("NoiseSpec", "colour_matrix", "gen_noise", "simulate"),
     "oracle": ("ExactCovariances", "exact_covariances"),
 }

@@ -328,7 +328,7 @@ def _add_flags(p, command):
         p.add_argument("--cov", type=_cov_methods, default=",".join(COV_METHODS))
         p.add_argument("--kernel", choices=KERNEL_KINDS, default="bartlett")
         p.add_argument("--bandwidth", default=None,
-                       help="rule name or explicit positive value")
+                       help="a rule name or a finite real above 0")
         p.add_argument("--ar-order", type=_ar_order, default="aic",
                        help='"aic" or a fixed nonnegative integer')
     if command == "wald":

@@ -335,7 +335,7 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
     """Theta estimates {season: {method: Theta}}; seasons defaults to all.
 
     methods are keys of COV_METHODS, ar_order is "aic" or an integer of
-    at least 0 and seasons nonempty integers in 1..s (None: all), each
+    at least 0 and seasons distinct integers in 1..s (None: all), each
     checked by errors.require_int and all before any work is done.
     "strong" is Omega^-1 (x) Sigma; "sp" and "hac" are sandwiches whose
     Psi is psi_spectral(W, ar_order) or psi_hac(W, hac) of the scores W.
@@ -349,8 +349,9 @@ def covariances(fit, methods, hac, ar_order="aic", seasons=None):
             raise ValueError(f"unknown covariance method {method!r}")
     seasons = (range(1, fit.s + 1) if seasons is None
                else [require_int("season", v, 1) for v in seasons])
-    if not seasons or max(seasons) > fit.s:
-        raise ValueError(f"seasons must be nonempty and in 1..{fit.s}, got {seasons}")
+    if not seasons or len(set(seasons)) < len(seasons) or max(seasons) > fit.s:
+        raise ValueError(
+            f"seasons must be nonempty, distinct and in 1..{fit.s}, got {seasons}")
     if ar_order != "aic":
         require_int("ar_order", ar_order, 0)
     N = fit.n_used

@@ -4,12 +4,19 @@ The moments are those of the process the simulator draws (see
 noise.py), for any causal PVAR under strong or product noise.  The
 innovation of season v is eps_t = M(v)' u_t, where M(v) is the upper
 Cholesky factor of Sigma(v) and u_t has independent unit-variance
-channels.  With the moving-average weights C_i(v) of ma_coefficients
-the regressor stack X_t = (Y[t-1]', ..., Y[t-p(v)]')' of season v is
+channels.
 
-    X_t = sum_{j >= 1} G_j(v) u_{t-j},   block k of G_j(v) = C_{j-k}(v-k) M(v-j)',
-
-so Omega(v) = sum_j G_j(v) G_j(v)'.
+Over r = 1 + ceil(max(max_p, m) / s) cycles the values are A x + U u:
+(A, B) = cycle_maps of the model taken r cycles at a time, U = B C'
+with C its colour_matrix, x the max_p values before the r cycles and
+u their unit innovations.  The last max_p rows of A and U give the
+state map x -> F x + H u, whose stationary covariance V = F V F' + H H'
+is summed by doubling (Smith's iteration: V += F V F', then F = F F,
+until V stops changing); the values then have covariance A V A' + U U'.
+For season v of the last cycle, the regressors X_t = (Y[t-1]', ...,
+Y[t-p(v)]')' and the m innovations before t lie among them: Omega(v) is
+a block of that covariance, and in X_t = sum_{j >= 1} G_j(v) u_{t-j}
+each G_j(v), j <= m, is a block of U.
 
 Under product noise each channel of u is P_t = eta_t ... eta_{t+m} for
 iid standard normals eta.  The newest factor eta_{t+m} of u_t enters
@@ -28,19 +35,12 @@ Omega(v)^-1 (x) Sigma(v).
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .linalg import cholesky_upper
 from .lrv import omega_inverse, theta_sandwich, theta_strong
-from .model import companion_spectral_radius, ma_coefficients, require_causal
-
-#: Relative size of the neglected tail of the moving-average sum.
-TAIL_TOL = 1e-17
-
-#: Longest moving-average expansion tried before giving up.
-MAX_TERMS = 1 << 16
+from .model import PvarModel, cycle_maps, require_causal
+from .noise import colour_matrix
 
 
 @dataclass
@@ -53,37 +53,6 @@ class ExactCovariances:
     theta: list
 
 
-def _loadings(model, n_terms):
-    """G_1(v), ..., G_n_terms(v) per season, each of shape (n, d p(v), d)."""
-    s, d = model.s, model.d
-    coeffs = ma_coefficients(model, n_terms)
-    mt = [cholesky_upper(sig).T for sig in model.sigma]
-    out = []
-    for v in range(1, s + 1):
-        p = model.p(v)
-        G = np.zeros((n_terms, d * p, d))
-        for j in range(1, n_terms + 1):
-            for k in range(1, min(p, j) + 1):
-                G[j - 1, (k - 1) * d:k * d] = \
-                    coeffs[(v - k - 1) % s][j - k] @ mt[(v - j - 1) % s]
-        out.append(G)
-    return out
-
-
-def _converged_loadings(model):
-    """Loadings long enough that the last cycle adds below TAIL_TOL."""
-    rho = companion_spectral_radius(model)
-    cycles = math.ceil(math.log(TAIL_TOL) / math.log(rho)) if rho > 0 else 1
-    n_terms = model.max_p + model.s * (cycles + 1)
-    while n_terms <= MAX_TERMS:
-        loads = _loadings(model, n_terms)
-        if all(np.sum(G[-model.s:] ** 2) <= TAIL_TOL * np.sum(G ** 2)
-               for G in loads):
-            return loads
-        n_terms *= 2
-    raise ValueError("moving-average weights decay too slowly for the oracle")
-
-
 def exact_covariances(model, noise=None):
     """Exact Omega, Psi, Theta_S and Theta of every season.
 
@@ -93,18 +62,25 @@ def exact_covariances(model, noise=None):
     """
     require_causal(model)
     m = noise.m if noise is not None and noise.kind == "weak-product" else 0
-    d = model.d
+    s, d, r = model.s, model.d, 1 + -(-max(model.max_p, m) // model.s)
+    n = r * s
+    A, B = cycle_maps(PvarModel(n, d, model.phi * r, model.sigma * r))
+    C = colour_matrix(model.sigma * r)
+    U = B @ C.reshape(n * d, n * d).T
+    F, H = A[len(A) - A.shape[1]:], U[len(A) - A.shape[1]:]  # the state map
+    V, last = H @ H.T, None
+    while not np.array_equal(V, last):
+        V, last, F = V + F @ V @ F.T, V, F @ F
+    cov, U = (A @ V @ A.T + U @ U.T).reshape(n, d, n, d), U.reshape(n, d, n, d)
     out = ExactCovariances([], [], [], [])
-    for v, G in enumerate(_converged_loadings(model), start=1):
-        sigma = model.sigma[v - 1]
-        omega = np.einsum("jka,jla->kl", G, G)
+    for v, sigma in enumerate(model.sigma, start=1):
+        t = n - s + v - 1  # the season's value in the last cycle
+        rows, k = t - np.arange(1, model.p(v) + 1), model.p(v) * d
+        omega = cov[rows][:, :, rows].reshape(k, k)
         psi = np.kron(omega, sigma)
-        rows = cholesky_upper(sigma)
-        for j in range(1, min(m, G.shape[0]) + 1):
-            excess = 3.0 ** (m + 1 - j) - 1.0
-            for a in range(d):
-                w = np.kron(G[j - 1][:, a], rows[a])
-                psi += excess * np.outer(w, w)
+        for j in range(1, m + 1):  # row a of W is w_ja, M(v) = C[t, :, t]
+            W = np.einsum("kia,ab->akib", U[rows, :, t - j], C[t, :, t]).reshape(d, -1)
+            psi += (3.0 ** (m + 1 - j) - 1.0) * W.T @ W
         out.omega.append(omega)
         out.psi.append(psi)
         omega_inv = omega_inverse(omega)

@@ -50,3 +50,28 @@ def lifted_companion_radius(model):
     comp = np.eye(ds * p_star, k=-ds)
     comp[:ds] = np.hstack([np.linalg.solve(phi0, blk) for blk in phis])
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+
+def lifted_covariance(model, cycles):
+    """Stationary covariance of `cycles` consecutive stacked vectors,
+    newest first, with cycles >= p*.
+
+    It solves the discrete Lyapunov equation of the stacked VAR's
+    companion matrix, written with `cycles` lags (the ones past p* are
+    zero), by one Kronecker-product solve.
+    """
+    phi0, phis = lifted_var(model)
+    ds = phi0.shape[0]
+    n = ds * cycles
+    comp = np.eye(n, k=-ds)
+    comp[:ds] = np.hstack([np.linalg.solve(phi0, blk) for blk in phis]
+                          + [np.zeros((ds, ds))] * (cycles - len(phis)))
+    # the stacked noise, season s on top, through phi0^-1
+    noise = np.zeros((n, n))
+    for r in range(model.s):
+        noise[r * model.d:(r + 1) * model.d, r * model.d:(r + 1) * model.d] = \
+            model.sigma[model.s - 1 - r]
+    inv0 = np.linalg.inv(phi0)
+    noise[:ds, :ds] = inv0 @ noise[:ds, :ds] @ inv0.T
+    vec = np.linalg.solve(np.eye(n * n) - np.kron(comp, comp), noise.ravel())
+    return vec.reshape(n, n)

@@ -793,11 +793,12 @@ def test_covariances_rejects_an_unknown_method_before_any_work(monkeypatch):
         covariances(fit, ["sp", "white"], KernelSpec())
 
 
-@pytest.mark.parametrize("seasons", [[0], [6], [], [2, 6]])
+@pytest.mark.parametrize("seasons", [[0], [6], [], [2, 6], [2, 2]])
 def test_covariances_rejects_seasons_outside_the_fit_before_any_work(
         monkeypatch, seasons):
-    # [0] read season 5 through X[-1], [6] raised IndexError and [] gave
-    # every season; the least season is errors.require_int's rule
+    # [0] read season 5 through X[-1], [6] raised IndexError, [] gave
+    # every season and [2, 2] estimated season 2 twice under one key; the
+    # least season is errors.require_int's rule
     model = preset("model-I").model
     fit = fit_ols(simulate(model, 100, NoiseSpec(), seed=2), 1)
 
@@ -806,7 +807,7 @@ def test_covariances_rejects_seasons_outside_the_fit_before_any_work(
 
     monkeypatch.setattr(pvar.lrv, "omega_hat", fail)
     message = (r"^season must be at least 1, got 0$" if 0 in seasons
-               else r"^seasons must be nonempty and in 1\.\.5, got \[.*\]$")
+               else r"^seasons must be nonempty, distinct and in 1\.\.5, got \[.*\]$")
     with pytest.raises(ValueError, match=message):
         covariances(fit, ["strong"], KernelSpec(), seasons=seasons)
     monkeypatch.undo()

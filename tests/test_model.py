@@ -4,9 +4,8 @@ import pytest
 from lifted import lifted_companion_radius, lifted_var
 from pvar.errors import NumericError
 from pvar.estimate import PeriodicSeries
-from pvar.model import (PvarModel, companion_spectral_radius,
-                        ma_coefficients, require_causal)
-from pvar.noise import NoiseSpec, colour_matrix, gen_noise, simulate
+from pvar.model import PvarModel, companion_spectral_radius, require_causal
+from pvar.noise import simulate
 
 
 def scalar_model(phis, sigmas=None):
@@ -100,38 +99,6 @@ def test_radius_equals_the_lifted_companion_radius():
     for model in models:
         rho, ref = companion_spectral_radius(model), lifted_companion_radius(model)
         assert abs(rho - ref) <= 1e-12 * ref, (model, rho, ref)
-
-
-def test_ma_coefficients_reproduce_simulation():
-    model = two_season_model()
-    coeffs = ma_coefficients(model, 60)
-    n_cycles = 3
-    eps = gen_noise(colour_matrix(model.sigma), n_cycles + 40, NoiseSpec("strong"),
-                    np.random.default_rng(3))
-    # build Y directly from the MA weights and compare with the recursion
-    total = (n_cycles + 40) * model.s
-    y_rec = np.zeros((total, model.d))
-    for t in range(total):
-        v = t % model.s + 1
-        acc = eps[t].copy()
-        for k in range(1, model.p(v) + 1):
-            if t - k >= 0:
-                acc += model.phi[v - 1][k - 1] @ y_rec[t - k]
-        y_rec[t] = acc
-    t = total - 1          # a season-2 time (total even)
-    v = (t % model.s) + 1
-    y_ma = np.zeros(model.d)
-    for i, c in enumerate(coeffs[v - 1]):
-        if t - i < 0:
-            break
-        y_ma += c @ eps[t - i]
-    assert np.allclose(y_ma, y_rec[t], atol=1e-10)
-
-
-def test_ma_leading_coefficient_is_identity():
-    coeffs = ma_coefficients(two_season_model(), 2)
-    for per_season in coeffs:
-        assert np.array_equal(per_season[0], np.eye(2))
 
 
 def test_model_validation():

@@ -7,7 +7,7 @@ import pytest
 import pvar.noise
 from pvar.errors import NumericError
 from pvar.linalg import cholesky_upper
-from lifted import lifted_var
+from lifted import lifted_covariance, lifted_var
 from pvar.model import (CAUSAL_TOL, PvarModel, companion_spectral_radius,
                         cycle_maps)
 from pvar.noise import (BLOCK, NoiseSpec, block_cycles, colour_matrix, gen_noise,
@@ -122,16 +122,7 @@ def test_simulated_covariance_matches_lifted_var_solution():
         phi=[[np.diag([0.3, -0.6])], [np.diag([-0.7, 0.15])]],
         sigma=[np.diag([1.5, 2.5]), np.diag([1.0, 0.5])],
     )
-    phi0, phis = lifted_var(model)
-    A = np.linalg.solve(phi0, phis[0])
-    # stacked noise covariance in reverse season order (season 2 on top)
-    ecov = np.zeros((4, 4))
-    ecov[:2, :2] = model.sigma[1]
-    ecov[2:, 2:] = model.sigma[0]
-    inner = np.linalg.solve(phi0, ecov) @ np.linalg.inv(phi0).T
-    cov = inner.copy()
-    for _ in range(200):
-        cov = A @ cov @ A.T + inner
+    cov = lifted_covariance(model, 1)
     ser = simulate(model, 150_000, seed=11)
     stacked = np.hstack([ser.data[1::2], ser.data[0::2]])
     emp = stacked.T @ stacked / stacked.shape[0]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from lifted import lifted_covariance
 from pvar.analytic import DiagExampleParams, example_model
 from pvar.estimate import build_design
 from pvar.lrv import score_series
 from pvar.mc import preset
-from pvar.model import PvarModel
+from pvar.model import PvarModel, companion_spectral_radius
 from pvar.noise import NoiseSpec, simulate
 from pvar.oracle import exact_covariances
 
@@ -68,6 +69,117 @@ def test_omega_matches_two_season_variance_recursion():
     assert np.allclose(exact.omega[1], np.diag(b1), rtol=1e-12, atol=1e-14)
     assert np.allclose(np.diag(exact.omega[0]), [1.8150, 0.5608], atol=1e-4)
     assert np.allclose(np.diag(exact.omega[1]), [1.6634, 2.7019], atol=1e-4)
+
+
+@pytest.mark.parametrize("phi, var", [
+    ((1.11, 0.9), (1.0, 0.5)),
+    ((0.98 ** (1 / 52),) * 52, tuple(1.0 + 0.5 * np.sin(np.arange(52) * np.pi / 26))),
+], ids=["two-seasons-0.999", "weekly-0.98-a-year"])
+def test_omega_of_a_persistent_scalar_par1_matches_its_variance_recursion(phi, var):
+    # Phi products of 0.999 and 0.98 per cycle: gamma_v = phi_v^2
+    # gamma_{v-1} + var_v around the cycle, and season v regresses on
+    # gamma_{v-1}; gamma[0] is season s, from one cycle's sum
+    cycle = 0.0
+    for f, q in zip(phi, var):
+        cycle = f * f * cycle + q
+    gamma = [cycle / (1.0 - np.prod(np.square(phi)))]
+    for f, q in zip(phi, var):
+        gamma.append(f * f * gamma[-1] + q)
+    model = PvarModel(len(phi), 1, [[[[f]]] for f in phi], [[[q]] for q in var])
+    omega = [o[0, 0] for o in exact_covariances(model).omega]
+    np.testing.assert_allclose(omega, gamma[:-1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_psi_of_a_scalar_ar1_sums_loadings_more_than_a_cycle_back(m):
+    # Y[t-1] = sum_j phi^(j-1) sigma u_{t-j}, so G_j = phi^(j-1) sigma,
+    # and at s = 1 each G_j with j >= 2 lies more than a cycle back
+    phi, var = 0.6, 2.0
+    model = PvarModel(1, 1, [[[[phi]]]], [[[var]]])
+    omega = var / (1.0 - phi * phi)
+    psi = var * omega + var * var * sum((3.0 ** (m + 1 - j) - 1.0) * phi ** (2 * j - 2)
+                                        for j in range(1, m + 1))
+    exact = exact_covariances(model, NoiseSpec("weak-product", m=m))
+    np.testing.assert_allclose([exact.omega[0][0, 0], exact.psi[0][0, 0]], [omega, psi],
+                               rtol=1e-13, atol=0)
+
+
+def _random_causal_models(count, seed):
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        s, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi = [[rng.standard_normal((d, d)) / np.sqrt(d * max(p, 1)) for _ in range(p)]
+               for p in rng.integers(0, 6, size=s)]
+        sigma = [a @ a.T + 0.5 * np.eye(d) for a in rng.standard_normal((s, d, d))]
+        model = PvarModel(s, d, phi, sigma)
+        if companion_spectral_radius(model) < 0.95:
+            models.append(model)
+    return models
+
+
+def test_omega_is_the_stationary_covariance_of_the_season_stacked_var():
+    # the stacked vector of a cycle lists its values newest first, so in
+    # a stack of cycles the value k before season v is block s - v + k
+    models = _random_causal_models(50, seed=35)
+    assert any(m.max_p > m.s for m in models)
+    assert any(m.max_p > 0 and min(map(len, m.phi)) == 0 for m in models)
+    for model in models:
+        cov = lifted_covariance(model, 1 + -(-model.max_p // model.s))
+        n, d = len(cov) // model.d, model.d
+        blocks = cov.reshape(n, d, n, d)
+        for v, omega in enumerate(exact_covariances(model).omega, start=1):
+            at = model.s - v + np.arange(1, model.p(v) + 1)
+            want = blocks[at][:, :, at].reshape(omega.shape)
+            np.testing.assert_allclose(omega, want, rtol=1e-10,
+                                       atol=1e-10 * np.abs(want).max(initial=0.0))
+
+
+def _lag_blocks(first, second):
+    zero = np.zeros((4, 4))
+    return np.block([[np.array(first), zero], [zero, np.array(second)]])
+
+
+# Psi and Theta of _general_model() at m = 2, seasons 1 and 2, as an
+# earlier summation of the moving-average weights gave them.  Season 1
+# regresses on season 3, whose value is its own innovation, and on
+# season 2, so its matrices are block diagonal in the lag.
+GENERAL_PSI_M2 = (_lag_blocks(
+    [[6.3, 1.89, 0.9, 0.27],
+     [1.89, 1.064, 0.27, 0.152],
+     [0.9, 0.27, 1.6142857142857, 0.48428571428571],
+     [0.27, 0.152, 0.48428571428571, 9.6491428571429]],
+    [[6.4353989690574, 1.9306196907172, -1.4908256025939, -0.44724768077817],
+     [1.9306196907172, 2.3083191752459, -0.44724768077817, -0.48266048207512],
+     [-1.4908256025939, -0.44724768077817, 1.6191580714976, 0.48574742144929],
+     [-0.44724768077817, -0.48266048207512, 0.48574742144929, 2.3603264571981]]),
+    [[19.340993693667, -4.8352484234167, 5.2156204114375, -1.3039051028594],
+     [-4.8352484234167, 2.4322468468334, -1.3039051028594, 0.87306020571874],
+     [5.2156204114375, -1.3039051028594, 4.1460395168023, -1.0365098792006],
+     [-1.3039051028594, 0.87306020571874, -1.0365098792006, 6.7567697584011]])
+GENERAL_THETA_M2 = (_lag_blocks(
+    [[12.870879120879, 3.8612637362637, -0.096153846153846, -0.028846153846154],
+     [3.8612637362637, 2.2604395604396, -0.028846153846154, -0.62307692307692],
+     [-0.096153846153846, -0.028846153846154, 0.67307692307692, 0.20192307692308],
+     [-0.028846153846154, -0.62307692307692, 0.20192307692308, 4.3615384615385]],
+    [[1.0919689681744, 0.32759069045231, 0.097172882685352, 0.029151864805606],
+     [0.32759069045231, 0.44379186649437, 0.029151864805606, 0.27659231499307],
+     [0.097172882685352, 0.029151864805606, 0.7930762798435, 0.23792288395305],
+     [0.029151864805606, 0.27659231499307, 0.23792288395305, 1.4003900806496]]),
+    [[12.271277405529, -3.0678193513823, -1.0648136196483, 0.26620340491208],
+     [-3.0678193513823, 1.8752262963036, 0.26620340491208, -1.3772960649729],
+     [-1.0648136196483, 0.26620340491208, 2.0765772833948, -0.51914432084869],
+     [0.26620340491208, -1.3772960649729, -0.51914432084869, 4.852005017221]])
+
+
+def test_general_model_psi_and_theta_at_m2_are_pinned():
+    # the product-noise loadings G_1 and G_2 of season 1 reach across a
+    # cycle, into season 3 and season 2
+    exact = exact_covariances(_general_model(), NoiseSpec("weak-product", m=2))
+    for got, want in ((exact.psi, GENERAL_PSI_M2), (exact.theta, GENERAL_THETA_M2)):
+        for v in (0, 1):
+            np.testing.assert_allclose(got[v], want[v], rtol=1e-12, atol=1e-15)
+        assert got[2].shape == (0, 0)
 
 
 def test_example_m2_diagonals():

@@ -17,7 +17,7 @@ from pvar.infer import Restriction, chisq_sf, t_report, wald
 from pvar.lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
                       default_bandwidth, theta_sandwich)
 from pvar.mc import PRESETS, Scenario
-from pvar.model import PvarModel, ma_coefficients
+from pvar.model import PvarModel
 from pvar.noise import NOISE_KINDS, NoiseSpec, colour_matrix, gen_noise, simulate
 
 SOURCE = pathlib.Path(pvar.__file__).parent
@@ -162,7 +162,6 @@ ARGUMENTS = [
     row("KernelSpec", "bandwidth", None, 0.1, lambda v: KernelSpec("bartlett", v)),
     row("gen_noise", "n_cycles", 1, 10,
         lambda v: gen_noise(colour_matrix([np.eye(2)]), v, NoiseSpec(), NoDraws())),
-    row("ma_coefficients", "n_terms", 0, 3, lambda v: ma_coefficients(AR1, v)),
     row("simulate", "seed", 0, 7, lambda v: simulate(AR1, 10, seed=v), "pvar.noise._plan"),
     row("simulate", "seed", 0, 7, lambda v: simulate(AR1, 10, seed=[1, v]),
         "pvar.noise._plan", "-in-a-list"),
@@ -195,7 +194,7 @@ def test_counts_seeds_and_bandwidths_are_checked_before_any_work(
 
 
 #: The arguments that count, seed, set a bandwidth or give degrees of freedom.
-CHECKED_NAMES = {"n", "n_cycles", "n_terms", "n_coef", "d", "s", "m", "reps", "burnin",
+CHECKED_NAMES = {"n", "n_cycles", "n_coef", "d", "s", "m", "reps", "burnin",
                  "r_max", "seed", "base_seed", "bandwidth", "df"}
 
 #: (callable, argument) pairs that ARGUMENTS leaves out, each with why.

@@ -179,3 +179,37 @@ def test_compare_outputs_runs_a_wald_call_of_several_restrictions(tmp_path, caps
     tests = json.loads(capsys.readouterr().out)["tests"]
     assert sorted({(t["season"], t["df"]) for t in tests}) == [(1, 3), (2, 2)]
     assert {t["method"] for t in tests} == {"strong", "sp", "hac"}
+
+
+def test_compare_outputs_reports_every_differing_call(tmp_path, monkeypatch, capsys):
+    # an intended difference must not hide the calls after it, but one in
+    # the scenario dump, which the mc calls read, ends the run
+    tool = load_tool()
+    for side in ("old", "new"):
+        (tmp_path / side / "pvar").mkdir(parents=True)
+        (tmp_path / side / "pvar" / "cli.py").touch()
+    changed = {"first", "third"}
+
+    def run(src, argv, tmp):
+        out = "{}" if argv == tool.DUMP else argv[0]
+        if os.path.basename(src) == "new" and (argv[0] in changed or "dump" in changed):
+            out += "!"
+        return 0, out.encode(), b"", b""
+
+    monkeypatch.setattr(tool, "run", run)
+    monkeypatch.setattr(tool, "calls", lambda tmp, scenarios: (
+        (label, [label], False) for label in ("first", "second", "third")))
+    sides = [str(tmp_path / "old"), str(tmp_path / "new")]
+    assert tool.main(sides) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in printed if line.startswith(("same", "DIFF"))] == [
+        ["same", "mc"], ["DIFFERS", "first:"], ["same", "second"], ["DIFFERS", "third:"]]
+    assert "  new: third!" in printed
+    changed.clear()
+    assert tool.main(sides) == 0
+    changed.add("dump")
+    capsys.readouterr()
+    assert tool.main(sides) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("DIFFERS mc scenarios: pvar mc --dump-scenarios\n")
+    assert "first" not in out and "same" not in out

@@ -42,10 +42,11 @@ which run() reads and deletes after each call:
   its period, so simulate steps one cycle per block, and one with an
   order-0 season.
 
-The calls run in that order.  The first that differs is printed with
-its first differing line, and so is a call that fails on OLD_SRC,
+The calls run in that order.  Every call that differs is printed with
+its first differing line, and so is every call that fails on OLD_SRC,
 or one of error_calls that does not; the exit code is then 1.  It is 0
-when every call matches.
+when every call matches.  A difference in `mc --dump-scenarios` ends
+the run at once, as the mc calls run the presets that it lists.
 """
 
 import argparse
@@ -255,10 +256,9 @@ def main(argv=None):
         dump = compare("mc scenarios", DUMP, src_pair, tmp)
         if dump is None:
             return 1
-        for label, call, fails in calls(tmp, json.loads(dump)):
-            if compare(label, call, src_pair, tmp, fails) is None:
-                return 1
-    return 0
+        differ = [label for label, call, fails in calls(tmp, json.loads(dump))
+                  if compare(label, call, src_pair, tmp, fails) is None]
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
