@@ -18,7 +18,6 @@ import argparse
 import atexit
 import math
 import os
-import re
 import sys
 import warnings
 
@@ -39,7 +38,7 @@ EXIT_NUMERIC = 4
 
 
 # ---------------------------------------------------------------------------
-# data file and restriction parsing
+# data file parsing
 
 def read_csv(path, s):
     """Load a CSV of d numeric columns into a PeriodicSeries.
@@ -112,39 +111,6 @@ def _read_csv_exact(path, scan):
     return np.array(data)
 
 
-# compiled on first use, and then cached by re; a fit call never uses it
-_RESTRICT = r"phi\[(\d+)(?:,(\d+))?\][\(\[](\d+),(\d+)[\)\]]\s*=\s*([-+0-9.eE]+)"
-
-
-def parse_restriction(text, s, d, orders):
-    """Parse "phi[season](row,col)=value" with optional lag "phi[v,k](...)".
-
-    Returns (season, coefficient index, value).
-    """
-    m = re.fullmatch(_RESTRICT, text.strip())
-    if not m:
-        raise DataError(
-            f"cannot parse restriction {text!r}; expected phi[season](row,col)=value")
-    season = int(m.group(1))
-    lag = int(m.group(2)) if m.group(2) else 1
-    row, col = int(m.group(3)), int(m.group(4))
-    try:
-        value = float(m.group(5))
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise DataError(f"bad value in restriction {text!r}")
-    if not 1 <= season <= s:
-        raise DataError(f"season {season} outside 1..{s} in {text!r}")
-    if not (1 <= row <= d and 1 <= col <= d):
-        raise DataError(f"indices outside 1..{d} in {text!r}")
-    if not 1 <= lag <= orders[season - 1]:
-        raise DataError(
-            f"lag {lag} outside 1..{orders[season - 1]} in {text!r}")
-    index = (lag - 1) * d * d + (col - 1) * d + (row - 1)
-    return season, index, value
-
-
 # ---------------------------------------------------------------------------
 # shared fit machinery
 
@@ -207,22 +173,11 @@ def cmd_fit(args):
 
 def cmd_wald(args):
     fit = _fit_from_args(args)
-    per_season = {}
-    for text in args.restrict:
-        season, index, value = parse_restriction(text, fit.s, fit.d, fit.orders)
-        targets = per_season.setdefault(season, {})
-        if index in targets:
-            raise DataError(
-                f"restriction {text!r} repeats an earlier one's coefficient")
-        targets[index] = value
-    thetas = _covariances_from_args(args, fit, sorted(per_season))
+    tests = Restriction.parse(args.restrict, fit.s, fit.d, fit.orders)
+    thetas = _covariances_from_args(args, fit, list(tests))
     headers = ["season", "method", "statistic", "df", "p_value"]
     rows, payload = [], {"command": "wald", "n_cycles": fit.n_used, "tests": []}
-    for season in sorted(per_season):
-        targets = per_season[season]
-        n_coef = fit.d * fit.d * fit.orders[season - 1]
-        rest = Restriction.coordinates(list(targets), n_coef,
-                                       values=list(targets.values()))
+    for season, rest in tests.items():
         for m in args.cov:
             res = wald(fit.beta_hat[season - 1], thetas[season][m],
                        fit.n_used, rest, f"season {season}, {m}: ")

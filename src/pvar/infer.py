@@ -12,10 +12,11 @@ identical.
 """
 
 import math
+import re
 
 import numpy as np
 
-from .errors import NumericError, require_int
+from .errors import DataError, NumericError, require_int
 from .linalg import solve_guarded
 
 
@@ -48,6 +49,11 @@ def normal_sf(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+# compiled on first use; (?(3)...) closes (row,col) with the bracket that opened it
+_RESTRICT = (r"phi\[(\d+)(?:,(\d+))?\](?:(\()|\[)(\d+),(\d+)(?(3)\)|\])"
+             r"\s*=\s*([-+0-9.eE]+)")
+
+
 class Restriction:
     """Rows R0 and target r0 of the tested linear hypothesis."""
 
@@ -71,6 +77,45 @@ class Restriction:
             R0[row, i] = 1.0
         r0 = np.zeros(len(indices)) if values is None else np.asarray(values, float)
         return cls(R0, r0)
+
+    @classmethod
+    def parse(cls, texts, s, d, orders):
+        """{season: Restriction} of texts, in season order.  A text tests one
+        coefficient of season v, "phi[v](row,col)=value" of lag 1 and
+        "phi[v,k](row,col)=value" of lag k, or the same with [row,col]; one
+        that does not parse, is out of range or repeats its season's
+        coefficient is a DataError.  s and d are integers >= 1 (require_int),
+        and orders holds each season's order."""
+        s, d = require_int("s", s, 1), require_int("d", d, 1)
+        if len(orders) != s:
+            raise ValueError("need one order per season")
+        per_season = {}
+        for text in texts:
+            m = re.fullmatch(_RESTRICT, text.strip())
+            if not m:
+                raise DataError(f"cannot parse restriction {text!r}; "
+                                "expected phi[season](row,col)=value")
+            season, lag, row, col = (int(m[i] or 1) for i in (1, 2, 4, 5))
+            try:
+                value = float(m[6])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(f"bad value in restriction {text!r}")
+            if not 1 <= season <= s:
+                raise DataError(f"season {season} outside 1..{s} in {text!r}")
+            if not (1 <= row <= d and 1 <= col <= d):
+                raise DataError(f"indices outside 1..{d} in {text!r}")
+            if not 1 <= lag <= orders[season - 1]:
+                raise DataError(f"lag {lag} outside 1..{orders[season - 1]} in {text!r}")
+            index = ((lag - 1) * d + col - 1) * d + row - 1  # t_report's inverse
+            targets = per_season.setdefault(season, {})
+            if index in targets:
+                raise DataError(f"restriction {text!r} repeats an earlier one's coefficient")
+            targets[index] = value
+        return {v: cls.coordinates(list(targets), d * d * orders[v - 1],
+                                   values=list(targets.values()))
+                for v, targets in sorted(per_season.items())}
 
 
 class WaldResult:
@@ -124,7 +169,7 @@ def t_report(d, beta, thetas, n, where=""):
     beta = np.asarray(beta, dtype=float).reshape(-1)
     records = []
     for idx in range(beta.size):
-        lag, within = divmod(idx, d * d)
+        lag, within = divmod(idx, d * d)  # Restriction.parse's index, inverted
         col, row = divmod(within, d)
         ses, pvals = {}, {}
         for name, theta in thetas.items():

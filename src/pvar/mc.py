@@ -218,10 +218,9 @@ def preset(name, n_cycles=None, reps=None, base_seed=None):
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     phi22, kind, default_n, bandwidth = PRESETS[name]
-    # each season tests Phi22 = 0, the last entry of vec(Phi(v)) at d=2, p=1
-    restrictions = [Restriction.coordinates([3], 4) for _ in range(5)]
+    tests = Restriction.parse([f"phi[{v}](2,2)=0" for v in range(1, 6)], 5, 2, [1] * 5)
     return Scenario(name, _five_season_model(phi22), NoiseSpec(kind=kind, m=2),
                     default_n if n_cycles is None else n_cycles,
-                    1000 if reps is None else reps, restrictions=restrictions,
+                    1000 if reps is None else reps, restrictions=list(tests.values()),
                     base_seed=424243 if base_seed is None else base_seed,
                     bandwidth=bandwidth)

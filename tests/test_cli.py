@@ -20,7 +20,7 @@ import pvar.cli
 import pvar.cli_models
 import pvar.lrv
 import pvar.mc
-from pvar.cli import _data_lines, _read_csv_exact, main, parse_restriction, read_csv
+from pvar.cli import _data_lines, _read_csv_exact, main, read_csv
 from pvar.cli_models import read_model, write_csv
 from pvar.errors import DataError, NumericError, PvarError
 from pvar.infer import Restriction
@@ -69,6 +69,24 @@ def test_read_model_errors(tmp_path):
         read_model(str(bad))
     with pytest.raises(DataError, match="missing.txt: .*No such file or directory"):
         read_model(str(tmp_path / "missing.txt"))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("phi1 = 0.3 0;", "phi1 = 0.3 x;",
+     "season 1 phi1: non-numeric matrix entry in '0.3 x; 0 -0.6'"),
+    ("s = 2", "s = two", "s and d must be integers"),
+    ("d = 2", "d = 2.0", "s and d must be integers"),
+    ("p = 1\nphi1 = -0.7", "p = one\nphi1 = -0.7", "season 2: p must be an integer"),
+    ("s = 2", "s = 3", "missing [season 3] block"),
+    ("p = 1\nphi1 = -0.7", "p = 2\nphi1 = -0.7", "season 2: missing 'phi2'"),
+    ("sigma = 1 0; 0 0.5\n", "", "season 2: missing 'sigma'"),
+])
+def test_read_model_names_what_is_wrong(tmp_path, old, new, message):
+    path = tmp_path / "model.txt"
+    assert old in MODEL_TEXT
+    path.write_text(MODEL_TEXT.replace(old, new))
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_model(str(path))
 
 
 def test_csv_round_trip(tmp_path):
@@ -131,16 +149,43 @@ def test_model_byte_order_mark_is_skipped(tmp_path, model_file):
 
 
 def test_parse_restriction():
-    assert parse_restriction("phi[1](2,2)=0", 5, 2, [1] * 5) == (1, 3, 0.0)
-    assert parse_restriction("phi[3](1,2)=0.5", 5, 2, [1] * 5) == (3, 2, 0.5)
-    assert parse_restriction("phi[2,2](1,1)=0", 5, 2, [2] * 5) == (2, 4, 0.0)
-    for bad, message in (("phi[0](1,1)=0", "season 0 outside 1..5"),
-                         ("phi[6](1,1)=0", "season 6 outside 1..5"),
-                         ("phi[1](3,1)=0", "indices outside 1..2"),
-                         ("phi[1](1,1)", "cannot parse restriction"),
-                         ("phi[1,2](1,1)=0", "lag 2 outside 1..1")):
-        with pytest.raises(DataError, match=re.escape(message)):
-            parse_restriction(bad, 5, 2, [1] * 5)
+    # one DataError per message, in the order Restriction.parse checks them
+    tests = Restriction.parse(["phi[3](1,2)=0.5", "phi[1](2,2)=0", "phi[3,2][1,1]=0"],
+                              5, 2, [1, 1, 2, 1, 1])
+    assert list(tests) == [1, 3]
+    assert [np.flatnonzero(t.R0).tolist() for t in tests.values()] == [[3], [2, 12]]
+    assert [t.r0.tolist() for t in tests.values()] == [[0.0], [0.5, 0.0]]
+    for bad, message in (
+            ("phi[1](1,1)", "cannot parse restriction 'phi[1](1,1)'; "
+                            "expected phi[season](row,col)=value"),
+            ("phi[1](2,2]=0", "cannot parse restriction 'phi[1](2,2]=0'; "
+                              "expected phi[season](row,col)=value"),
+            ("phi[1][2,2)=0", "cannot parse restriction 'phi[1][2,2)=0'; "
+                              "expected phi[season](row,col)=value"),
+            ("phi[1](1,1)=1e", "bad value in restriction 'phi[1](1,1)=1e'"),
+            ("phi[0](1,1)=0", "season 0 outside 1..5 in 'phi[0](1,1)=0'"),
+            ("phi[1](3,1)=0", "indices outside 1..2 in 'phi[1](3,1)=0'"),
+            ("phi[1,2](1,1)=0", "lag 2 outside 1..1 in 'phi[1,2](1,1)=0'"),
+            ("phi[1][1,1]=0.5", "restriction 'phi[1][1,1]=0.5' repeats an earlier "
+                                "one's coefficient")):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Restriction.parse(["phi[2](1,1)=0", "phi[1](1,1)=0", bad], 5, 2, [1] * 5)
+
+
+def test_wald_rejects_a_bad_restriction_before_any_covariance(weak_data, monkeypatch,
+                                                                capsys):
+    def unreached(*args, **kwargs):
+        raise AssertionError("a covariance was built")
+
+    monkeypatch.setattr(pvar.cli, "covariances", unreached)
+    argv = ["wald", "--data", str(weak_data), "--s", "2", "--restrict", "phi[2](1,1)=0"]
+    with pytest.raises(AssertionError, match="a covariance was built"):
+        main(argv)
+    for bad in ("phi[1](2,2]=0", "phi[1](1,1)=1e", "phi[3](1,1)=0", "phi[1](1,3)=0",
+                "phi[1,2](1,1)=0", "phi[2][1,1]=0.5"):
+        assert main(argv + ["--restrict", bad]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(bad) in err and err.count("\n") == 1
 
 
 def test_simulate_fit_pipeline(tmp_path, model_file, capsys):
@@ -437,6 +482,7 @@ def _write(path, content):
      "error: --m 700 is too large: the closed forms overflow double precision"),
     ("analytic-m646", 4,
      "error: --m 646 is too large: the closed forms overflow double precision"),
+    ("order-count", 3, "error: --order needs 1 or 2 comma-separated integers"),
     ("restrict-inf", 3, "bad value in restriction 'phi[1](1,1)=1e999'"),
     ("restrict-repeated", 3,
      "restriction 'phi[1](1,1)=0.5' repeats an earlier one's coefficient"),
@@ -490,6 +536,7 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
         "analytic-m-2": ["analytic", "--m", "-2"],
         "analytic-m700": ["analytic", "--m", "700"],
         "analytic-m646": ["analytic", "--m", "646"],
+        "order-count": ["fit", "--order", "1,1,1"] + data,
         "restrict-inf": ["wald", "--restrict", "phi[1](1,1)=1e999"] + data,
         "restrict-repeated": ["wald", "--restrict", "phi[1](1,1)=0",
                               "--restrict", "phi[1](1,1)=0.5"] + data,

@@ -210,6 +210,16 @@ def test_t_report_layout_and_identity():
             rel=0, abs=1e-10)
 
 
+def test_parse_places_each_coefficient_where_t_report_reads_it():
+    # the two directions of beta's layout, (lag, row, col) -> index and back
+    d, p = 3, 2
+    beta = np.arange(1.0, d * d * p + 1)
+    for r in t_report(d, beta, {"strong": np.eye(beta.size)}, 100):
+        text = f"phi[2,{r['lag']}]({r['row']},{r['col']})=0"
+        assert (Restriction.parse([text], 2, d, [1, p])[2].R0 @ beta).tolist() == [
+            r["estimate"]]
+
+
 def test_zero_estimate_has_p_one():
     theta = np.eye(1)
     rows = t_report(1, np.zeros(1), {"strong": theta}, 100)

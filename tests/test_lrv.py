@@ -50,6 +50,8 @@ def test_kernel_values():
     # both branches agree at the joint
     assert kernel_weight(parzen, 0.5) == pytest.approx(0.25)
     assert kernel_weight(parzen, 0.25) == pytest.approx(1 - 6 * 0.0625 + 6 * 0.015625)
+    # zero from x = 1 on, a lag that psi_hac never sums
+    assert [kernel_weight(parzen, x) for x in (1.0, 1.5, -7.0)] == [0.0] * 3
     qs = KernelSpec("qs", 0.1)
     # far tail: bounded by the 25/(12 pi^2 x^2) envelope
     assert abs(kernel_weight(qs, 15.0)) < 1.05 * 25 / (12 * np.pi ** 2 * 15.0 ** 2)

@@ -71,6 +71,9 @@ def test_preset_dgp_values():
     assert sc.model.sigma[2][0, 1] == pytest.approx(-0.2)
     assert preset("model-I").model.phi[0][0][1, 1] == 0.0
     assert preset("dgp-strong").model.phi[1][0][1, 1] == pytest.approx(0.70)
+    # each season tests Phi22 = 0, the last entry of vec(Phi(v)) at d = 2, p = 1
+    for rest in sc.restrictions:
+        assert rest.R0.tolist() == [[0.0, 0.0, 0.0, 1.0]] and rest.r0.tolist() == [0.0]
 
 
 def test_hac_bandwidth_defaults():

@@ -13,9 +13,11 @@ import pytest
 import pvar
 from pvar.analytic import DiagExampleParams
 from pvar.cli_models import write_csv
+from pvar.estimate import PeriodicSeries, fit_ols
 from pvar.infer import Restriction, chisq_sf, t_report, wald
+from pvar.linalg import vec
 from pvar.lrv import (BANDWIDTH_RULES, COV_METHODS, KERNEL_KINDS, KernelSpec,
-                      default_bandwidth, theta_sandwich)
+                      default_bandwidth, score_series, select_ar_order_aic, theta_sandwich)
 from pvar.mc import PRESETS, Scenario
 from pvar.model import PvarModel
 from pvar.noise import NOISE_KINDS, NoiseSpec, colour_matrix, gen_noise, simulate
@@ -156,6 +158,12 @@ ARGUMENTS = [
     row("t_report", "n", 1, 250, lambda v: t_report(2, *SEASON, v), "pvar.infer.normal_sf"),
     row("Restriction.coordinates", "n_coef", 0, 4,
         lambda v: Restriction.coordinates([0], v)),
+    row("Restriction.parse", "s", 1, 5,
+        lambda v: Restriction.parse(["phi[1](1,1)=0"], v, 2, [1] * 5),
+        "pvar.infer.re.fullmatch"),
+    row("Restriction.parse", "d", 1, 2,
+        lambda v: Restriction.parse(["phi[1](1,1)=0"], 5, v, [1] * 5),
+        "pvar.infer.re.fullmatch"),
     row("theta_sandwich", "d", 1, 2, lambda v: theta_sandwich(np.eye(2), np.eye(4), v),
         "pvar.lrv._kron"),
     row("default_bandwidth", "n", 1, 1000, default_bandwidth, "pvar.lrv.default_r_max"),
@@ -191,6 +199,26 @@ def test_counts_seeds_and_bandwidths_are_checked_before_any_work(
             call(value)
         except Reached:
             pass
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_ols(PeriodicSeries(2, np.zeros((8, 1))), [1, 1, 1]),
+     "need one order per season"),
+    (lambda: Restriction(np.eye(2), np.zeros(3)), "R0 and r0 disagree on the restriction count"),
+    (lambda: wald(np.zeros(4), np.eye(4), 10, Restriction.coordinates([0], 3)),
+     "restriction width does not match the parameter count"),
+    (lambda: vec(np.zeros(3)), "vec expects a matrix or a stack of matrices"),
+    (lambda: score_series(np.zeros((2, 5)), np.zeros((1, 4))),
+     "regressors and residuals disagree on N"),
+    (lambda: select_ar_order_aic(np.zeros((10, 2)), 5), "r_max must be below N/2"),
+    (lambda: PvarModel(1, 2, [[np.eye(2)]], [np.eye(3)]), "covariances must be d x d"),
+    (lambda: Restriction.parse(["phi[3](1,1)=0"], 3, 2, [1]), "need one order per season"),
+], ids=["fit_ols-orders", "Restriction-r0", "wald-restriction", "vec-ndim",
+        "score_series-N", "select_ar_order_aic-r_max", "PvarModel-sigma",
+        "Restriction.parse-orders"])
+def test_arguments_whose_shapes_disagree_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 #: The arguments that count, seed, set a bandwidth or give degrees of freedom.

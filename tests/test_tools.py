@@ -1,11 +1,13 @@
 import importlib.util
 import json
 import os
+import types
 
 import numpy as np
 
 from pvar.cli import main
 from pvar.cli_models import read_model
+from pvar.infer import Restriction
 from pvar.model import PvarModel, require_causal
 from pvar.noise import block_cycles
 
@@ -181,6 +183,56 @@ def test_compare_outputs_runs_a_wald_call_of_several_restrictions(tmp_path, caps
     assert {t["method"] for t in tests} == {"strong", "sp", "hac"}
 
 
+def test_compare_outputs_runs_each_restriction_form_alone(tmp_path, capsys):
+    # the square brackets and a nonzero target pass through no other call
+    tool = load_tool()
+    listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
+    assert len(listed) == 38  # 53 with the dump and the six presets' mc and simulate calls
+    plain = listed["wald cli-bivariate"][0]
+    for text in tool.RESTRICTION_FORMS:
+        argv, fails = listed[f"wald cli-bivariate {text}"]
+        assert not fails and argv == plain[:plain.index("--restrict")] + ["--restrict", text]
+        assert main(argv) == 0
+        tests = json.loads(capsys.readouterr().out)["tests"]
+        assert [(t["season"], t["df"]) for t in tests] == [(int(text[4]), 1)] * 3
+
+
+#: (season, lag, row, col, value) of every --restrict text of the tool's calls
+RESTRICTED = {
+    "phi[1,1](2,2)=0": (1, 1, 2, 2, 0.0), "phi[2,1](2,2)=0": (2, 1, 2, 2, 0.0),
+    "phi[3,1](2,2)=0": (3, 1, 2, 2, 0.0), "phi[4,2](2,2)=0": (4, 2, 2, 2, 0.0),
+    "phi[5,1](2,2)=0": (5, 1, 2, 2, 0.0), "phi[1](1,2)=0": (1, 1, 1, 2, 0.0),
+    "phi[1](2,1)=0": (1, 1, 2, 1, 0.0), "phi[1](2,2)=0": (1, 1, 2, 2, 0.0),
+    "phi[2](1,2)=0": (2, 1, 1, 2, 0.0), "phi[2](2,2)=0": (2, 1, 2, 2, 0.0),
+    "phi[2][1,1]=0": (2, 1, 1, 1, 0.0), "phi[3,1](1,2)=0.25": (3, 1, 1, 2, 0.25)}
+
+
+def test_restrictions_of_the_tool_parse_to_hand_built_coordinates(tmp_path):
+    tool, seen = load_tool(), set()
+    for label, argv, _ in tool.calls(str(tmp_path), {}):
+        if "--restrict" not in argv:
+            continue
+        texts = [argv[i + 1] for i, word in enumerate(argv) if word == "--restrict"]
+        seen.update(texts)
+        s = int(argv[argv.index("--s") + 1])
+        d = len(tool.workloads.CLI[label.split()[1]]["sigma"][0])
+        orders = [int(p) for p in argv[argv.index("--order") + 1].split(",")]
+        orders = orders * s if len(orders) == 1 else orders
+        want = {}
+        for text in texts:
+            season, lag, row, col, value = RESTRICTED[text]
+            want.setdefault(season, []).append(((lag - 1) * d * d + (col - 1) * d + row - 1,
+                                                value))
+        got = Restriction.parse(texts, s, d, orders)
+        assert list(got) == sorted(want), label
+        for season, targets in want.items():
+            hand = Restriction.coordinates([i for i, _ in targets], d * d * orders[season - 1],
+                                           values=[x for _, x in targets])
+            for a, b in ((got[season].R0, hand.R0), (got[season].r0, hand.r0)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), label
+    assert seen == set(RESTRICTED)
+
+
 def test_compare_outputs_reports_every_differing_call(tmp_path, monkeypatch, capsys):
     # an intended difference must not hide the calls after it, but one in
     # the scenario dump, which the mc calls read, ends the run
@@ -213,3 +265,92 @@ def test_compare_outputs_reports_every_differing_call(tmp_path, monkeypatch, cap
     out = capsys.readouterr().out
     assert out.startswith("DIFFERS mc scenarios: pvar mc --dump-scenarios\n")
     assert "first" not in out and "same" not in out
+
+
+PAIRS = os.path.join(os.path.dirname(TOOL), "bench_pairs.py")
+
+
+def load_pairs_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned(reps_per_s, correct=True, failed=0):
+    """The last stdout line of a bench/run.py run on mc-size-weak."""
+    return json.dumps({"correct": correct, "attempted": 200, "failed": failed,
+                       "metrics": {"reps_per_s": {"value": reps_per_s, "unit": "1/s"},
+                                   "call_s": {"value": 10 / reps_per_s, "unit": "s"}}})
+
+
+def fake_roots(tmp_path):
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        root.mkdir()
+    with open(os.path.join(os.path.dirname(os.path.dirname(TOOL)), "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        (roots[0] / "BENCHMARK.json").write_text(fh.read())
+    return [str(root) for root in roots]
+
+
+def test_bench_pairs_reads_the_last_line_and_passes_the_environment(monkeypatch):
+    # no benchmark starts: subprocess.run is replaced
+    tool = load_pairs_tool()
+    monkeypatch.setenv("PVAR_PAIRS_PROBE", "1")
+    seen = {}
+
+    def fake_run(cmd, **kwargs):
+        seen.update(kwargs, cmd=cmd)
+        return types.SimpleNamespace(returncode=0, stderr="",
+                                     stdout="BLAS threads: {}\n" + canned(500.0) + "\n\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    code, result, _ = tool.run_bench("/x", "mc-size-weak", 7, 8.0)
+    assert code == 0 and result == json.loads(canned(500.0))
+    assert seen["cmd"][1:] == ["/x/bench/run.py", "--workload", "mc-size-weak", "--seed",
+                               "7", "--seconds", "8.0", "--trace", "0"]
+    assert seen["cwd"] == "/x" and seen["env"]["PVAR_PAIRS_PROBE"] == "1"
+    assert [tool.parse_seeds(t) for t in ("3-5", "4")] == [range(3, 6), range(4, 5)]
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, capsys):
+    tool = load_pairs_tool()
+    parent, change = fake_roots(tmp_path)
+    order = []
+
+    def run(root, workload, seed, seconds):
+        order.append((os.path.basename(root), seed))
+        base = 500.0 + seed
+        return 0, json.loads(canned(base * 1.1 if root == change else base)), ""
+
+    assert tool.main([parent, change, "--workload", "mc-size-weak", "--seeds", "1-10",
+                      "--seconds", "8"], run=run) == 0
+    assert order[:4] == [("change", 1), ("parent", 1), ("parent", 2), ("change", 2)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "mc-size-weak: 10 pairs, seeds 1-10, 8 s per run"
+    rate = next(line for line in lines if line.startswith("reps_per_s"))
+    assert "wins 10/10" in rate and rate.endswith("gain rule holds")
+    call = next(line for line in lines if line.startswith("call_s"))
+    assert "wins 10/10" in call and call.endswith("gain rule holds")  # lower is better
+    # a 1% gain is inside the parent's quartiles of 500..510, so no claim
+    assert tool.summary("reps_per_s", "higher", [500.0 + k for k in range(1, 11)],
+                        [505.05 + 1.01 * k for k in range(1, 11)]).endswith("does not hold")
+    # 8 wins of 10 are too few, however wide the gap
+    assert tool.summary("call_s", "lower", [1.0] * 10,
+                        [0.5] * 8 + [1.0, 2.0]).endswith("does not hold")
+
+
+def test_bench_pairs_refuses_an_incorrect_run_or_more_failures(tmp_path, capsys):
+    tool = load_pairs_tool()
+    parent, change = fake_roots(tmp_path)
+    argv = [parent, change, "--workload", "mc-size-weak", "--seeds", "1-3"]
+    for bad, why in ((canned(500.0, correct=False), "seed 1: the change's run is not correct"),
+                     (canned(500.0, failed=1), "the change fails 0.1667% of operations")):
+        def run(root, workload, seed, seconds):
+            return 0, json.loads(bad if root == change and seed == 1 else canned(500.0)), ""
+
+        assert tool.main(argv, run=run) == 1
+        assert capsys.readouterr().out.startswith(f"refused: {why}")
+    assert tool.main(argv, run=lambda root, *_: (2, None, "boom")) == 1
+    assert "exited 2\nboom" in capsys.readouterr().out

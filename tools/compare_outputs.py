@@ -29,6 +29,8 @@ which run() reads and deletes after each call:
   `rect` kernel at `--bandwidth full` weighting every lag 1;
 - the cli-bivariate `wald` of JOINT_RESTRICTIONS, tests of 3 and 2
   restrictions, the one call whose chi-squared tail has df > 1;
+- the cli-bivariate `wald` of each text of RESTRICTION_FORMS alone: the
+  square-bracket form, and an explicit lag with a nonzero target;
 - the cli-wide `fit` under one method with the other's flag set far
   from its default (UNRELATED_FLAGS): `--cov sp --bandwidth 0.001` and
   `--cov hac --ar-order 100`;
@@ -81,6 +83,9 @@ SEASON_ORDERS = "2,0,1,1,2"
 #: coefficients of season 1 and two of season 2, each tested jointly.
 JOINT_RESTRICTIONS = ("phi[1](1,2)=0", "phi[1](2,1)=0", "phi[1](2,2)=0",
                       "phi[2](1,2)=0", "phi[2](2,2)=0")
+#: Single --restrict texts in place of the workload's, in the forms that
+#: no other call passes.
+RESTRICTION_FORMS = ("phi[2][1,1]=0", "phi[3,1](1,2)=0.25")
 #: The CSV, written by calls() in its directory, that a call with
 #: `--data /dev/stdin` gets through a pipe.
 PIPED_CSV = "cli-bivariate.csv"
@@ -173,6 +178,9 @@ def calls(tmp, scenarios):
     yield ("wald cli-bivariate joint restrictions",
            wald[:wald.index("--restrict")]
            + [word for r in JOINT_RESTRICTIONS for word in ("--restrict", r)], False)
+    for text in RESTRICTION_FORMS:
+        yield (f"wald cli-bivariate {text}",
+               wald[:wald.index("--restrict")] + ["--restrict", text], False)
     wide = dict(workloads.cli_argv("cli-wide", os.path.join(tmp, "cli-wide.csv")))["fit"]
     for method, flag, value in UNRELATED_FLAGS:
         yield (f"fit cli-wide {method} {flag} {value}",
