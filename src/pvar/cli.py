@@ -10,8 +10,8 @@ Commands:
 fit and wald run here; simulate, mc and analytic run from cli_models,
 which a fit or wald call never imports.
 
-Exit codes: 0 success, 2 usage error, 3 data or file error (DataError,
-OSError), 4 numerical error (NumericError).
+Exit codes: 0 success, 2 usage error or an array too large to make, 3
+data or file error (DataError, OSError), 4 numerical error (NumericError).
 """
 
 import argparse
@@ -198,21 +198,7 @@ def _model_command(args):
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exit code 2.
-
-    The parser of a subcommand adds its flags (_add_flags) only when it
-    parses, so that a call imports only the tables its own flags name.
-    """
-
-    def __init__(self, *args, command=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.command = command  # a subcommand's name, until its flags are added
-
-    def parse_known_args(self, args=None, namespace=None):
-        command, self.command = self.command, None
-        if command:
-            _add_flags(self, command)
-        return super().parse_known_args(args, namespace)
+    """Reports a usage error as one stderr line and exit code 2."""
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -302,7 +288,8 @@ def _add_flags(p, command):
     p.add_argument("--out", default="-")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser, flags on command's subparser alone: a call imports only its tables."""
     parser = _Parser(
         prog="pvar",
         description="Periodic vector autoregression estimation and inference")
@@ -313,14 +300,17 @@ def build_parser():
             ("wald", "Wald tests of linear restrictions", cmd_wald),
             ("mc", "run a built-in Monte Carlo scenario", _model_command),
             ("analytic", "closed-form example tables", _model_command)):
-        sub.add_parser(name, help=text, command=name).set_defaults(func=func)
+        sub.add_parser(name, help=text).set_defaults(func=func)
+    if command in sub.choices:
+        _add_flags(sub.choices[command], command)
     return parser
 
 
 def main(argv=None):
     try:
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
             # an overflow or invalid operation is a numeric failure, not a warning
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 args.func(args)
@@ -334,7 +324,7 @@ def main(argv=None):
         code, error = EXIT_DATA, exc
     except (PvarError, np.linalg.LinAlgError, ArithmeticError) as exc:
         code, error = EXIT_NUMERIC, exc
-    except ValueError as exc:  # such as numpy's "Maximum allowed dimension exceeded"
+    except (ValueError, MemoryError) as exc:  # such as an array too large to make
         code, error = EXIT_USAGE, exc
     print(f"error: {error}", file=sys.stderr)
     return code

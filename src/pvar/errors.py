@@ -1,6 +1,6 @@
 """Exception types; require_int checks an integer (least 1 for a size, season
-or df, 0 for a seed, order or term count), require_positive a bandwidth.
-The class alone sets the CLI exit code: ValueError 2, DataError 3, else 4."""
+or df, 0 for a seed, order or term count), require_positive a bandwidth. The
+class alone sets the CLI exit code: ValueError, MemoryError 2, DataError 3, else 4."""
 
 from math import inf
 from numbers import Integral, Real  # numpy imports numbers too: no extra cost

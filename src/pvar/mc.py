@@ -43,7 +43,8 @@ LEVELS = (0.01, 0.05, 0.10)
 @dataclass
 class Scenario:
     """A Monte Carlo study: reps and n_cycles >= 1 and base_seed >= 0 are
-    integers (require_int), a bandwidth is a real > 0 (require_positive)."""
+    integers (require_int), a bandwidth is a real > 0 (require_positive),
+    and season v's restriction is None or a Restriction of d^2 p(v) columns."""
     name: str
     model: PvarModel
     noise: NoiseSpec
@@ -65,6 +66,11 @@ class Scenario:
                 raise ValueError(f"unknown method {m!r}")
         if self.restrictions is not None and len(self.restrictions) != self.model.s:
             raise ValueError(f"restrictions needs one entry per season, {self.model.s}")
+        for v, rest in enumerate(self.restrictions or (), start=1):
+            k = self.model.d ** 2 * self.model.p(v)
+            if not (rest is None or isinstance(rest, Restriction) and rest.R0.shape[1] == k):
+                raise ValueError(f"season {v}: restriction must be None or a Restriction "
+                                 f"of {k} columns")
 
     def hac_spec(self):
         b = self.bandwidth

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import require_int
+from .errors import NumericError, require_int
 from .estimate import PeriodicSeries
 from .linalg import cholesky_upper
 from .model import PvarModel, cycle_maps, require_causal
@@ -69,7 +69,8 @@ def colour_matrix(sigmas):
 
 def gen_noise(colour, n_cycles, spec, rng):
     """Draw n_cycles full cycles of innovations, coloured by colour =
-    colour_matrix(sigmas): an (n_cycles * s, d) array, row t-1 eps[t]."""
+    colour_matrix(sigmas): an (n_cycles * s, d) array, row t-1 eps[t].
+    A product that underflows to exactly 0 is a NumericError."""
     s, d = colour.shape[:2]
     total = require_int("n_cycles", n_cycles, 1) * s
     if spec.kind == "strong":
@@ -80,6 +81,8 @@ def gen_noise(colour, n_cycles, spec, rng):
         raw = eta[:total] * eta[1:1 + total]
         for j in range(2, spec.m + 1):
             raw *= eta[j:j + total]
+        if not raw.all():
+            raise NumericError(f"weak-product noise at m = {spec.m} underflows to 0")
     # row c of the product holds raw[v] @ factors[v] of cycle c, v = 0..s-1
     return (raw.reshape(n_cycles, s * d) @ colour.reshape(s * d, s * d)
             ).reshape(total, d)

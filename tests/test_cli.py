@@ -500,6 +500,9 @@ def _write(path, content):
     ("model-sigma-shape", 3, "sigma_shape_model.txt: season 1 sigma: expected 2x2"),
     ("mc-too-few-cycles", 3, "error: scenario 'model-I': every replication failed, "
      "the first with: season 1: 1 cycles cannot support order 1"),
+    # over the 128 TiB of user address space: refused before any page is touched
+    ("simulate-huge-n", 2, "error: Unable to allocate 2.84 PiB"),
+    ("simulate-underflow", 4, "error: weak-product noise at m = 1300 underflows to 0"),
 ])
 def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needle):
     data = ["--data", str(weak_data), "--s", "2"]
@@ -576,6 +579,10 @@ def test_bad_input_exit_codes(tmp_path, model_file, weak_data, case, code, needl
             tmp_path / "sigma_shape_model.txt",
             MODEL_TEXT.replace("sigma = 1.5 0; 0 2.5", "sigma = 1.5").encode())],
         "mc-too-few-cycles": ["mc", "--scenario", "model-I", "--reps", "3", "--n", "1"],
+        "simulate-huge-n": ["simulate", "--model", model_file, "--n", "100000000000000"],
+        # it wrote 800 zeros and exited 0
+        "simulate-underflow": ["simulate", "--model", model_file, "--n", "200",
+                               "--noise", "weak-product", "--m", "1300", "--seed", "1"],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "pvar.cli"] + argv,
                           capture_output=True, text=True)
@@ -927,6 +934,7 @@ def test_arguments_either_run_or_exit_with_a_documented_code(command, arguments,
     (np.linalg.LinAlgError("SVD did not converge"), 4),
     (ValueError("Maximum allowed dimension exceeded"), 2),
     (OverflowError("(34, 'Numerical result out of range')"), 4),
+    (MemoryError("Unable to allocate 1.42 PiB for an array"), 2),
 ])
 def test_exception_class_decides_the_exit_code(monkeypatch, capsys, error, code):
     def failing(args):

@@ -281,6 +281,42 @@ def test_all_failed_raises_the_first_failure_in_seed_order(monkeypatch, first, s
                                "the first with: first chunk")
 
 
+def test_underflowed_product_noise_fails_the_replications():
+    sc = dataclasses.replace(small_scenario(reps=3, n=100),
+                             noise=NoiseSpec("weak-product", 1300))
+    with pytest.raises(NumericError, match="the first with: weak-product noise at "
+                       "m = 1300 underflows to 0$"):
+        run_scenario(sc)
+
+
+def _restrictions(season_3):
+    tests = preset("model-I").restrictions
+    return tests[:2] + [season_3] + tests[3:]
+
+
+@pytest.mark.parametrize("restrictions,season", [
+    ([Restriction.coordinates([0], 3)] * 5, 1),  # simulated a chunk, then a ValueError
+    (_restrictions("phi[3](2,2)=0"), 3),  # an AttributeError on 'R0'
+    (_restrictions(Restriction.coordinates([0], 8)), 3),
+])
+def test_scenario_checks_its_restrictions_before_any_work(monkeypatch, restrictions,
+                                                           season):
+    def reached(*args, **kwargs):
+        raise AssertionError("simulate reached")
+
+    monkeypatch.setattr(pvar.mc, "simulate", reached)
+    with pytest.raises(ValueError, match=f"^season {season}: restriction must be None "
+                       "or a Restriction of 4 columns$"):
+        run_scenario(dataclasses.replace(preset("model-I", reps=1),
+                                         restrictions=restrictions))
+
+
+def test_scenario_accepts_no_restriction_for_a_season():
+    sc = preset("model-I", n_cycles=100, reps=2)
+    sc = dataclasses.replace(sc, restrictions=[None] + sc.restrictions[1:])
+    assert run_scenario(sc).completed == 2
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_stacked_covariances_and_wald_equal_one_fit_at_a_time(name):
     sc = small_scenario(name, n=250)

@@ -60,6 +60,21 @@ def test_product_noise_is_heavy_tailed():
     assert kurt > 6.0  # products of two normals have kurtosis 9
 
 
+@pytest.mark.parametrize("m", [1300, 2000])
+def test_product_noise_that_underflows_to_zero_is_a_numeric_error(m):
+    # every product of these draws underflowed: the series was all zeros
+    with pytest.raises(NumericError, match=f"^weak-product noise at m = {m} underflows"):
+        gen_noise(colour_matrix([np.eye(1)] * 2), 200, NoiseSpec("weak-product", m=m),
+                  np.random.default_rng(1))
+
+
+def test_product_noise_near_underflow_is_drawn():
+    # m = 1000 reaches products of about 1e-296 on this seed, none exactly 0
+    eps = gen_noise(colour_matrix([np.eye(1)] * 2), 200,
+                    NoiseSpec("weak-product", m=1000), np.random.default_rng(1))
+    assert eps.all() and np.abs(eps).min() < 1e-295
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_product_noise_equals_sliding_window_product(m):
     # reference: the product of each window of m + 1 draws taken by np.prod

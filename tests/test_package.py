@@ -106,6 +106,22 @@ def test_fit_and_wald_load_no_simulation_or_reference_module(tmp_path):
     assert ast.literal_eval(proc.stdout) == [[], [0, 0, 0], False, [], True]
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["wald", "--help"]])
+def test_help_loads_no_model_or_simulation_module(argv):
+    # a parser adds flags to the subparser of the command it runs alone
+    unused = ("pvar.model", "pvar.noise", "pvar.mc", "pvar.cli_models")
+    code = f"""if True:
+        import sys
+        from pvar.cli import main
+        code = main({argv!r})
+        print(repr([code, [m for m in {unused!r} if m in sys.modules]]))
+    """
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 def test_cli_imports_no_simulation_or_reference_module_at_module_level():
     unused = {name.split(".")[-1] for name in UNUSED_BY_FIT}
     for path in CLI_FILES:

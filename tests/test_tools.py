@@ -59,19 +59,25 @@ def test_compare_outputs_names_the_first_differing_line():
 
 def test_compare_outputs_checks_help_analytic_and_error_calls(tmp_path, capsys):
     listed = list(load_tool().calls(str(tmp_path), {}))
-    assert [label for label, _, _ in listed[:13]] == [
+    errors = ["error no command", "error unknown command", "error fit without flags",
+              "error missing data", "error model without s", "error model sigma shape",
+              "error mc reps 0"]
+    assert [label for label, _, _ in listed[:16]] == [
         "help pvar", "help simulate", "help fit", "help wald", "help mc", "help analytic",
-        "analytic table", "analytic csv", "analytic json", "error missing data",
-        "error model without s", "error model sigma shape", "error mc reps 0"]
-    assert [label for label, _, fails in listed if fails] == [
-        "error missing data", "error model without s", "error model sigma shape",
-        "error mc reps 0", "error fit cli-bivariate flat kernel"]
-    assert [main(argv) for _, argv, _ in listed[:13]] == [0] * 9 + [3, 3, 3, 2]
+        "analytic table", "analytic csv", "analytic json"] + errors
+    assert [label for label, _, fails in listed if fails] == errors + [
+        "error fit cli-bivariate flat kernel"]
+    assert [main(argv) for _, argv, _ in listed[:16]] == [0] * 9 + [2, 2, 2, 3, 3, 3, 2]
     err = capsys.readouterr().err.splitlines()
-    assert err[0].endswith("missing.csv: [Errno 2] No such file or directory: "
+    assert err[:3] == [
+        "pvar: error: the following arguments are required: command",
+        "pvar: error: argument command: invalid choice: 'fi' (choose from 'simulate', "
+        "'fit', 'wald', 'mc', 'analytic')",
+        "pvar fit: error: the following arguments are required: --data, --s"]
+    assert err[3].endswith("missing.csv: [Errno 2] No such file or directory: "
                            f"'{tmp_path / 'missing.csv'}'")
-    assert err[1].endswith("no-s.model: missing header key 's'")
-    assert err[2].endswith("sigma.model: season 1 sigma: expected 2x2")
+    assert err[4].endswith("no-s.model: missing header key 's'")
+    assert err[5].endswith("sigma.model: season 1 sigma: expected 2x2")
 
 
 def test_compare_outputs_fits_under_each_kernel_and_from_a_pipe(tmp_path):
@@ -187,7 +193,7 @@ def test_compare_outputs_runs_each_restriction_form_alone(tmp_path, capsys):
     # the square brackets and a nonzero target pass through no other call
     tool = load_tool()
     listed = {label: (argv, fails) for label, argv, fails in tool.calls(str(tmp_path), {})}
-    assert len(listed) == 38  # 53 with the dump and the six presets' mc and simulate calls
+    assert len(listed) == 41  # 56 with the dump and the six presets' mc and simulate calls
     plain = listed["wald cli-bivariate"][0]
     for text in tool.RESTRICTION_FORMS:
         argv, fails = listed[f"wald cli-bivariate {text}"]

@@ -11,9 +11,10 @@ which run() reads and deletes after each call:
 - `mc --dump-scenarios`;
 - `--help` of pvar and of each command;
 - `analytic` as a table, CSV and JSON;
-- four calls that must fail (error_calls): a missing `--data` file, a
-  model file without its `s` key, one whose `sigma` is 1x1 where d = 2,
-  and `mc --reps 0`;
+- seven calls that must fail (error_calls): `pvar` with no arguments,
+  the unknown command `pvar fi`, `pvar fit` with no flags, a missing
+  `--data` file, a model file without its `s` key, one whose `sigma` is
+  1x1 where d = 2, and `mc --reps 0`;
 - `mc --format json` on every preset the dump lists, at the CLI's
   default 1000 replications, and SEEDED_MC, 50 model-I replications
   from `--seed 0`, the least seed there is;
@@ -136,7 +137,8 @@ def error_calls(tmp):
                        (sigma_1x1, "s = 1\nd = 2\n[season 1]\np = 0\nsigma = 1\n")):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return [("missing data", ["fit", "--data", os.path.join(tmp, "missing.csv"),
+    return [("no command", []), ("unknown command", ["fi"]), ("fit without flags", ["fit"]),
+            ("missing data", ["fit", "--data", os.path.join(tmp, "missing.csv"),
                               "--s", "2"]),
             ("model without s", ["simulate", "--model", no_s, "--n", "10"]),
             ("model sigma shape", ["simulate", "--model", sigma_1x1, "--n", "10"]),
