@@ -8,14 +8,14 @@ report is a pure function of the scenario.  A scenario names its Wald
 tests by the values of lrv.COV_METHODS; PRESETS holds the built-in ones.
 
 CHUNK consecutive replications go through the pipeline together: one
-batched noise.simulate call draws their series as one stack, one
-fit_ols call fits it, and one lrv.covariances call and one infer.wald
-call per season, on all methods at once, test it.  Each slice of a
-stacked estimate equals the estimate of its series alone bit for bit,
-and the results stay stacked up to the report, which sums them row by
-row in seed order, so it does not depend on the chunk size.  If the
-stacked pipeline fails, each series of the chunk goes through it again
-on its own, and only those that fail alone count as failures.
+batched noise.simulate call draws their series as one stack, one fit_ols
+call fits it, and one lrv.covariances call and one infer.wald call per
+season, on all methods at once, test it.  Each slice of a stacked draw
+or estimate equals that of its replication alone bit for bit, and the
+report sums the stacked results row by row in seed order.  If a chunk
+fails anywhere, each of its replications is drawn, fitted and tested
+again alone, and only those that fail alone count as failures: a report,
+failures included, does not depend on CHUNK.
 """
 
 from collections import Counter
@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .errors import DataError, NumericError, PvarError, require_int, require_positive
-from .estimate import PeriodicSeries, fit_ols
+from .estimate import fit_ols
 from .infer import Restriction, wald
 from .linalg import vec
 from .lrv import COV_METHODS, KernelSpec, covariances, default_bandwidth
@@ -61,9 +61,11 @@ class Scenario:
         self.base_seed = require_int("base_seed", self.base_seed, 0)
         if self.bandwidth is not None:
             self.bandwidth = require_positive("bandwidth", self.bandwidth)
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in COV_METHODS.values():
                 raise ValueError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} repeated")
         if self.restrictions is not None and len(self.restrictions) != self.model.s:
             raise ValueError(f"restrictions needs one entry per season, {self.model.s}")
         for v, rest in enumerate(self.restrictions or (), start=1):
@@ -92,10 +94,12 @@ class McReport:
     wall_time: float
 
 
-def _fit_and_test(scenario, series):
-    """Fit and test a stack of R series: per season the tuple (beta_hat
-    (R, k), Theta-hat diagonals (methods, R, k), p-values (methods, R) or
-    None where the season has no restriction), and fit.n_used."""
+def _fit_and_test(scenario, rs):
+    """Draw, fit and test the R replications rs as one stack: per season
+    (beta_hat (R, k), Theta-hat diagonals (methods, R, k), p-values
+    (methods, R) or None where the season has no restriction), and n_used."""
+    series = simulate(scenario.model, scenario.n_cycles, scenario.noise,
+                      seed=[scenario.base_seed ^ r for r in rs])
     fit = fit_ols(series, [len(lags) for lags in scenario.model.phi], demean=False)
     n, names = fit.n_used, scenario.methods
     method = {test: m for m, test in COV_METHODS.items()}
@@ -112,23 +116,16 @@ def _fit_and_test(scenario, series):
 
 
 def _chunk(scenario, rs):
-    """_fit_and_test results of replications rs, whose series one simulate
-    call draws: the chunk's stacked one or, if that fails, one per series
-    that passes alone; and the failures' errors, in seed order."""
+    """_fit_and_test results and errors of replications rs, in seed order:
+    the stacked call's or, if it fails anywhere, each replication's alone."""
     try:
-        chunk = simulate(scenario.model, scenario.n_cycles, scenario.noise,
-                         seed=[scenario.base_seed ^ r for r in rs])
-    except PvarError as exc:
-        return [], [exc] * len(rs)
-    try:
-        return [_fit_and_test(scenario, chunk)], []
+        return [_fit_and_test(scenario, rs)], []
     except PvarError:
         pass
     results, errors = [], []
-    for i in range(len(rs)):
-        one = PeriodicSeries(chunk.s, chunk.data[i:i + 1], chunk.presample[i:i + 1])
+    for r in rs:
         try:
-            results.append(_fit_and_test(scenario, one))
+            results.append(_fit_and_test(scenario, [r]))
         except PvarError as exc:
             errors.append(exc)
     return results, errors

@@ -38,6 +38,10 @@ def test_preset_names_and_validation():
     with pytest.raises(ValueError, match="unknown method 'white'"):
         Scenario(name="x", model=preset("model-I").model,
                  noise=NoiseSpec(), n_cycles=10, reps=1, methods=("white",))
+    # a repeated method's column overwrote the first in the report
+    with pytest.raises(ValueError, match="method 'modified-sp' repeated"):
+        dataclasses.replace(preset("model-I", reps=3, n_cycles=100),
+                            methods=("modified-sp", "modified-sp"))
 
 
 @pytest.mark.parametrize("field, value", [("reps", 2.5), ("reps", True),
@@ -123,8 +127,7 @@ def test_method_subset_matches_full_run():
 
 def test_wald_pvalue_matches_t_identity_inside_replication():
     sc = small_scenario(reps=1, n=400)
-    seasons, n = _fit_and_test(sc, simulate(sc.model, sc.n_cycles, sc.noise,
-                                            seed=[sc.base_seed]))
+    seasons, n = _fit_and_test(sc, [0])
     assert len(seasons) == 5
     for beta, diagonals, pvals in seasons:
         assert diagonals.shape == (len(sc.methods), 1, 4)
@@ -226,11 +229,12 @@ def test_chunked_run_equals_one_replication_at_a_time(monkeypatch):
     assert list(chunked.rejection) == list(serial.rejection)
 
 
-def heavy_tailed_scenario(reps=30):
-    """Product noise of 301 normals: on some seeds the score moments
-    underflow, so those replications fail and the others complete."""
+def heavy_tailed_scenario(reps=30, m=300):
+    """Product noise of m + 1 normals: at m = 300 the score moments
+    underflow on some seeds, so those replications fail and the others
+    complete; above m = 1000 the noise itself underflows on some seeds."""
     model = PvarModel(s=1, d=1, phi=[[np.array([[0.3]])]], sigma=[np.eye(1)])
-    return Scenario("heavy-tailed", model, NoiseSpec("weak-product", m=300), 40,
+    return Scenario("heavy-tailed", model, NoiseSpec("weak-product", m=m), 40,
                     reps, restrictions=[Restriction.coordinates([0], 1)],
                     bandwidth=0.2)
 
@@ -249,20 +253,44 @@ def test_failure_reasons_count_each_class_and_message_in_seed_order():
     assert run_scenario(small_scenario(reps=3, n=100)).failure_reasons == {}
 
 
-def test_failed_chunk_simulation_fails_every_replication_of_the_chunk(monkeypatch):
-    def simulate_first_chunk_fails(model, n_cycles, spec, seed):
-        if seed[0] == sc.base_seed:
+def test_failed_simulation_fails_only_its_replication(monkeypatch):
+    def simulate_fails_on_seed_3(model, n_cycles, spec, seed):
+        if sc.base_seed ^ 3 in seed:
             raise NumericError("injected")
         return simulate(model, n_cycles, spec, seed=seed)
 
-    monkeypatch.setattr(pvar.mc, "simulate", simulate_first_chunk_fails)
+    monkeypatch.setattr(pvar.mc, "simulate", simulate_fails_on_seed_3)
     sc = small_scenario(reps=CHUNK + 3, n=150)
-    rep = run_scenario(sc)
-    assert rep.failures == CHUNK and rep.completed == 3
-    assert rep.failure_reasons == {("NumericError", "injected"): CHUNK}
+    chunked = run_scenario(sc)
+    assert chunked.failures == 1 and chunked.completed == CHUNK + 2
+    assert chunked.failure_reasons == {("NumericError", "injected"): 1}
+    monkeypatch.setattr(pvar.mc, "CHUNK", 1)
+    serial = run_scenario(sc)
+    assert _fields(chunked) == _fields(serial)
+    assert list(chunked.rejection) == list(serial.rejection)
+
+    def simulate_fails(model, n_cycles, spec, seed):
+        raise NumericError("injected")
+
+    monkeypatch.setattr(pvar.mc, "simulate", simulate_fails)
     with pytest.raises(NumericError,
                        match="every replication failed, the first with: injected$"):
         run_scenario(dataclasses.replace(sc, reps=CHUNK))
+
+
+@pytest.mark.parametrize("m, underflows", [(1020, 1), (1050, 2)])
+def test_chunked_failures_equal_the_failures_seed_by_seed(m, underflows):
+    # where a chunk's draw underflows on one seed, that replication alone
+    # fails for the underflow; the others fail or pass as they do alone
+    sc = heavy_tailed_scenario(reps=20, m=m)
+    chunked = [exc for first in (0, 10)
+               for exc in pvar.mc._chunk(sc, range(first, first + 10))[1]]
+    alone = [exc for r in range(sc.reps) for exc in pvar.mc._chunk(sc, [r])[1]]
+    assert ([(type(exc), str(exc)) for exc in chunked]
+            == [(type(exc), str(exc)) for exc in alone])
+    reasons = [str(exc) for exc in alone]
+    assert reasons.count(f"weak-product noise at m = {m} underflows to 0") == underflows
+    assert reasons.count("season 1 design is numerically singular") == 20 - underflows
 
 
 @pytest.mark.parametrize("first,second", [(DataError, NumericError),
